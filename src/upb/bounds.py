@@ -8,16 +8,23 @@ packing equality m * ball_mass(r0) = total_mass:
       k = floor(r0^2/4), a = r0^2/4 - k
   B3  sin(r0 / sqrt(n))                      r0 riemannian
 
-plus the exact small-case values, the euclidean/riemannian distance
-envelope the B2 derivation rests on, a crossover-radius finder for the
-B1/B2 comparison, and an asymptotic (heuristic, m -> infinity) lower bound.
+compute_bounds is the one path from (n, m, config) to bound rows: it
+solves each metric's r0 once, attaches one radius standard error, and
+optionally caches both. Alongside sit the exact small-case values, the
+euclidean/riemannian distance envelope the B2 derivation rests on, a
+crossover-radius finder for the B1/B2 comparison, and an asymptotic
+(heuristic, m -> infinity) lower bound.
 """
 
 import bisect as _bisect
+import hashlib
+import json
 import math
+import os
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_int
 from .weyl import (
     IntegrationConfig,
     MassEstimate,
@@ -41,6 +48,7 @@ __all__ = [
     "bound_b1",
     "bound_b2",
     "bound_b3",
+    "compute_bounds",
     "crossover_radius",
     "euclidean_riemannian_envelope",
     "evaluate_bound",
@@ -53,6 +61,9 @@ BOUND_IDS = ("b1", "b2", "b3")
 BOUND_METRIC = {"b1": "euclidean", "b2": "euclidean", "b3": "riemannian"}
 
 _FLOOR_SNAP = 1e-12
+# Last field of solver_key; bump it whenever solve_r0 or the radius error
+# model changes, so that no cache entry of the old algorithm is served.
+_CACHE_VERSION = "v2"
 
 
 @dataclass(frozen=True)
@@ -73,14 +84,13 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolveDiagnostics:
     """What a solve did: eval count, sample-doubling restarts, final bracket,
-    the mass estimate at the returned radius, a finite-difference mass slope
-    near the root, and whether all evaluations stayed monotone in r."""
+    the mass estimate at the returned radius, and whether all evaluations
+    stayed monotone in r."""
 
     evaluations: int
     restarts: int
     bracket: tuple
     mass: MassEstimate
-    slope: float
     monotone: bool
 
 
@@ -108,15 +118,9 @@ class AsymptoticBound:
     heuristic: bool = True
 
 
-def _check_nm(n, m):
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f"dimension must be a positive integer, got {n!r}")
-    if not isinstance(m, int) or m < 2:
-        raise ValidationError(f"constellation size m must be an integer >= 2, got {m!r}")
-
-
 def solver_key(n, m, metric, cfg):
-    """Cache key: n:m:metric:strategy:samples:nodes:seed:root_tol."""
+    """Cache key: n:m:metric:strategy:samples:nodes:seed:root_tol:
+    max_bisection_steps:max_refinements:version."""
     integ = cfg.integration
     strategy = resolve_strategy(n, integ)
     return ":".join(
@@ -129,6 +133,9 @@ def solver_key(n, m, metric, cfg):
             str(integ.nodes_per_axis),
             str(integ.seed),
             format(cfg.root_tol, ".17g"),
+            str(cfg.max_bisection_steps),
+            str(integ.max_refinements),
+            _CACHE_VERSION,
         ]
     )
 
@@ -143,7 +150,8 @@ def solve_r0(n, m, metric, cfg=None):
     Returns (r0, SolveDiagnostics). Raises NumericalError with the bracket
     attached if max_bisection_steps cannot reach root_tol.
     """
-    _check_nm(n, m)
+    n = check_int(n, "n", 1)
+    m = check_int(m, "m", 2)
     if cfg is None:
         cfg = SolverConfig()
     target = total_mass(n) / m
@@ -195,19 +203,11 @@ def solve_r0(n, m, metric, cfg=None):
             restarts += 1
             continue
         r0 = 0.5 * (lo + hi)
-        final = evaluate(r0)
-        i = _bisect.bisect_left(seen_r, r0)
-        j0, j1 = max(0, i - 1), min(len(seen_r) - 1, i + 1)
-        if seen_r[j1] > seen_r[j0]:
-            slope = (seen_v[j1] - seen_v[j0]) / (seen_r[j1] - seen_r[j0])
-        else:
-            slope = 0.0
         diag = SolveDiagnostics(
             evaluations=evaluations,
             restarts=restarts,
             bracket=(lo, hi),
-            mass=final,
-            slope=max(slope, 0.0),
+            mass=evaluate(r0),
             monotone=monotone,
         )
         return r0, diag
@@ -220,8 +220,7 @@ def _floor_frac(q):
 
 
 def _check_radius(n, r, metric="euclidean"):
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f"dimension must be a positive integer, got {n!r}")
+    check_int(n, "n", 1)
     rmax = max_radius(n, metric)
     if not (math.isfinite(r) and -1e-9 <= r <= rmax * (1.0 + 1e-9)):
         raise ValidationError(f"radius must lie in [0, {rmax:.6g}], got {r!r}")
@@ -279,52 +278,116 @@ def _curve_derivative(bound_id, n, r0, metric):
     return (evaluate_bound(bound_id, n, hi) - evaluate_bound(bound_id, n, lo)) / (hi - lo)
 
 
-def _bound(bound_id, n, m, cfg):
-    if cfg is None:
-        cfg = SolverConfig()
-    metric = BOUND_METRIC[bound_id]
+def _solve_radius(n, m, metric, cfg):
+    """(r0, radius standard error): half the root tolerance, plus for Monte
+    Carlo the mass standard error at r0 over the mass secant slope across
+    r0 +- max(1e-4, 50 root_tol) max(1, r0)."""
     r0, diag = solve_r0(n, m, metric, cfg)
-    value = evaluate_bound(bound_id, n, r0)
-    # radius uncertainty: half the final bracket plus the MC noise converted
-    # through the local mass slope; scaled by the curve derivative
     se_r = 0.5 * cfg.root_tol
     if diag.mass.std_error > 0.0:
-        if diag.slope > 0.0:
-            se_r += diag.mass.std_error / diag.slope
-        else:
-            se_r += max_radius(n, metric)  # flat bracket: no slope information
-    hint = abs(_curve_derivative(bound_id, n, r0, metric)) * se_r
-    return BoundResult(
-        n=n,
-        m=m,
-        bound_id=bound_id,
-        metric=metric,
-        r0=r0,
-        value=value,
-        std_error_hint=hint,
-        config_fingerprint=solver_key(n, m, metric, cfg),
-    )
+        integ = replace(cfg.integration, samples=cfg.integration.samples * 2**diag.restarts)
+        step = max(1e-4, 50.0 * cfg.root_tol) * max(1.0, r0)
+        hi = min(r0 + step, max_radius(n, metric))
+        lo = max(r0 - step, 0.0)
+        mass_hi = ball_mass(n, hi, metric, integ).value
+        slope = (mass_hi - ball_mass(n, lo, metric, integ).value) / (hi - lo)
+        if slope > 0.0:
+            se_r += diag.mass.std_error / slope
+    return r0, se_r
+
+
+def _cache_path(cache_dir, key):
+    return Path(cache_dir) / f"{hashlib.sha256(key.encode()).hexdigest()[:32]}.json"
+
+
+def _cache_load(path, key):
+    """(r0, radius standard error) stored under key at path, or None."""
+    try:
+        entry = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    if not isinstance(entry, dict) or entry.get("key") != key:
+        return None
+    radius = (entry.get("r0"), entry.get("radius_se"))
+    if all(isinstance(v, float) and math.isfinite(v) and v >= 0.0 for v in radius):
+        return radius
+    return None
+
+
+def _cache_store(path, key, r0, se_r):
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_suffix(".tmp")
+        tmp.write_text(json.dumps({"key": key, "r0": r0, "radius_se": se_r}, indent=2) + "\n")
+        os.replace(tmp, path)
+    except OSError:
+        pass  # the cache only saves time; the solve itself succeeded
+
+
+def compute_bounds(n, m, methods=BOUND_IDS, cfg=None, cache_dir=None):
+    """One BoundResult per id in methods, in that order.
+
+    Each metric's r0 is solved once, with its radius standard error (see
+    _solve_radius); a row's std_error_hint is that error times |dB/dr| at r0.
+    With cache_dir, r0 and its error are kept in one JSON file per
+    solver_key there, and a cached metric costs no mass evaluation.
+    """
+    n = check_int(n, "n", 1)
+    m = check_int(m, "m", 2)
+    for bound_id in methods:
+        if bound_id not in BOUND_METRIC:
+            raise ValidationError(f"unknown bound id {bound_id!r}; expected one of {BOUND_IDS}")
+    if cfg is None:
+        cfg = SolverConfig()
+    radii = {}
+    for metric in sorted({BOUND_METRIC[b] for b in methods}):
+        key = solver_key(n, m, metric, cfg)
+        path = None if cache_dir is None else _cache_path(cache_dir, key)
+        radius = None if path is None else _cache_load(path, key)
+        if radius is None:
+            radius = _solve_radius(n, m, metric, cfg)
+            if path is not None:
+                _cache_store(path, key, *radius)
+        radii[metric] = (key, *radius)
+    results = []
+    for bound_id in methods:
+        metric = BOUND_METRIC[bound_id]
+        key, r0, se_r = radii[metric]
+        results.append(
+            BoundResult(
+                n=n,
+                m=m,
+                bound_id=bound_id,
+                metric=metric,
+                r0=r0,
+                value=evaluate_bound(bound_id, n, r0),
+                std_error_hint=abs(_curve_derivative(bound_id, n, r0, metric)) * se_r,
+                config_fingerprint=key,
+            )
+        )
+    return results
 
 
 def bound_b1(n, m, cfg=None):
     """Diversity-sum upper bound B1 at the euclidean critical radius."""
-    return _bound("b1", n, m, cfg)
+    return compute_bounds(n, m, ("b1",), cfg)[0]
 
 
 def bound_b2(n, m, cfg=None):
     """Diversity-sum upper bound B2 at the euclidean critical radius."""
-    return _bound("b2", n, m, cfg)
+    return compute_bounds(n, m, ("b2",), cfg)[0]
 
 
 def bound_b3(n, m, cfg=None):
     """Diversity-sum upper bound B3 at the riemannian critical radius."""
-    return _bound("b3", n, m, cfg)
+    return compute_bounds(n, m, ("b3",), cfg)[0]
 
 
 def exact_delta(n, m):
     """Exactly known diversity-sum optimum, or None where no exact value is
     published: all n at m in {2, 3}, all m for n = 1, and n = 2 up to m = 16."""
-    _check_nm(n, m)
+    n = check_int(n, "n", 1)
+    m = check_int(m, "m", 2)
     if n == 1:
         return math.sin(math.pi / m)
     if m == 2:
@@ -370,8 +433,7 @@ def crossover_radius(n, grid=4096, tol=1e-12):
     returned radius is the first sign change of b2 - b1, refined by
     bisection. Returns None if no sign change is found.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValidationError(f"crossover needs an integer dimension >= 2, got {n!r}")
+    n = check_int(n, "n", 2)
     hi = math.sqrt(2.0 * n) * (1.0 - 1e-12)
     lo = hi * 1e-6
 
@@ -407,7 +469,8 @@ def asymptotic_lower_bound(n, m, tau, cfg=None):
     heuristic: the derivation holds only as m -> infinity and the value is
     not a certified bound at finite m.
     """
-    _check_nm(n, m)
+    n = check_int(n, "n", 1)
+    m = check_int(m, "m", 2)
     if not isinstance(tau, int) or tau < 0:
         raise ValidationError(f"tau must be a nonnegative integer, got {tau!r}")
     r0, _ = solve_r0(n, m, "euclidean", cfg)

@@ -8,7 +8,6 @@ along with the timestamp since wall time is never reproducible.
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
@@ -25,10 +24,8 @@ from .bounds import (
     BOUND_IDS,
     BOUND_METRIC,
     SolverConfig,
-    evaluate_bound,
+    compute_bounds,
     euclidean_riemannian_envelope,
-    solve_r0,
-    solver_key,
 )
 from .constellation import (
     chordal_packing_radius,
@@ -38,13 +35,11 @@ from .constellation import (
     riemannian_distance,
     save_constellation,
 )
-from .errors import ConfigError, NumericalError, ParseError, RangeError, ValidationError
+from .errors import ConfigError, NumericalError, ParseError, RangeError, ValidationError, check_int
 from .matrices import haar_sample
 from .weyl import (
     METRICS,
     IntegrationConfig,
-    ball_mass,
-    max_radius,
     normalizer_estimate,
     resolve_strategy,
     total_mass,
@@ -189,7 +184,7 @@ def _emit(record: RunRecord, args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# solver cache: one structured-text file per solver key, entries never expire
+# bound rows: the library computes and caches, the CLI lays out
 
 
 def _cache_dir(args) -> Path:
@@ -201,99 +196,25 @@ def _cache_dir(args) -> Path:
     return Path(_DEFAULT_CACHE_DIR)
 
 
-def _cache_path(root: Path, key: str) -> Path:
-    digest = hashlib.sha256(key.encode()).hexdigest()[:32]
-    return root / f"{digest}.json"
-
-
-def _cache_lookup(root: Path, key: str):
-    path = _cache_path(root, key)
-    try:
-        entry = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(entry, dict) or entry.get("key") != key:
-        return None
-    r0 = entry.get("r0")
-    if not isinstance(r0, float) or not math.isfinite(r0):
-        return None
-    return r0
-
-
-def _cache_store(root: Path, key: str, r0: float) -> None:
-    entry = {
-        "key": key,
-        "r0": float(r0),
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    }
-    try:
-        root.mkdir(parents=True, exist_ok=True)
-        path = _cache_path(root, key)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(_json_render(entry) + "\n")
-        os.replace(tmp, path)
-    except OSError:
-        pass  # cache is an optimization; solving proceeded fine without it
-
-
-def _solve_cached(n: int, m: int, metric: str, cfg: SolverConfig, root: Path) -> float:
-    key = solver_key(n, m, metric, cfg)
-    r0 = _cache_lookup(root, key)
-    if r0 is not None:
-        return r0
-    r0, _ = solve_r0(n, m, metric, cfg)
-    _cache_store(root, key, r0)
-    return r0
-
-
-def _derivative(fn, x: float) -> float:
-    h = 1e-6 * max(1.0, abs(x))
-    return (fn(x + h) - fn(x - h)) / (2.0 * h)
-
-
-def _row_std_error(bound_id: str, n: int, r0: float, cfg: SolverConfig) -> float:
-    """Propagated bound error, computed identically on cache hits and misses."""
-    metric = BOUND_METRIC[bound_id]
-    dcurve = abs(_derivative(lambda r: evaluate_bound(bound_id, n, r), r0))
-    se_r = 0.5 * cfg.root_tol
-    if resolve_strategy(n, cfg.integration) == "monte-carlo":
-        est = ball_mass(n, r0, metric, cfg.integration)
-        step = max(1e-4, 50.0 * cfg.root_tol) * max(1.0, r0)
-        hi = min(r0 + step, max_radius(n, metric))
-        lo = max(r0 - step, 0.0)
-        est_hi = ball_mass(n, hi, metric, cfg.integration)
-        est_lo = ball_mass(n, lo, metric, cfg.integration)
-        slope = (est_hi.value - est_lo.value) / (hi - lo)
-        if slope > 0.0 and est.std_error > 0.0:
-            se_r += est.std_error / slope
-    return dcurve * se_r
-
-
 def _bound_rows(n: int, m: int, methods, cfg: SolverConfig, root: Path) -> list:
-    r0s = {}
-    for metric in sorted({BOUND_METRIC[b] for b in methods}):
-        r0s[metric] = _solve_cached(n, m, metric, cfg, root)
+    results = compute_bounds(n, m, methods, cfg, root)
     strategy = resolve_strategy(n, cfg.integration)
     samples = cfg.integration.samples if strategy == "monte-carlo" else 0
-    rows = []
-    for bound_id in methods:
-        metric = BOUND_METRIC[bound_id]
-        r0 = r0s[metric]
-        rows.append(
-            {
-                "n": n,
-                "m": m,
-                "method": bound_id,
-                "metric": metric,
-                "r0": r0,
-                "value": evaluate_bound(bound_id, n, r0),
-                "std_error": _row_std_error(bound_id, n, r0, cfg),
-                "strategy": strategy,
-                "samples": samples,
-                "seed": cfg.integration.seed,
-            }
-        )
-    return rows
+    return [
+        {
+            "n": n,
+            "m": m,
+            "method": res.bound_id,
+            "metric": res.metric,
+            "r0": res.r0,
+            "value": res.value,
+            "std_error": res.std_error_hint,
+            "strategy": strategy,
+            "samples": samples,
+            "seed": cfg.integration.seed,
+        }
+        for res in results
+    ]
 
 
 _SWEEP_COLUMNS = ("n", "m", "method", "metric", "r0", "value", "std_error", "strategy", "samples", "seed")
@@ -317,13 +238,6 @@ def _parse_methods(spec: str):
         if name not in seen:
             seen.append(name)
     return seen
-
-
-def _check_nm(n: int, m: int) -> None:
-    if n < 1:
-        raise _UsageError("n must be ≥ 1")
-    if m < 2:
-        raise _UsageError("m must be ≥ 2")
 
 
 def _check_metric_flag(args, methods) -> None:
@@ -366,7 +280,6 @@ def _record(args, command: str, parameters: dict, columns, rows, notes=(), t0: f
 
 def cmd_bound(args) -> int:
     t0 = time.perf_counter()
-    _check_nm(args.n, args.m)
     methods = _parse_methods(args.method)
     _check_metric_flag(args, methods)
     cfg = _solver_config(args)
@@ -392,17 +305,15 @@ def cmd_table(args) -> int:
     rows = []
     worst = 0.0
     for i, m in enumerate(_TABLE_M):
-        r0 = _solve_cached(2, m, "euclidean", cfg, root)
-        for bound_id in ("b1", "b2"):
-            computed = evaluate_bound(bound_id, 2, r0)
-            reference = _TABLE_REF[bound_id][i]
-            dev = abs(computed - reference)
+        for res in compute_bounds(2, m, ("b1", "b2"), cfg, root):
+            reference = _TABLE_REF[res.bound_id][i]
+            dev = abs(res.value - reference)
             worst = max(worst, dev)
             rows.append(
                 {
                     "m": m,
-                    "method": bound_id,
-                    "computed": computed,
+                    "method": res.bound_id,
+                    "computed": res.value,
                     "reference": reference,
                     "abs_dev": dev,
                 }
@@ -419,8 +330,7 @@ def cmd_table(args) -> int:
 
 
 def _sweep_sizes(args) -> list:
-    if args.m_start < 2:
-        raise _UsageError("m must be ≥ 2")
+    check_int(args.m_start, "m", 2)
     if args.m_end < args.m_start:
         raise _UsageError("--m-end must be ≥ --m-start")
     if args.m_factor is not None:
@@ -443,8 +353,6 @@ def _sweep_sizes(args) -> list:
 
 def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
-    if args.n < 1:
-        raise _UsageError("n must be ≥ 1")
     methods = _parse_methods(args.method)
     _check_metric_flag(args, methods)
     cfg = _solver_config(args)
@@ -513,11 +421,6 @@ def cmd_eval(args) -> int:
 
 def cmd_search(args) -> int:
     t0 = time.perf_counter()
-    _check_nm(args.n, args.m)
-    if args.trials < 1:
-        raise _UsageError("--trials must be ≥ 1")
-    if args.objective not in ("sum", "product"):
-        raise _UsageError("--objective must be sum or product")
     best, score = random_search(args.n, args.m, args.trials, args.seed, objective=args.objective)
     out_path = args.out if args.out is not None else f"constellation-n{args.n}-m{args.m}-{args.objective}.json"
     try:
@@ -595,14 +498,11 @@ def _selftest_envelope() -> str:
 
 
 def _selftest_closed_forms() -> str:
-    cfg = SolverConfig()
     for m in (2, 3, 4, 8, 16, 64):
         expected = math.sin(math.pi / m)
-        for bound_id in BOUND_IDS:
-            r0, _ = solve_r0(1, m, BOUND_METRIC[bound_id], cfg)
-            value = evaluate_bound(bound_id, 1, r0)
-            if abs(value - expected) > 1e-6:
-                return f"{bound_id}(1, {m}) = {value:.9g}, expected sin(pi/{m}) = {expected:.9g}"
+        for res in compute_bounds(1, m):
+            if abs(res.value - expected) > 1e-6:
+                return f"{res.bound_id}(1, {m}) = {res.value:.9g}, expected sin(pi/{m}) = {expected:.9g}"
     return ""
 
 

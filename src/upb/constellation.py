@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, ParseError, ValidationError
+from .errors import DimensionError, ParseError, ValidationError, check_int
 from .matrices import UnitaryMatrix, stacked_logabsdet, unitary_eigenangles
 
 __all__ = [
@@ -158,12 +158,9 @@ def random_search(n, m, trials, seed, objective="sum"):
     is invisible: draws come from one sequential stream). Returns
     (Constellation, score).
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f"dimension must be a positive integer, got {n!r}")
-    if not isinstance(m, int) or m < 2:
-        raise ValidationError(f"constellation size m must be an integer >= 2, got {m!r}")
-    if not isinstance(trials, int) or trials < 1:
-        raise ValidationError(f"trials must be a positive integer, got {trials!r}")
+    n = check_int(n, "n", 1)
+    m = check_int(m, "m", 2)
+    trials = check_int(trials, "trials", 1)
     if objective not in ("sum", "product"):
         raise ValidationError(f"objective must be 'sum' or 'product', got {objective!r}")
     rng = np.random.default_rng(

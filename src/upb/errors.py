@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its integer validator."""
+
+import numbers
 
 
 class UpbError(Exception):
@@ -39,3 +41,15 @@ class RangeError(UpbError):
 
 class ParseError(UpbError):
     """A constellation file could not be parsed."""
+
+
+def check_int(value, name, minimum):
+    """value as a Python int if it is an integer >= minimum, else ValidationError.
+
+    Python and numpy integers are accepted; bool is not.
+    """
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be ≥ {minimum}, got {value!r}")
+    return int(value)

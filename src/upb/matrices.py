@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, NumericalError, ValidationError
+from .errors import DimensionError, NumericalError, ValidationError, check_int
 
 __all__ = [
     "UnitaryMatrix",
@@ -162,8 +162,7 @@ def haar_sample(n, rng):
     QR, then the Q columns are rephased by the R diagonal so the distribution
     is exactly Haar rather than QR-convention dependent.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"dimension must be a positive integer, got {n!r}")
+    n = check_int(n, "n", 1)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, RangeError, UnsupportedStrategyError, ValidationError
+from .errors import ConfigError, RangeError, UnsupportedStrategyError, ValidationError, check_int
 
 __all__ = [
     "IntegrationConfig",
@@ -109,12 +109,6 @@ class MassEstimate:
     seed: int
 
 
-def _check_n(n):
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"dimension must be a positive integer, got {n!r}")
-    return int(n)
-
-
 def _check_metric(metric):
     if metric not in METRICS:
         raise ValidationError(f"unknown metric {metric!r}; expected one of {METRICS}")
@@ -147,7 +141,7 @@ def _density_rows(thetas):
 
 def log_total_mass(n):
     """log of the full-domain density integral, n log(2pi) + log(n!)."""
-    n = _check_n(n)
+    n = check_int(n, "n", 1)
     return n * math.log(2.0 * math.pi) + math.lgamma(n + 1)
 
 
@@ -157,7 +151,7 @@ def total_mass(n):
     Raises RangeError once the value exceeds float range (n around 124);
     use log_total_mass there.
     """
-    n = _check_n(n)
+    n = check_int(n, "n", 1)
     if log_total_mass(n) > 709.0:
         raise RangeError(f"total mass overflows float64 for n={n}; use log_total_mass")
     return (2.0 * math.pi) ** n * float(math.factorial(n))
@@ -165,14 +159,14 @@ def total_mass(n):
 
 def max_radius(n, metric):
     """Saturation radius: the ball covers D1 from here on."""
-    n = _check_n(n)
+    n = check_int(n, "n", 1)
     _check_metric(metric)
     return 2.0 * math.sqrt(n) if metric == "euclidean" else math.pi * math.sqrt(n)
 
 
 def resolve_strategy(n, cfg):
     """Concrete strategy for dimension n under cfg ("tensor" or "monte-carlo")."""
-    n = _check_n(n)
+    n = check_int(n, "n", 1)
     if cfg.strategy == "auto":
         return "tensor" if n <= _TENSOR_MAX_N else "monte-carlo"
     if cfg.strategy == "tensor" and n > _TENSOR_MAX_N:
@@ -192,7 +186,7 @@ def ball_mass(n, r, metric, cfg=None):
     at r = 2 (euclidean) resp. r = pi (riemannian) from a rescaled-ball
     estimator to an anchored ball-at-switch + cube-sampled annulus sum.
     """
-    n = _check_n(n)
+    n = check_int(n, "n", 1)
     _check_metric(metric)
     if cfg is None:
         cfg = IntegrationConfig()
@@ -230,7 +224,7 @@ def normalizer_estimate(n, cfg=None):
     Uniform sampling of D1; no early-outs, so this is an honest stochastic
     cross-check of total_mass(n).
     """
-    n = _check_n(n)
+    n = check_int(n, "n", 1)
     if cfg is None:
         cfg = IntegrationConfig()
     pts = _cube_points(n, cfg.samples, cfg.seed & _SEED_MASK)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from upb import (
     bound_b1,
     bound_b2,
     bound_b3,
+    compute_bounds,
     crossover_radius,
     euclidean_riemannian_envelope,
     evaluate_bound,
@@ -296,6 +298,55 @@ def test_solver_key_shape_and_determinism(tensor_solver, mc_solver):
     parts = key.split(":")
     assert parts[0] == "2" and parts[1] == "100" and parts[2] == "euclidean"
     assert key != solver_key(2, 100, "euclidean", mc_solver)
+
+
+def test_solver_key_carries_every_result_field(tensor_solver, mc_cfg):
+    base = SolverConfig(integration=mc_cfg)
+    keys = {
+        solver_key(4, 24, "euclidean", cfg)
+        for cfg in (
+            base,
+            SolverConfig(integration=mc_cfg, max_bisection_steps=150),
+            SolverConfig(integration=IntegrationConfig(
+                strategy="monte-carlo", samples=100_000, seed=0, max_refinements=3)),
+        )
+    }
+    assert len(keys) == 3
+    assert solver_key(2, 100, "euclidean", tensor_solver).startswith(
+        "2:100:euclidean:tensor:1000000:64:0:9.9999999999999995e-07:200:12:")
+
+
+def test_cache_entry_without_version_or_radius_error_is_recomputed(tensor_solver, tmp_path):
+    (fresh,) = compute_bounds(2, 24, ("b1",), tensor_solver, tmp_path)
+    (path,) = tmp_path.glob("*.json")
+    key = fresh.config_fingerprint
+    old_key = ":".join(key.split(":")[:8])  # the fields keyed before the version
+    for stale_key in (old_key, key):
+        path.write_text(json.dumps({"key": stale_key, "r0": 1.0, "timestamp": "2024-01-01T00:00:00+00:00"}))
+        (again,) = compute_bounds(2, 24, ("b1",), tensor_solver, tmp_path)
+        assert again == fresh
+        assert json.loads(path.read_text())["radius_se"] > 0.0
+
+
+def test_cached_bounds_equal_fresh_bounds(tensor_solver, tmp_path):
+    fresh = compute_bounds(2, 24, BOUND_IDS, tensor_solver)
+    assert compute_bounds(2, 24, BOUND_IDS, tensor_solver, tmp_path) == fresh
+    assert len(list(tmp_path.glob("*.json"))) == 2  # one entry per metric
+    assert compute_bounds(2, 24, BOUND_IDS, tensor_solver, tmp_path) == fresh
+    assert [b.bound_id for b in compute_bounds(2, 24, ("b3", "b1"), tensor_solver)] == ["b3", "b1"]
+    with pytest.raises(ValidationError):
+        compute_bounds(2, 24, ("b4",), tensor_solver)
+
+
+def test_numpy_integers_accepted_and_bool_rejected(tensor_solver):
+    r0, _ = solve_r0(2, 24, "euclidean", tensor_solver)
+    r0_np, _ = solve_r0(np.int64(2), np.int64(24), "euclidean", tensor_solver)
+    assert r0_np == r0
+    for n, m in ((True, 24), (2, True), (2.0, 24)):
+        with pytest.raises(ValidationError):
+            solve_r0(n, m, "euclidean", tensor_solver)
+    with pytest.raises(ValidationError):
+        compute_bounds(True, 24, cfg=tensor_solver)
 
 
 def test_solve_r0_reports_bracket_on_exhaustion(tensor_cfg):

@@ -7,8 +7,17 @@ import time
 import numpy as np
 import pytest
 
+import upb.bounds
 import upb.cli as cli
-from upb import Constellation, MassEstimate, NumericalError, save_constellation
+from upb import (
+    Constellation,
+    IntegrationConfig,
+    MassEstimate,
+    NumericalError,
+    SolverConfig,
+    compute_bounds,
+    save_constellation,
+)
 from upb.cli import main
 
 
@@ -69,7 +78,7 @@ def test_bound_numerical_failure_maps_to_exit_2(capsys, tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise NumericalError("injected failure", bracket=(0.1, 0.2))
 
-    monkeypatch.setattr(cli, "solve_r0", explode)
+    monkeypatch.setattr(upb.bounds, "solve_r0", explode)
     code, _, err = run(capsys, "bound", "--n", "1", "--m", "4", "--cache-dir", str(tmp_path))
     assert code == 2 and "injected failure" in err
 
@@ -92,6 +101,39 @@ def test_output_byte_identical_across_cache_states(capsys, tmp_path):
     code, warm, _ = run(capsys, *args)
     assert code == 0
     assert cold == warm
+
+
+def test_warm_cache_does_no_mass_work(capsys, tmp_path, monkeypatch):
+    calls = []
+    real = upb.bounds.ball_mass
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(upb.bounds, "ball_mass", counting)
+    args = ("bound", "--n", "4", "--m", "24", "--samples", "2000", "--no-timestamp",
+            "--cache-dir", str(tmp_path))
+    code, cold, _ = run(capsys, *args)
+    assert code == 0 and calls
+    calls.clear()
+    code, warm, _ = run(capsys, *args)
+    assert code == 0
+    assert calls == []
+    assert warm == cold
+
+
+def test_library_and_cli_share_one_error_model(capsys, tmp_path):
+    cfg = SolverConfig(integration=IntegrationConfig(strategy="monte-carlo", samples=20_000))
+    library = compute_bounds(4, 24, cfg=cfg)
+    doc = run_json(capsys, "bound", "--n", "4", "--m", "24", "--strategy", "mc",
+                   "--samples", "20000", "--cache-dir", str(tmp_path))
+    assert [r["method"] for r in doc["results"]] == ["b1", "b2", "b3"]
+    for res, row in zip(library, doc["results"]):
+        assert res.bound_id == row["method"]
+        assert res.r0 == row["r0"] and res.value == row["value"]
+        assert res.std_error_hint == pytest.approx(row["std_error"], rel=1e-12)
+    assert library[0].std_error_hint > 0.0  # B2 saturates at 1 here, so its row carries 0
 
 
 def test_csv_output_deterministic(capsys, tmp_path):
