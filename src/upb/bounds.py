@@ -9,30 +9,22 @@ packing equality m * ball_mass(r0) = total_mass:
   B3  sin(r0 / sqrt(n))                      r0 riemannian
 
 compute_bounds is the one path from (n, m, config) to bound rows: it
-solves each metric's r0 once, attaches one radius standard error, and
+solves each metric's r0 once, attaches one deterministic radius error, and
 optionally caches both. Alongside sit the exact small-case values, the
 euclidean/riemannian distance envelope the B2 derivation rests on, a
 crossover-radius finder for the B1/B2 comparison, and an asymptotic
 (heuristic, m -> infinity) lower bound.
 """
 
-import bisect as _bisect
 import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import NumericalError, ValidationError, check_int
-from .weyl import (
-    IntegrationConfig,
-    MassEstimate,
-    ball_mass,
-    max_radius,
-    resolve_strategy,
-    total_mass,
-)
+from .weyl import ball_mass, ball_mass_error, max_radius, total_mass
 
 __all__ = [
     "AsymptoticBound",
@@ -63,35 +55,32 @@ BOUND_METRIC = {"b1": "euclidean", "b2": "euclidean", "b3": "riemannian"}
 _FLOOR_SNAP = 1e-12
 # Last field of solver_key; bump it whenever solve_r0 or the radius error
 # model changes, so that no cache entry of the old algorithm is served.
-_CACHE_VERSION = "v2"
+_CACHE_VERSION = "v3"
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Bisection settings. root_tol is on the radius, not the mass residual."""
 
-    integration: IntegrationConfig = field(default_factory=IntegrationConfig)
     root_tol: float = 1e-6
     max_bisection_steps: int = 200
 
     def __post_init__(self):
         if not (0.0 < self.root_tol < 1.0):
             raise ValidationError(f"root_tol must lie in (0, 1), got {self.root_tol!r}")
-        if not isinstance(self.max_bisection_steps, int) or self.max_bisection_steps < 1:
-            raise ValidationError("max_bisection_steps must be a positive integer")
+        object.__setattr__(
+            self, "max_bisection_steps", check_int(self.max_bisection_steps, "max_bisection_steps", 1)
+        )
 
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    """What a solve did: eval count, sample-doubling restarts, final bracket,
-    the mass estimate at the returned radius, and whether all evaluations
-    stayed monotone in r."""
+    """What a solve did: mass evaluations, the final bracket, and the mass at
+    the returned radius."""
 
     evaluations: int
-    restarts: int
     bracket: tuple
-    mass: MassEstimate
-    monotone: bool
+    mass: float
 
 
 @dataclass(frozen=True)
@@ -119,22 +108,14 @@ class AsymptoticBound:
 
 
 def solver_key(n, m, metric, cfg):
-    """Cache key: n:m:metric:strategy:samples:nodes:seed:root_tol:
-    max_bisection_steps:max_refinements:version."""
-    integ = cfg.integration
-    strategy = resolve_strategy(n, integ)
+    """Cache key: n:m:metric:root_tol:max_bisection_steps:version."""
     return ":".join(
         [
             str(n),
             str(m),
             metric,
-            strategy,
-            str(integ.samples),
-            str(integ.nodes_per_axis),
-            str(integ.seed),
             format(cfg.root_tol, ".17g"),
             str(cfg.max_bisection_steps),
-            str(integ.max_refinements),
             _CACHE_VERSION,
         ]
     )
@@ -143,10 +124,6 @@ def solver_key(n, m, metric, cfg):
 def solve_r0(n, m, metric, cfg=None):
     """Radius r0 with ball_mass(n, r0, metric) = total_mass(n)/m, by bisection.
 
-    The objective is nondecreasing in r for a fixed integration config
-    (deterministic tensor values, common random numbers for Monte Carlo).
-    If evaluations are detected out of order anyway, the Monte Carlo sample
-    count doubles and the solve restarts, up to max_refinements times.
     Returns (r0, SolveDiagnostics). Raises NumericalError with the bracket
     attached if max_bisection_steps cannot reach root_tol.
     """
@@ -155,62 +132,23 @@ def solve_r0(n, m, metric, cfg=None):
     if cfg is None:
         cfg = SolverConfig()
     target = total_mass(n) / m
-    hi0 = max_radius(n, metric)
-    strategy = resolve_strategy(n, cfg.integration)
-    max_restarts = cfg.integration.max_refinements if strategy == "monte-carlo" else 0
-    slack = 1e-12 * total_mass(n)
-    evaluations = 0
-    restarts = 0
-    while True:
-        integ = replace(cfg.integration, samples=cfg.integration.samples * 2**restarts)
-        seen_r = []  # sorted radii with their mass values, for the monotone check
-        seen_v = []
-        monotone = True
-
-        def evaluate(r):
-            nonlocal evaluations, monotone
-            est = ball_mass(n, r, metric, integ)
-            evaluations += 1
-            i = _bisect.bisect_left(seen_r, r)
-            if i < len(seen_r) and seen_r[i] == r:
-                return est
-            if i > 0 and est.value < seen_v[i - 1] - slack:
-                monotone = False
-            if i < len(seen_r) and est.value > seen_v[i] + slack:
-                monotone = False
-            seen_r.insert(i, r)
-            seen_v.insert(i, est.value)
-            return est
-
-        lo, hi = 0.0, hi0  # mass(0) = 0 < target, mass(hi0) = total > target
-        steps = 0
-        while hi - lo > cfg.root_tol:
-            if steps >= cfg.max_bisection_steps:
-                raise NumericalError(
-                    f"bisection did not reach root_tol={cfg.root_tol:g} within "
-                    f"{cfg.max_bisection_steps} steps (bracket width {hi - lo:.3e})",
-                    bracket=(lo, hi),
-                )
-            mid = 0.5 * (lo + hi)
-            if evaluate(mid).value >= target:
-                hi = mid
-            else:
-                lo = mid
-            steps += 1
-            if not monotone and restarts < max_restarts:
-                break
-        if not monotone and restarts < max_restarts:
-            restarts += 1
-            continue
-        r0 = 0.5 * (lo + hi)
-        diag = SolveDiagnostics(
-            evaluations=evaluations,
-            restarts=restarts,
-            bracket=(lo, hi),
-            mass=evaluate(r0),
-            monotone=monotone,
-        )
-        return r0, diag
+    lo, hi = 0.0, max_radius(n, metric)  # mass(0) = 0 < target, mass(hi) = total > target
+    steps = 0
+    while hi - lo > cfg.root_tol:
+        if steps >= cfg.max_bisection_steps:
+            raise NumericalError(
+                f"bisection did not reach root_tol={cfg.root_tol:g} within "
+                f"{cfg.max_bisection_steps} steps (bracket width {hi - lo:.3e})",
+                bracket=(lo, hi),
+            )
+        mid = 0.5 * (lo + hi)
+        if ball_mass(n, mid, metric) >= target:
+            hi = mid
+        else:
+            lo = mid
+        steps += 1
+    r0 = 0.5 * (lo + hi)
+    return r0, SolveDiagnostics(evaluations=steps + 1, bracket=(lo, hi), mass=ball_mass(n, r0, metric))
 
 
 def _floor_frac(q):
@@ -279,20 +217,19 @@ def _curve_derivative(bound_id, n, r0, metric):
 
 
 def _solve_radius(n, m, metric, cfg):
-    """(r0, radius standard error): half the root tolerance, plus for Monte
-    Carlo the mass standard error at r0 over the mass secant slope across
+    """(r0, radius error): half the root tolerance plus the kernel's
+    truncation bound at r0 over the mass secant slope across
     r0 +- max(1e-4, 50 root_tol) max(1, r0)."""
-    r0, diag = solve_r0(n, m, metric, cfg)
+    r0, _ = solve_r0(n, m, metric, cfg)
     se_r = 0.5 * cfg.root_tol
-    if diag.mass.std_error > 0.0:
-        integ = replace(cfg.integration, samples=cfg.integration.samples * 2**diag.restarts)
+    mass_err = ball_mass_error(n, r0, metric)
+    if mass_err > 0.0:
         step = max(1e-4, 50.0 * cfg.root_tol) * max(1.0, r0)
         hi = min(r0 + step, max_radius(n, metric))
         lo = max(r0 - step, 0.0)
-        mass_hi = ball_mass(n, hi, metric, integ).value
-        slope = (mass_hi - ball_mass(n, lo, metric, integ).value) / (hi - lo)
+        slope = (ball_mass(n, hi, metric) - ball_mass(n, lo, metric)) / (hi - lo)
         if slope > 0.0:
-            se_r += diag.mass.std_error / slope
+            se_r += mass_err / slope
     return r0, se_r
 
 
@@ -301,7 +238,7 @@ def _cache_path(cache_dir, key):
 
 
 def _cache_load(path, key):
-    """(r0, radius standard error) stored under key at path, or None."""
+    """(r0, radius error) stored under key at path, or None."""
     try:
         entry = json.loads(path.read_text())
     except (OSError, ValueError):
@@ -327,7 +264,7 @@ def _cache_store(path, key, r0, se_r):
 def compute_bounds(n, m, methods=BOUND_IDS, cfg=None, cache_dir=None):
     """One BoundResult per id in methods, in that order.
 
-    Each metric's r0 is solved once, with its radius standard error (see
+    Each metric's r0 is solved once, with its radius error (see
     _solve_radius); a row's std_error_hint is that error times |dB/dr| at r0.
     With cache_dir, r0 and its error are kept in one JSON file per
     solver_key there, and a cached metric costs no mass evaluation.

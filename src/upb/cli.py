@@ -37,13 +37,7 @@ from .constellation import (
 )
 from .errors import ConfigError, NumericalError, ParseError, RangeError, ValidationError, check_int
 from .matrices import haar_sample
-from .weyl import (
-    METRICS,
-    IntegrationConfig,
-    normalizer_estimate,
-    resolve_strategy,
-    total_mass,
-)
+from .weyl import METRICS, ball_volume_fraction, normalizer_estimate, total_mass
 
 __all__ = ["main", "console_main"]
 
@@ -198,8 +192,6 @@ def _cache_dir(args) -> Path:
 
 def _bound_rows(n: int, m: int, methods, cfg: SolverConfig, root: Path) -> list:
     results = compute_bounds(n, m, methods, cfg, root)
-    strategy = resolve_strategy(n, cfg.integration)
-    samples = cfg.integration.samples if strategy == "monte-carlo" else 0
     return [
         {
             "n": n,
@@ -209,9 +201,9 @@ def _bound_rows(n: int, m: int, methods, cfg: SolverConfig, root: Path) -> list:
             "r0": res.r0,
             "value": res.value,
             "std_error": res.std_error_hint,
-            "strategy": strategy,
-            "samples": samples,
-            "seed": cfg.integration.seed,
+            "strategy": "exact",
+            "samples": 0,
+            "seed": 0,
         }
         for res in results
     ]
@@ -250,16 +242,7 @@ def _check_metric_flag(args, methods) -> None:
 
 
 def _solver_config(args) -> SolverConfig:
-    try:
-        integration = IntegrationConfig(
-            strategy=args.strategy,
-            samples=args.samples,
-            nodes_per_axis=args.nodes,
-            seed=args.seed,
-        )
-        return SolverConfig(integration=integration, root_tol=args.root_tol)
-    except ConfigError as exc:
-        raise _UsageError(str(exc)) from exc
+    return SolverConfig(root_tol=args.root_tol)
 
 
 def _record(args, command: str, parameters: dict, columns, rows, notes=(), t0: float = 0.0) -> RunRecord:
@@ -288,10 +271,6 @@ def cmd_bound(args) -> int:
         "n": args.n,
         "m": args.m,
         "method": ",".join(methods),
-        "strategy": resolve_strategy(args.n, cfg.integration),
-        "samples": cfg.integration.samples,
-        "nodes": cfg.integration.nodes_per_axis,
-        "seed": cfg.integration.seed,
         "root_tol": cfg.root_tol,
     }
     _emit(_record(args, "bound", params, _SWEEP_COLUMNS, rows, t0=t0), args)
@@ -318,12 +297,7 @@ def cmd_table(args) -> int:
                     "abs_dev": dev,
                 }
             )
-    params = {
-        "n": 2,
-        "strategy": resolve_strategy(2, cfg.integration),
-        "nodes": cfg.integration.nodes_per_axis,
-        "root_tol": cfg.root_tol,
-    }
+    params = {"n": 2, "root_tol": cfg.root_tol}
     notes = (f"max abs deviation {worst:.6g} over {len(rows)} entries",)
     _emit(_record(args, "table", params, ("m", "method", "computed", "reference", "abs_dev"), rows, notes, t0), args)
     return 0
@@ -334,17 +308,20 @@ def _sweep_sizes(args) -> list:
     if args.m_end < args.m_start:
         raise _UsageError("--m-end must be ≥ --m-start")
     if args.m_factor is not None:
-        if args.m_factor <= 1.0:
+        if not (math.isfinite(args.m_factor) and args.m_factor > 1.0):
             raise _UsageError("--m-factor must be > 1")
         sizes = []
         value = float(args.m_start)
-        while True:
+        while value <= args.m_end + 1:  # also stops at an overflow to inf
             m = int(round(value))
             if m > args.m_end:
                 break
             if not sizes or m > sizes[-1]:
                 sizes.append(m)
-            value *= args.m_factor
+            # skip the factors that would round to the last size again, so a
+            # factor just above 1 takes one step per size, not millions
+            skip = math.ceil(math.log((sizes[-1] + 0.5) / value, args.m_factor))
+            value *= args.m_factor ** max(1, skip)
         return sizes
     if args.m_step < 1:
         raise _UsageError("--m-step must be ≥ 1")
@@ -367,10 +344,6 @@ def cmd_sweep(args) -> int:
         "m_step": args.m_step,
         "m_factor": args.m_factor,
         "method": ",".join(methods),
-        "strategy": resolve_strategy(args.n, cfg.integration),
-        "samples": cfg.integration.samples,
-        "nodes": cfg.integration.nodes_per_axis,
-        "seed": cfg.integration.seed,
         "root_tol": cfg.root_tol,
     }
     _emit(_record(args, "sweep", params, _SWEEP_COLUMNS, rows, t0=t0), args)
@@ -454,13 +427,39 @@ def cmd_search(args) -> int:
 
 
 def _selftest_normalizer() -> str:
-    cfg = IntegrationConfig(strategy="monte-carlo", samples=200_000, seed=20_240_718)
     for n in (1, 2, 3):
-        est = normalizer_estimate(n, cfg)
+        value, _ = normalizer_estimate(n, 200_000, 20_240_718)
         ref = total_mass(n)
-        rel = abs(est.value - ref) / ref
+        rel = abs(value - ref) / ref
         if rel > 0.01:
             return f"normalizer n={n}: relative error {rel:.3g} exceeds 0.01"
+    return ""
+
+
+def _selftest_kernel_vs_haar() -> str:
+    """The mass kernel's ball fraction against the empirical CDF of the ball
+    statistic S over batched Haar draws (QR of a complex Gaussian matrix with
+    the phases of R's diagonal divided out), within 5 binomial standard errors."""
+    n, draws = 3, 100_000
+    rng = np.random.default_rng(20_240_719)
+    z = rng.standard_normal((draws, n, n)) + 1j * rng.standard_normal((draws, n, n))
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    u = q * (diag / np.abs(diag))[:, None, :]
+    stats = {
+        "euclidean": 0.5 * (n - np.trace(u, axis1=1, axis2=2).real),
+        "riemannian": np.sum(np.angle(np.linalg.eigvals(u)) ** 2, axis=1),
+    }
+    radii = {"euclidean": (2.0, 2.3, 2.6), "riemannian": (2.0, 2.5, 3.0)}
+    for metric, sample in stats.items():
+        for radius in radii[metric]:
+            s = (0.5 * radius) ** 2 if metric == "euclidean" else radius * radius
+            empirical = float(np.mean(sample <= s))
+            exact = ball_volume_fraction(n, radius, metric)
+            se = math.sqrt(max(exact * (1.0 - exact), 1e-12) / draws)
+            if abs(empirical - exact) > 5.0 * se:
+                return (f"{metric} r={radius}: kernel fraction {exact:.6f} vs Haar "
+                        f"{empirical:.6f} (> 5 standard errors {se:.2e})")
     return ""
 
 
@@ -509,6 +508,7 @@ def _selftest_closed_forms() -> str:
 def cmd_selftest(args) -> int:
     checks = (
         ("normalizer", _selftest_normalizer),
+        ("kernel-vs-haar", _selftest_kernel_vs_haar),
         ("product-le-sum", _selftest_product_le_sum),
         ("metric-envelope", _selftest_envelope),
         ("n1-closed-forms", _selftest_closed_forms),
@@ -534,10 +534,10 @@ def cmd_selftest(args) -> int:
 
 def _build_parser() -> _Parser:
     numeric = _Parser(add_help=False)
-    numeric.add_argument("--strategy", default="auto",
-                         choices=["auto", "mc", "monte-carlo", "tensor", "tensor-quadrature"])
-    numeric.add_argument("--samples", type=int, default=1_000_000)
-    numeric.add_argument("--nodes", type=int, default=200)
+    # --samples and --nodes are accepted and ignored: the mass kernel has no
+    # settings, and scripts that still pass them keep running.
+    numeric.add_argument("--samples", type=int, help=argparse.SUPPRESS)
+    numeric.add_argument("--nodes", type=int, help=argparse.SUPPRESS)
     numeric.add_argument("--seed", type=int, default=0)
     numeric.add_argument("--root-tol", type=float, default=1e-6)
     numeric.add_argument("--metric", choices=sorted(METRICS), default=None)

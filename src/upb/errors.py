@@ -19,10 +19,6 @@ class ConfigError(UpbError):
     """Integration or solver settings are outside their allowed ranges."""
 
 
-class UnsupportedStrategyError(ConfigError):
-    """The requested integration strategy is unavailable for this dimension."""
-
-
 class NumericalError(UpbError):
     """An iterative numerical procedure failed to converge.
 

@@ -1,24 +1,8 @@
 import pytest
 
-from upb import IntegrationConfig, SolverConfig
+from upb import SolverConfig
 
 
 @pytest.fixture
-def tensor_cfg():
-    # 64 nodes per axis is already machine-precision for n <= 3
-    return IntegrationConfig(strategy="tensor", nodes_per_axis=64)
-
-
-@pytest.fixture
-def mc_cfg():
-    return IntegrationConfig(strategy="monte-carlo", samples=100_000, seed=0)
-
-
-@pytest.fixture
-def tensor_solver(tensor_cfg):
-    return SolverConfig(integration=tensor_cfg)
-
-
-@pytest.fixture
-def mc_solver(mc_cfg):
-    return SolverConfig(integration=mc_cfg)
+def solver():
+    return SolverConfig()

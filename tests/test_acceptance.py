@@ -17,7 +17,6 @@ import pytest
 
 from upb import (
     Constellation,
-    IntegrationConfig,
     SolverConfig,
     bound_b1,
     bound_b2,
@@ -36,8 +35,7 @@ from upb import (
     total_mass,
 )
 
-TENSOR = SolverConfig(integration=IntegrationConfig(strategy="tensor", nodes_per_axis=64))
-MC = SolverConfig(integration=IntegrationConfig(strategy="mc", samples=200_000, seed=0))
+CFG = SolverConfig()
 
 TABLE_M = (24, 48, 64, 80, 100, 120, 128, 1000)
 TABLE_B1 = (0.7598, 0.6603, 0.6131, 0.5932, 0.5578, 0.5425, 0.5347, 0.3270)
@@ -52,7 +50,7 @@ def table_row(bound_id, references):
     start = time.monotonic()
     devs = []
     for m, ref in zip(TABLE_M, references):
-        r0, _ = solve_r0(2, m, "euclidean", TENSOR)
+        r0, _ = solve_r0(2, m, "euclidean", CFG)
         devs.append(abs(evaluate_bound(bound_id, 2, r0) - ref))
     return devs, time.monotonic() - start
 
@@ -84,7 +82,7 @@ def test_criterion_3_n1_collapse_to_sine():
     for m in range(2, 65):
         expected = math.sin(math.pi / m)
         for fn in (bound_b1, bound_b2, bound_b3):
-            worst = max(worst, abs(fn(1, m, TENSOR).value - expected))
+            worst = max(worst, abs(fn(1, m, CFG).value - expected))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-6 and elapsed < 5.0
     verdict(3, "n=1 bounds equal sin(pi/m)", ok,
@@ -110,11 +108,10 @@ def test_criterion_4_crossover_constants():
 
 
 def test_criterion_5_weyl_normalizer():
-    cfg = IntegrationConfig(strategy="mc", samples=1_000_000, seed=0)
     worst = 0.0
     for n in (2, 3, 4):
-        est = normalizer_estimate(n, cfg)
-        worst = max(worst, abs(est.value - total_mass(n)) / total_mass(n))
+        value, _ = normalizer_estimate(n, 1_000_000, 0)
+        worst = max(worst, abs(value - total_mass(n)) / total_mass(n))
     ok = worst <= 0.01
     verdict(5, "normalizer equals (2pi)^n n!", ok,
             f"max relative error = {worst:.2e} for n=2,3,4 at 1e6 samples (tol 1e-2)")
@@ -162,11 +159,10 @@ def test_criterion_8_bound_dominance():
     worst = -np.inf
     worst_case = None
     for n, m in cases:
-        cfg = TENSOR if n <= 3 else MC
         delta = exact_delta(n, m)
         assert delta is not None, (n, m)
         for fn in (bound_b1, bound_b2, bound_b3):
-            shortfall = delta - fn(n, m, cfg).value
+            shortfall = delta - fn(n, m, CFG).value
             if shortfall > worst:
                 worst, worst_case = shortfall, (n, m, fn.__name__)
     ok = worst <= 5e-3
@@ -177,7 +173,7 @@ def test_criterion_8_bound_dominance():
 
 def test_criterion_9_monotonicity():
     ms = (8, 16, 32, 64, 128, 256, 512, 1024)
-    radii = [solve_r0(2, m, "euclidean", TENSOR)[0] for m in ms]
+    radii = [solve_r0(2, m, "euclidean", CFG)[0] for m in ms]
     values = [evaluate_bound("b1", 2, r) for r in radii]
     radii_ok = all(a > b for a, b in zip(radii, radii[1:]))
     values_ok = all(a > b for a, b in zip(values, values[1:]))
@@ -191,7 +187,7 @@ def test_criterion_10_search_below_bounds():
     worst = -np.inf
     for n, m in ((1, 4), (2, 4), (2, 8)):
         _, score = random_search(n, m, 2000, seed=0)
-        best = min(fn(n, m, TENSOR).value for fn in (bound_b1, bound_b2, bound_b3))
+        best = min(fn(n, m, CFG).value for fn in (bound_b1, bound_b2, bound_b3))
         worst = max(worst, score - best)
     ok = worst <= 0.0
     verdict(10, "search scores below bounds", ok,

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from tensor_oracle import tensor_mass
 from upb import (
     BOUND_IDS,
     BOUND_METRIC,
-    IntegrationConfig,
     NumericalError,
     SolverConfig,
     ValidationError,
@@ -27,7 +27,9 @@ from upb import (
     riemannian_distance,
     solve_r0,
     solver_key,
+    total_mass,
 )
+from upb.bounds import _solve_radius
 
 BOUNDERS = {"b1": bound_b1, "b2": bound_b2, "b3": bound_b3}
 
@@ -62,28 +64,29 @@ def invert_b1(n, target):
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 8, 16, 64])
-def test_solve_r0_circle_closed_forms(m, tensor_solver):
-    r0_e, diag_e = solve_r0(1, m, "euclidean", tensor_solver)
-    r0_r, diag_r = solve_r0(1, m, "riemannian", tensor_solver)
+def test_solve_r0_circle_closed_forms(m, solver):
+    r0_e, diag_e = solve_r0(1, m, "euclidean", solver)
+    r0_r, diag_r = solve_r0(1, m, "riemannian", solver)
     assert r0_e == pytest.approx(r0_circle_euclidean(m), abs=2e-6)
     assert r0_r == pytest.approx(r0_circle_riemannian(m), abs=2e-6)
-    assert diag_e.monotone and diag_r.monotone
+    assert diag_e.bracket[0] <= r0_e <= diag_e.bracket[1]
+    assert diag_r.bracket[0] <= r0_r <= diag_r.bracket[1]
 
 
 @pytest.mark.parametrize("m", [2, 4, 8, 32, 64])
-def test_bounds_collapse_to_sine_for_n1(m, tensor_solver):
+def test_bounds_collapse_to_sine_for_n1(m, solver):
     expected = math.sin(math.pi / m)
     for name, fn in BOUNDERS.items():
-        result = fn(1, m, tensor_solver)
+        result = fn(1, m, solver)
         assert result.value == pytest.approx(expected, abs=1e-6), name
         assert result.bound_id == name
         assert result.metric == BOUND_METRIC[name]
 
 
-def test_solve_r0_2_1000_matches_inverted_reference(tensor_solver):
+def test_solve_r0_2_1000_matches_inverted_reference(solver):
     # the published bound value 0.3270 inverts to roughly r0 = 0.469
     implied = invert_b1(2, 0.3270)
-    r0, _ = solve_r0(2, 1000, "euclidean", tensor_solver)
+    r0, _ = solve_r0(2, 1000, "euclidean", solver)
     assert implied == pytest.approx(0.469, abs=2e-3)
     assert r0 == pytest.approx(implied, abs=5e-3)
 
@@ -109,22 +112,22 @@ FROZEN = {
 }
 
 
-def test_frozen_packing_radii(tensor_solver):
+def test_frozen_packing_radii(solver):
     for m, expected in zip(TABLE_M, FROZEN_R0):
-        r0, _ = solve_r0(2, m, "euclidean", tensor_solver)
+        r0, _ = solve_r0(2, m, "euclidean", solver)
         assert r0 == pytest.approx(expected, abs=5e-5), f"m={m}"
 
 
-def test_frozen_bound_values(tensor_solver):
+def test_frozen_bound_values(solver):
     for i, m in enumerate(TABLE_M):
-        r0, _ = solve_r0(2, m, "euclidean", tensor_solver)
+        r0, _ = solve_r0(2, m, "euclidean", solver)
         assert evaluate_bound("b1", 2, r0) == pytest.approx(FROZEN["b1"][i], abs=1e-5)
         assert evaluate_bound("b2", 2, r0) == pytest.approx(FROZEN["b2"][i], abs=1e-5)
 
 
-def test_published_values_on_consistent_columns(tensor_solver):
+def test_published_values_on_consistent_columns(solver):
     for i in CONSISTENT_COLUMNS:
-        r0, _ = solve_r0(2, TABLE_M[i], "euclidean", tensor_solver)
+        r0, _ = solve_r0(2, TABLE_M[i], "euclidean", solver)
         assert evaluate_bound("b1", 2, r0) == pytest.approx(PUBLISHED["b1"][i], abs=5e-3)
         assert evaluate_bound("b2", 2, r0) == pytest.approx(PUBLISHED["b2"][i], abs=5e-3)
 
@@ -139,15 +142,15 @@ def test_b1_formula_spot_values():
     assert b1_of_r(3, 1e-8) == pytest.approx(1e-8 / math.sqrt(3.0), rel=1e-6)
 
 
-def test_half_volume_radius_is_sqrt_2n(tensor_solver):
+def test_half_volume_radius_is_sqrt_2n(solver):
     # the density is symmetric under sin^2(theta/2) -> 1 - sin^2(theta/2),
     # so the m=2 packing radius is exactly sqrt(2n); B1 peaks there at 1
     from upb import ball_volume_fraction
 
     for n in (1, 2, 3):
-        frac = ball_volume_fraction(n, math.sqrt(2.0 * n), "euclidean", tensor_solver.integration)
+        frac = ball_volume_fraction(n, math.sqrt(2.0 * n), "euclidean")
         assert frac == pytest.approx(0.5, abs=1e-12)
-        r0, _ = solve_r0(n, 2, "euclidean", tensor_solver)
+        r0, _ = solve_r0(n, 2, "euclidean", solver)
         assert r0 == pytest.approx(math.sqrt(2.0 * n), abs=2e-6)
         assert evaluate_bound("b1", n, r0) == pytest.approx(1.0, abs=1e-9)
 
@@ -268,20 +271,20 @@ def test_envelope_contains_real_distances():
 # --- asymptotic bound -----------------------------------------------------------------
 
 
-def test_asymptotic_bound_tau_zero_matches_radius(tensor_solver):
-    out = asymptotic_lower_bound(2, 100, 0, tensor_solver)
-    r0, _ = solve_r0(2, 100, "euclidean", tensor_solver)
+def test_asymptotic_bound_tau_zero_matches_radius(solver):
+    out = asymptotic_lower_bound(2, 100, 0, solver)
+    r0, _ = solve_r0(2, 100, "euclidean", solver)
     assert out.value == pytest.approx(math.sqrt(2.0) * r0, rel=1e-9)
     assert out.heuristic is True
     assert out.tau == 0
 
 
-def test_asymptotic_bound_n1_below_exact(tensor_solver):
+def test_asymptotic_bound_n1_below_exact(solver):
     # with the circle's actual neighbor count the heuristic stays below sin(pi/m)
     for m in (4, 8, 16):
-        out = asymptotic_lower_bound(1, m, 2, tensor_solver)
+        out = asymptotic_lower_bound(1, m, 2, solver)
         assert out.value <= math.sin(math.pi / m) + 1e-9
-        assert out.value == pytest.approx(solve_r0(1, m, "euclidean", tensor_solver)[0] / 3.0, rel=1e-9)
+        assert out.value == pytest.approx(solve_r0(1, m, "euclidean", solver)[0] / 3.0, rel=1e-9)
 
 
 def test_asymptotic_bound_validates_tau():
@@ -292,98 +295,102 @@ def test_asymptotic_bound_validates_tau():
 # --- solver plumbing --------------------------------------------------------------------
 
 
-def test_solver_key_shape_and_determinism(tensor_solver, mc_solver):
-    key = solver_key(2, 100, "euclidean", tensor_solver)
-    assert key == solver_key(2, 100, "euclidean", tensor_solver)
+def test_solver_key_shape_and_determinism(solver):
+    key = solver_key(2, 100, "euclidean", solver)
+    assert key == solver_key(2, 100, "euclidean", solver)
     parts = key.split(":")
     assert parts[0] == "2" and parts[1] == "100" and parts[2] == "euclidean"
-    assert key != solver_key(2, 100, "euclidean", mc_solver)
+    assert key != solver_key(2, 100, "euclidean", SolverConfig(root_tol=1e-8))
 
 
-def test_solver_key_carries_every_result_field(tensor_solver, mc_cfg):
-    base = SolverConfig(integration=mc_cfg)
+def test_solver_key_carries_every_result_field(solver):
     keys = {
         solver_key(4, 24, "euclidean", cfg)
-        for cfg in (
-            base,
-            SolverConfig(integration=mc_cfg, max_bisection_steps=150),
-            SolverConfig(integration=IntegrationConfig(
-                strategy="monte-carlo", samples=100_000, seed=0, max_refinements=3)),
-        )
+        for cfg in (solver, SolverConfig(max_bisection_steps=150), SolverConfig(root_tol=1e-8))
     }
     assert len(keys) == 3
-    assert solver_key(2, 100, "euclidean", tensor_solver).startswith(
-        "2:100:euclidean:tensor:1000000:64:0:9.9999999999999995e-07:200:12:")
+    assert solver_key(2, 100, "euclidean", solver) == "2:100:euclidean:9.9999999999999995e-07:200:v3"
 
 
-def test_cache_entry_without_version_or_radius_error_is_recomputed(tensor_solver, tmp_path):
-    (fresh,) = compute_bounds(2, 24, ("b1",), tensor_solver, tmp_path)
+def test_cache_entry_without_version_or_radius_error_is_recomputed(solver, tmp_path):
+    (fresh,) = compute_bounds(2, 24, ("b1",), solver, tmp_path)
     (path,) = tmp_path.glob("*.json")
     key = fresh.config_fingerprint
-    old_key = ":".join(key.split(":")[:8])  # the fields keyed before the version
+    old_key = ":".join(key.split(":")[:5])  # the fields keyed before the version
     for stale_key in (old_key, key):
         path.write_text(json.dumps({"key": stale_key, "r0": 1.0, "timestamp": "2024-01-01T00:00:00+00:00"}))
-        (again,) = compute_bounds(2, 24, ("b1",), tensor_solver, tmp_path)
+        (again,) = compute_bounds(2, 24, ("b1",), solver, tmp_path)
         assert again == fresh
         assert json.loads(path.read_text())["radius_se"] > 0.0
 
 
-def test_cached_bounds_equal_fresh_bounds(tensor_solver, tmp_path):
-    fresh = compute_bounds(2, 24, BOUND_IDS, tensor_solver)
-    assert compute_bounds(2, 24, BOUND_IDS, tensor_solver, tmp_path) == fresh
+def test_cached_bounds_equal_fresh_bounds(solver, tmp_path):
+    fresh = compute_bounds(2, 24, BOUND_IDS, solver)
+    assert compute_bounds(2, 24, BOUND_IDS, solver, tmp_path) == fresh
     assert len(list(tmp_path.glob("*.json"))) == 2  # one entry per metric
-    assert compute_bounds(2, 24, BOUND_IDS, tensor_solver, tmp_path) == fresh
-    assert [b.bound_id for b in compute_bounds(2, 24, ("b3", "b1"), tensor_solver)] == ["b3", "b1"]
+    assert compute_bounds(2, 24, BOUND_IDS, solver, tmp_path) == fresh
+    assert [b.bound_id for b in compute_bounds(2, 24, ("b3", "b1"), solver)] == ["b3", "b1"]
     with pytest.raises(ValidationError):
-        compute_bounds(2, 24, ("b4",), tensor_solver)
+        compute_bounds(2, 24, ("b4",), solver)
 
 
-def test_numpy_integers_accepted_and_bool_rejected(tensor_solver):
-    r0, _ = solve_r0(2, 24, "euclidean", tensor_solver)
-    r0_np, _ = solve_r0(np.int64(2), np.int64(24), "euclidean", tensor_solver)
+def test_numpy_integers_accepted_and_bool_rejected(solver):
+    r0, _ = solve_r0(2, 24, "euclidean", solver)
+    r0_np, _ = solve_r0(np.int64(2), np.int64(24), "euclidean", solver)
     assert r0_np == r0
     for n, m in ((True, 24), (2, True), (2.0, 24)):
         with pytest.raises(ValidationError):
-            solve_r0(n, m, "euclidean", tensor_solver)
+            solve_r0(n, m, "euclidean", solver)
     with pytest.raises(ValidationError):
-        compute_bounds(True, 24, cfg=tensor_solver)
+        compute_bounds(True, 24, cfg=solver)
+    assert SolverConfig(max_bisection_steps=np.int64(50)).max_bisection_steps == 50
+    with pytest.raises(ValidationError):
+        SolverConfig(max_bisection_steps=True)
 
 
-def test_solve_r0_reports_bracket_on_exhaustion(tensor_cfg):
-    cramped = SolverConfig(integration=tensor_cfg, root_tol=1e-12, max_bisection_steps=3)
+def test_solve_r0_reports_bracket_on_exhaustion():
+    cramped = SolverConfig(root_tol=1e-12, max_bisection_steps=3)
     with pytest.raises(NumericalError) as info:
         solve_r0(1, 8, "euclidean", cramped)
     lo, hi = info.value.bracket
     assert lo < r0_circle_euclidean(8) < hi
 
 
-def test_solve_r0_validates_inputs(tensor_solver):
+def test_solve_r0_validates_inputs(solver):
     with pytest.raises(ValidationError):
-        solve_r0(2, 1, "euclidean", tensor_solver)
+        solve_r0(2, 1, "euclidean", solver)
     with pytest.raises(ValidationError):
-        solve_r0(0, 4, "euclidean", tensor_solver)
+        solve_r0(0, 4, "euclidean", solver)
     with pytest.raises(ValidationError):
-        solve_r0(2, 4, "chordal", tensor_solver)
+        solve_r0(2, 4, "chordal", solver)
 
 
-def test_bound_result_bookkeeping(tensor_solver):
-    res = bound_b1(2, 64, tensor_solver)
+def test_bound_result_bookkeeping(solver):
+    res = bound_b1(2, 64, solver)
     assert res.n == 2 and res.m == 64
-    assert res.config_fingerprint == solver_key(2, 64, "euclidean", tensor_solver)
+    assert res.config_fingerprint == solver_key(2, 64, "euclidean", solver)
     assert res.std_error_hint >= 0.0
-    assert res.std_error_hint < 1e-4  # deterministic quadrature: root_tol only
+    assert res.std_error_hint < 1e-4  # deterministic kernel: root_tol plus truncation
 
 
-def test_mc_solve_agrees_with_tensor(mc_solver, tensor_solver):
-    r0_mc, diag = solve_r0(3, 16, "euclidean", mc_solver)
-    r0_tensor, _ = solve_r0(3, 16, "euclidean", tensor_solver)
-    assert diag.mass.std_error > 0.0
-    assert r0_mc == pytest.approx(r0_tensor, abs=2e-2)
+def test_solve_agrees_with_tensor_oracle():
+    # r0 is within 1e-7 of the tensor-quadrature root, and within the radius
+    # error that compute_bounds reports: tensor mass brackets the target there
+    cfg = SolverConfig(root_tol=1e-10)
+    for n in (2, 3):
+        for metric in ("euclidean", "riemannian"):
+            for m in (2, 3, 24, 1000, 10**4, 10**6):
+                target = total_mass(n) / m
+                r0, radius_error = _solve_radius(n, m, metric, cfg)
+                assert radius_error < 1e-7, (n, metric, m)
+                for step in (1e-7, radius_error):
+                    assert tensor_mass(n, r0 - step, metric) <= target, (n, metric, m, step)
+                    assert tensor_mass(n, r0 + step, metric) >= target, (n, metric, m, step)
 
 
-def test_b1_and_radius_strictly_decreasing_in_m(tensor_solver):
+def test_b1_and_radius_strictly_decreasing_in_m(solver):
     ms = [8, 16, 32, 64, 128, 256, 512, 1024]
-    radii = [solve_r0(2, m, "euclidean", tensor_solver)[0] for m in ms]
+    radii = [solve_r0(2, m, "euclidean", solver)[0] for m in ms]
     values = [evaluate_bound("b1", 2, r) for r in radii]
     assert all(a > b for a, b in zip(radii, radii[1:]))
     assert all(a > b for a, b in zip(values, values[1:]))

@@ -11,10 +11,7 @@ import upb.bounds
 import upb.cli as cli
 from upb import (
     Constellation,
-    IntegrationConfig,
-    MassEstimate,
     NumericalError,
-    SolverConfig,
     compute_bounds,
     save_constellation,
 )
@@ -52,7 +49,7 @@ def test_bound_reproduces_published_m128(capsys, tmp_path):
     )
     (row,) = doc["results"]
     assert row["value"] == pytest.approx(0.5347, abs=5e-3)
-    assert row["metric"] == "euclidean" and row["strategy"] == "tensor"
+    assert row["metric"] == "euclidean" and row["strategy"] == "exact"
 
 
 def test_bound_usage_errors(capsys, tmp_path):
@@ -66,12 +63,25 @@ def test_bound_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "bound", "--n", "2", "--m", "4", "--method", "b3",
                        "--metric", "euclidean", "--cache-dir", str(tmp_path))
     assert code == 1 and "riemannian" in err
-    code, _, _ = run(capsys, "bound", "--n", "4", "--m", "4", "--strategy", "tensor",
-                     "--cache-dir", str(tmp_path))
-    assert code == 1  # tensor unsupported above n=3
-    code, _, _ = run(capsys, "bound", "--n", "2", "--m", "4", "--samples", "10",
-                     "--strategy", "mc", "--cache-dir", str(tmp_path))
-    assert code == 1
+
+
+def test_samples_and_nodes_are_ignored(capsys, tmp_path):
+    args = ("bound", "--n", "2", "--m", "24", "--format", "json", "--no-timestamp",
+            "--cache-dir", str(tmp_path))
+    _, plain, _ = run(capsys, *args)
+    code, flagged, _ = run(capsys, *args, "--samples", "10", "--nodes", "5")
+    assert code == 0 and flagged == plain
+    assert len(list(tmp_path.glob("*.json"))) == 2  # same cache keys, no new entries
+    with pytest.raises(SystemExit):
+        main(["bound", "--help"])
+    help_text = capsys.readouterr().out
+    assert "--root-tol" in help_text and "--samples" not in help_text and "--nodes" not in help_text
+
+
+def test_bound_above_float_range_is_numerical_failure(capsys, tmp_path):
+    code, out, err = run(capsys, "bound", "--n", "130", "--m", "4", "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "numerical failure" in err and "Traceback" not in err
 
 
 def test_bound_numerical_failure_maps_to_exit_2(capsys, tmp_path, monkeypatch):
@@ -124,10 +134,8 @@ def test_warm_cache_does_no_mass_work(capsys, tmp_path, monkeypatch):
 
 
 def test_library_and_cli_share_one_error_model(capsys, tmp_path):
-    cfg = SolverConfig(integration=IntegrationConfig(strategy="monte-carlo", samples=20_000))
-    library = compute_bounds(4, 24, cfg=cfg)
-    doc = run_json(capsys, "bound", "--n", "4", "--m", "24", "--strategy", "mc",
-                   "--samples", "20000", "--cache-dir", str(tmp_path))
+    library = compute_bounds(4, 24)
+    doc = run_json(capsys, "bound", "--n", "4", "--m", "24", "--cache-dir", str(tmp_path))
     assert [r["method"] for r in doc["results"]] == ["b1", "b2", "b3"]
     for res, row in zip(library, doc["results"]):
         assert res.bound_id == row["method"]
@@ -225,9 +233,10 @@ def test_sweep_range_validation(capsys, tmp_path):
     code, _, _ = run(capsys, "sweep", "--n", "1", "--m-start", "8", "--m-end", "4",
                      "--cache-dir", str(tmp_path))
     assert code == 1
-    code, _, _ = run(capsys, "sweep", "--n", "1", "--m-start", "2", "--m-end", "8",
-                     "--m-factor", "0.5", "--cache-dir", str(tmp_path))
-    assert code == 1
+    for factor in ("0.5", "nan", "inf"):
+        code, _, err = run(capsys, "sweep", "--n", "1", "--m-start", "2", "--m-end", "8",
+                           "--m-factor", factor, "--cache-dir", str(tmp_path))
+        assert code == 1 and "--m-factor must be > 1" in err, factor
 
 
 # --- table -----------------------------------------------------------------------------
@@ -337,18 +346,15 @@ def test_selftest_passes_quickly(capsys):
     elapsed = time.monotonic() - start
     assert code == 0
     assert elapsed < 60.0
-    assert out.count("ok   ") == 4
+    assert out.count("ok   ") == 5
     assert "selftest passed" in out
 
 
 def test_selftest_detects_injected_normalizer_bias(capsys, monkeypatch):
-    def biased(n, cfg=None):
+    def biased(n, samples, seed):
         from upb import total_mass
 
-        return MassEstimate(
-            value=1.1 * total_mass(n), std_error=1.0,
-            strategy="monte-carlo", samples=1000, nodes=0, seed=0,
-        )
+        return 1.1 * total_mass(n), 1.0
 
     monkeypatch.setattr(cli, "normalizer_estimate", biased)
     code, out, _ = run(capsys, "selftest")

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 from scipy.special import j1
 
+from tensor_oracle import ball_statistic_level, haar_statistics, tensor_mass
 from upb import (
-    ConfigError,
-    IntegrationConfig,
     RangeError,
-    UnsupportedStrategyError,
+    SolverConfig,
     ValidationError,
     ball_mass,
+    ball_mass_error,
     ball_volume_fraction,
     log_total_mass,
     max_radius,
     normalizer_estimate,
-    resolve_strategy,
     total_mass,
     weyl_density,
 )
@@ -106,158 +105,157 @@ def test_total_mass_overflow_raises_range_error():
 
 
 def test_normalizer_estimate_agrees_with_total():
-    est = normalizer_estimate(2, IntegrationConfig(strategy="mc", samples=200_000, seed=4))
-    assert est.std_error > 0.0
-    assert abs(est.value - total_mass(2)) / total_mass(2) < 0.01
+    value, std_error = normalizer_estimate(2, 200_000, 4)
+    assert std_error > 0.0
+    assert abs(value - total_mass(2)) / total_mass(2) < 0.01
 
 
 # --- ball mass: exact anchors ---------------------------------------------------
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
-def test_ball_mass_n1_closed_form(metric, tensor_cfg):
+def test_ball_mass_n1_closed_form(metric):
     for r in (0.25, 0.5, 1.0, 1.5):
-        est = ball_mass(1, r, metric, tensor_cfg)
-        assert est.value == pytest.approx(mass_circle_1(r, metric), abs=1e-12)
+        assert ball_mass(1, r, metric) == pytest.approx(mass_circle_1(r, metric), abs=1e-12)
 
 
-def test_ball_mass_n1_examples(tensor_cfg):
+def test_ball_mass_n1_examples():
     # euclidean r=1: 4 asin(1/2) = 2 pi / 3 ; riemannian r=pi/2: pi
-    assert ball_mass(1, 1.0, "euclidean", tensor_cfg).value == pytest.approx(2 * math.pi / 3)
-    assert ball_mass(1, math.pi / 2, "riemannian", tensor_cfg).value == pytest.approx(math.pi)
+    assert ball_mass(1, 1.0, "euclidean") == pytest.approx(2 * math.pi / 3)
+    assert ball_mass(1, math.pi / 2, "riemannian") == pytest.approx(math.pi)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
-def test_ball_mass_saturates_exactly(metric, tensor_cfg):
+def test_ball_mass_saturates_exactly(metric):
     for n in (1, 2, 3):
         rmax = max_radius(n, metric)
-        assert ball_mass(n, rmax, metric, tensor_cfg).value == total_mass(n)
-        assert ball_mass(n, rmax + 5.0, metric, tensor_cfg).value == total_mass(n)
-        assert ball_mass(n, 0.0, metric, tensor_cfg).value == 0.0
+        assert ball_mass(n, rmax, metric) == total_mass(n)
+        assert ball_mass(n, rmax + 5.0, metric) == total_mass(n)
+        assert ball_mass(n, 0.0, metric) == 0.0
 
 
-def test_ball_mass_riemannian_2_matches_bessel(tensor_cfg):
+def test_ball_mass_riemannian_2_matches_bessel():
     for r in (0.3, 0.8, 1.5, 2.4, 3.0):
-        est = ball_mass(2, r, "riemannian", tensor_cfg)
-        assert est.value == pytest.approx(mass_bessel_riemannian_2(r), rel=1e-12)
+        value = ball_mass(2, r, "riemannian")
+        assert abs(value - mass_bessel_riemannian_2(r)) <= ball_mass_error(2, r, "riemannian")
+        assert value == pytest.approx(mass_bessel_riemannian_2(r), rel=1e-7)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
-def test_ball_mass_2_matches_riemann_sum(metric, tensor_cfg):
+def test_ball_mass_2_matches_riemann_sum(metric):
     for r in (0.8, 1.6, 2.4):
-        est = ball_mass(2, r, metric, tensor_cfg)
-        ref = mass_riemann_2d(r, metric)
-        assert est.value == pytest.approx(ref, rel=2e-3)
+        assert ball_mass(2, r, metric) == pytest.approx(mass_riemann_2d(r, metric), rel=2e-3)
 
 
-def test_ball_volume_fraction_range(tensor_cfg):
-    f_small = ball_volume_fraction(2, 0.5, "euclidean", tensor_cfg)
-    f_full = ball_volume_fraction(2, max_radius(2, "euclidean"), "euclidean", tensor_cfg)
+def test_ball_volume_fraction_range():
+    f_small = ball_volume_fraction(2, 0.5, "euclidean")
+    f_full = ball_volume_fraction(2, max_radius(2, "euclidean"), "euclidean")
     assert 0.0 < f_small < 1.0
     assert f_full == pytest.approx(1.0)
 
 
-# --- tensor properties -----------------------------------------------------------
-
-
-def test_tensor_node_convergence():
-    coarse = ball_mass(3, 1.7, "euclidean", IntegrationConfig(strategy="tensor", nodes_per_axis=32))
-    fine = ball_mass(3, 1.7, "euclidean", IntegrationConfig(strategy="tensor", nodes_per_axis=96))
-    assert coarse.value == pytest.approx(fine.value, rel=1e-10)
+# --- the kernel against the tensor-quadrature and Haar-sampling oracles ----------
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
-def test_tensor_mass_monotone_and_continuous_at_switch(metric, tensor_cfg):
+def test_kernel_matches_tensor_oracle_on_radius_grid(metric):
+    for n in (2, 3):
+        for r in np.linspace(0.05, max_radius(n, metric) - 0.05, 25):
+            r = float(r)
+            exact = tensor_mass(n, r, metric)
+            assert abs(ball_mass(n, r, metric) - exact) <= ball_mass_error(n, r, metric), (n, r)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
+def test_kernel_matches_haar_sampling(n, metric):
+    # radii where the fraction runs from about 0.03 to 0.48
+    radii = {
+        (4, "euclidean"): (2.3, 2.6, 2.8),
+        (4, "riemannian"): (2.8, 3.2, 3.6),
+        (5, "euclidean"): (2.7, 2.95, 3.15),
+        (5, "riemannian"): (3.3, 3.7, 4.0),
+    }[n, metric]
+    draws = 200_000
+    stats = haar_statistics(n, metric, draws, seed=20_240_719 + n)
+    for r in radii:
+        frac = ball_volume_fraction(n, r, metric)
+        empirical = float(np.mean(stats <= ball_statistic_level(r, metric)))
+        assert abs(frac - empirical) <= 4.0 * math.sqrt(frac * (1.0 - frac) / draws), r
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
+def test_mc_agrees_with_tensor(metric):
+    # the Haar-sampling oracle used at n = 4, 5 agrees with tensor quadrature
+    draws = 200_000
+    for n in (2, 3):
+        stats = haar_statistics(n, metric, draws, seed=17 + n)
+        for frac in (0.3, 0.6, 0.85):
+            r = frac * max_radius(n, metric)
+            exact = tensor_mass(n, r, metric) / total_mass(n)
+            empirical = float(np.mean(stats <= ball_statistic_level(r, metric)))
+            assert abs(empirical - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / draws)
+
+
+# --- oracle properties -----------------------------------------------------------
+
+
+def test_tensor_node_convergence():
+    coarse = tensor_mass(3, 1.7, "euclidean", nodes_per_axis=32)
+    fine = tensor_mass(3, 1.7, "euclidean", nodes_per_axis=96)
+    assert coarse == pytest.approx(fine, rel=1e-10)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
+def test_tensor_mass_monotone_and_continuous_at_switch(metric):
     switch = 2.0 if metric == "euclidean" else math.pi
-    radii = np.linspace(0.1, max_radius(2, metric), 60)
-    vals = [ball_mass(2, float(r), metric, tensor_cfg).value for r in radii]
+    radii = np.linspace(0.1, max_radius(2, metric) - 1e-9, 60)
+    vals = [tensor_mass(2, float(r), metric) for r in radii]
     assert np.all(np.diff(vals) >= -1e-9)
     # the mass has a sqrt-type derivative spike at the branch switch, so it
     # is continuous but not Lipschitz there: check ordering and approach
-    below = ball_mass(2, switch - 1e-9, metric, tensor_cfg).value
-    at = ball_mass(2, switch, metric, tensor_cfg).value
-    above = ball_mass(2, switch + 1e-9, metric, tensor_cfg).value
+    below = tensor_mass(2, switch - 1e-9, metric)
+    at = tensor_mass(2, switch, metric)
+    above = tensor_mass(2, switch + 1e-9, metric)
     assert below <= at <= above
     assert above - below < 1e-5
 
 
-# --- Monte Carlo properties -------------------------------------------------------
-
-
-@pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
-def test_mc_agrees_with_tensor(metric, mc_cfg, tensor_cfg):
-    for n in (2, 3):
-        rmax = max_radius(n, metric)
-        for frac in (0.3, 0.6, 0.85):  # the last lands in the annulus branch
-            r = frac * rmax
-            mc = ball_mass(n, r, metric, mc_cfg)
-            exact = ball_mass(n, r, metric, tensor_cfg).value
-            assert mc.std_error > 0.0
-            assert abs(mc.value - exact) <= 4.0 * mc.std_error + 1e-9 * exact
-
-
-@pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
-def test_mc_mass_nondecreasing_in_radius(metric):
-    # common random numbers make the estimator monotone in r, including
-    # across the ball/annulus branch switch
-    cfg = IntegrationConfig(strategy="mc", samples=50_000, seed=12)
-    radii = np.linspace(0.05, max_radius(4, metric), 40)
-    vals = [ball_mass(4, float(r), metric, cfg).value for r in radii]
-    assert np.all(np.diff(vals) >= 0.0)
+# --- Monte Carlo normalizer -----------------------------------------------------------
 
 
 def test_mc_deterministic_given_seed():
-    cfg = IntegrationConfig(strategy="mc", samples=50_000, seed=9)
-    a = ball_mass(3, 1.2, "euclidean", cfg)
-    b = ball_mass(3, 1.2, "euclidean", cfg)
-    assert a.value == b.value and a.std_error == b.std_error
+    assert normalizer_estimate(3, 50_000, 9) == normalizer_estimate(3, 50_000, 9)
 
 
 def test_mc_seed_changes_estimate():
-    a = ball_mass(3, 1.2, "euclidean", IntegrationConfig(strategy="mc", samples=50_000, seed=1))
-    b = ball_mass(3, 1.2, "euclidean", IntegrationConfig(strategy="mc", samples=50_000, seed=2))
-    assert a.value != b.value
+    assert normalizer_estimate(3, 50_000, 1)[0] != normalizer_estimate(3, 50_000, 2)[0]
 
 
-# --- strategy resolution and validation ---------------------------------------------
-
-
-def test_resolve_strategy_auto_rules():
-    assert resolve_strategy(3, IntegrationConfig()) == "tensor"
-    assert resolve_strategy(4, IntegrationConfig()) == "monte-carlo"
-    assert resolve_strategy(2, IntegrationConfig(strategy="mc")) == "monte-carlo"
-
-
-def test_tensor_unsupported_above_three():
-    with pytest.raises(UnsupportedStrategyError):
-        ball_mass(4, 1.0, "euclidean", IntegrationConfig(strategy="tensor"))
+# --- validation ---------------------------------------------------------------------
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        IntegrationConfig(strategy="simpson")
-    with pytest.raises(ConfigError):
-        IntegrationConfig(samples=10)
-    with pytest.raises(ConfigError):
-        IntegrationConfig(nodes_per_axis=1)
-    with pytest.raises(ConfigError):
-        IntegrationConfig(rel_tol=0.0)
-
-
-def test_ball_mass_validates_arguments(tensor_cfg):
+    for root_tol in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValidationError):
+            SolverConfig(root_tol=root_tol)
     with pytest.raises(ValidationError):
-        ball_mass(0, 1.0, "euclidean", tensor_cfg)
+        SolverConfig(max_bisection_steps=0)
     with pytest.raises(ValidationError):
-        ball_mass(2, -0.5, "euclidean", tensor_cfg)
+        normalizer_estimate(2, 1, 0)
     with pytest.raises(ValidationError):
-        ball_mass(2, 1.0, "chordal", tensor_cfg)
+        normalizer_estimate(2, 1000, -1)
 
 
-def test_mass_estimate_bookkeeping(tensor_cfg, mc_cfg):
-    t = ball_mass(2, 1.0, "euclidean", tensor_cfg)
-    assert t.strategy == "tensor" and t.std_error == 0.0 and t.samples == 0
-    m = ball_mass(2, 1.0, "euclidean", mc_cfg)
-    assert m.strategy == "monte-carlo" and m.samples == mc_cfg.samples
+def test_ball_mass_validates_arguments():
+    with pytest.raises(ValidationError):
+        ball_mass(0, 1.0, "euclidean")
+    with pytest.raises(ValidationError):
+        ball_mass(2, -0.5, "euclidean")
+    with pytest.raises(ValidationError):
+        ball_mass(2, 1.0, "chordal")
+    with pytest.raises(ValidationError):
+        ball_mass(2, float("nan"), "euclidean")
 
 
 def test_max_radius_values():
