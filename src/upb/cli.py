@@ -28,7 +28,7 @@ from .bounds import (
     euclidean_riemannian_envelope,
 )
 from .constellation import (
-    chordal_packing_radius,
+    _chordal_radius,
     diversity_summary,
     load_constellation,
     random_search,
@@ -367,7 +367,7 @@ def cmd_eval(args) -> int:
         },
         {
             "name": "chordal_packing_radius",
-            "value": chordal_packing_radius(constellation),
+            "value": _chordal_radius(summary.n, summary.diversity_sum),
             "detail": "",
         },
     ]
@@ -465,7 +465,7 @@ def _selftest_kernel_vs_haar() -> str:
 
 def _selftest_product_le_sum() -> str:
     rng = np.random.default_rng(7)
-    from .constellation import Constellation, diversity_product, diversity_sum
+    from .constellation import Constellation
 
     for trial in range(100):
         n = int(rng.integers(1, 5))
@@ -475,8 +475,8 @@ def _selftest_product_le_sum() -> str:
             constellation = Constellation(members)
         except ValidationError:
             continue  # astronomically unlikely duplicate draw
-        s = diversity_sum(constellation)
-        p = diversity_product(constellation)
+        summary = diversity_summary(constellation)
+        s, p = summary.diversity_sum, summary.diversity_product
         if p > s + 1e-12:
             return f"trial {trial}: diversity product {p:.12g} exceeds sum {s:.12g}"
     return ""

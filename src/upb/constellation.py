@@ -9,6 +9,7 @@ exceeds the sum.
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +32,9 @@ __all__ = [
 ]
 
 _SEED_MASK = (1 << 64) - 1
+# Bytes of pair differences random_search holds at once: one row of pairs
+# for each trial of a chunk. Results do not depend on it.
+_PAIR_BYTES = 4 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,10 +58,10 @@ class Constellation:
         for i, u in enumerate(members):
             if u.n != n:
                 raise ValidationError(f"matrix {i} has dimension {u.n}, expected {n}")
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if np.max(np.abs(members[i].array - members[j].array)) <= 1e-12:
-                    raise ValidationError(f"matrices {i} and {j} are equal within 1e-12")
+        for i, d in _pair_rows(np.stack([u.array for u in members])):
+            equal = np.flatnonzero(np.max(np.abs(d), axis=(-2, -1)) <= 1e-12)
+            if equal.size:
+                raise ValidationError(f"matrices {i} and {i + 1 + equal[0]} are equal within 1e-12")
         object.__setattr__(self, "members", members)
 
     @property
@@ -79,12 +83,22 @@ class DiversitySummary:
     product_pair: tuple
 
 
-def _pair_arrays(v):
-    stack = np.stack([u.array for u in v.members])
-    pairs = list(itertools.combinations(range(v.m), 2))
-    i_idx = np.array([p[0] for p in pairs])
-    j_idx = np.array([p[1] for p in pairs])
-    return stack[i_idx] - stack[j_idx], pairs
+def _pair_rows(stack):
+    """Pair differences of a stack (..., m, n, n), one row at a time.
+
+    Yields (i, stack[..., i, :, :] - stack[..., i+1:, :, :]) for i = 0 .. m-2:
+    pairs come in itertools.combinations order, and only one row of them,
+    O(m n^2) memory, exists at a time.
+    """
+    for i in range(stack.shape[-3] - 1):
+        yield i, stack[..., i, None, :, :] - stack[..., i + 1 :, :, :]
+
+
+def _first_min(best, values, i):
+    """(value, pair) of the smaller of ``best`` and row i's first minimum;
+    a tie keeps ``best``, the earlier pair."""
+    k = int(np.argmin(values))
+    return (float(values[k]), (i, i + 1 + k)) if values[k] < best[0] else best
 
 
 def _sum_values(diffs, n):
@@ -100,26 +114,21 @@ def _product_values(diffs, n):
 
 
 def diversity_summary(v):
-    """Both diversity metrics of a Constellation with their minimizing pairs."""
-    diffs, pairs = _pair_arrays(v)
-    sums = _sum_values(diffs, v.n)
-    prods = _product_values(diffs, v.n)
-    i_s = int(np.argmin(sums))
-    i_p = int(np.argmin(prods))
-    return DiversitySummary(
-        n=v.n,
-        m=v.m,
-        diversity_sum=float(sums[i_s]),
-        sum_pair=pairs[i_s],
-        diversity_product=float(prods[i_p]),
-        product_pair=pairs[i_p],
-    )
+    """Both diversity metrics of a Constellation with their minimizing pairs.
+
+    One pass over the pairs; ties go to the first pair in
+    itertools.combinations order.
+    """
+    sum_min = prod_min = (math.inf, None)
+    for i, d in _pair_rows(np.stack([u.array for u in v.members])):
+        sum_min = _first_min(sum_min, _sum_values(d, v.n), i)
+        prod_min = _first_min(prod_min, _product_values(d, v.n), i)
+    return DiversitySummary(v.n, v.m, *sum_min, *prod_min)
 
 
 def diversity_sum(v):
     """min ||A - B|| / (2 sqrt(n)) over member pairs, in [0, 1]."""
-    diffs, _ = _pair_arrays(v)
-    return float(np.min(_sum_values(diffs, v.n)))
+    return diversity_summary(v).diversity_sum
 
 
 def diversity_product(v):
@@ -128,8 +137,7 @@ def diversity_product(v):
     Zero exactly when some pair difference is singular; the constellation is
     fully diverse iff the value is positive.
     """
-    diffs, _ = _pair_arrays(v)
-    return float(np.min(_product_values(diffs, v.n)))
+    return diversity_summary(v).diversity_product
 
 
 def riemannian_distance(a, b):
@@ -145,8 +153,12 @@ def riemannian_distance(a, b):
 def chordal_packing_radius(v):
     """Largest r with pairwise-disjoint chordal balls: from the minimal
     distance d, the smaller root of 2 sqrt(r^2 - r^4/(4n)) = d."""
-    n = v.n
-    d = 2.0 * math.sqrt(n) * diversity_sum(v)
+    return _chordal_radius(v.n, diversity_sum(v))
+
+
+def _chordal_radius(n, dsum):
+    """chordal_packing_radius of an n x n constellation with diversity sum dsum."""
+    d = 2.0 * math.sqrt(n) * dsum
     inner = max(0.0, 1.0 - d * d / (4.0 * n))
     return math.sqrt(2.0 * n * max(0.0, 1.0 - math.sqrt(inner)))
 
@@ -154,9 +166,9 @@ def chordal_packing_radius(v):
 def random_search(n, m, trials, seed, objective="sum"):
     """Best of ``trials`` Haar-sampled constellations under an objective.
 
-    objective is "sum" or "product". Deterministic given seed (any chunking
-    is invisible: draws come from one sequential stream). Returns
-    (Constellation, score).
+    objective is "sum" or "product". Deterministic given seed, and chunking
+    is invisible: trial k always takes the k-th block of m n^2 complex
+    draws from one sequential stream. Returns (Constellation, score).
     """
     n = check_int(n, "n", 1)
     m = check_int(m, "m", 2)
@@ -166,28 +178,23 @@ def random_search(n, m, trials, seed, objective="sum"):
     rng = np.random.default_rng(
         seed if isinstance(seed, np.random.Generator) else (int(seed) & _SEED_MASK)
     )
-    pairs = list(itertools.combinations(range(m), 2))
-    i_idx = np.array([p[0] for p in pairs])
-    j_idx = np.array([p[1] for p in pairs])
+    values = _sum_values if objective == "sum" else _product_values
+    chunk = max(1, _PAIR_BYTES // ((m - 1) * n * n * 16))
     best_score = -1.0
     best = None
-    chunk = max(1, 2048 // max(1, m))
     done = 0
     while done < trials:
         take = min(chunk, trials - done)
-        z = (
-            rng.standard_normal((take, m, n, n)) + 1j * rng.standard_normal((take, m, n, n))
-        ) / math.sqrt(2.0)
+        g = rng.standard_normal((take, m, n, n, 2))
+        z = (g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0)
         q, r = np.linalg.qr(z)
         d = np.diagonal(r, axis1=-2, axis2=-1)
         absd = np.abs(d)
         phase = np.where(absd > 0, d, 1.0) / np.where(absd > 0, absd, 1.0)
         q = q * phase[..., None, :]
-        diffs = q[:, i_idx] - q[:, j_idx]
-        if objective == "sum":
-            scores = np.min(_sum_values(diffs, n), axis=1)
-        else:
-            scores = np.min(_product_values(diffs.reshape(-1, n, n), n).reshape(take, -1), axis=1)
+        scores = np.full(take, np.inf)
+        for _, diffs in _pair_rows(q):
+            scores = np.minimum(scores, np.min(values(diffs, n), axis=-1))
         k = int(np.argmax(scores))
         if scores[k] > best_score:
             best_score = float(scores[k])
@@ -227,11 +234,12 @@ def load_constellation(path):
     and unitarity; errors name the offending matrix index."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError covers JSONDecodeError and integers over Python's digit limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"expected a JSON object at top level, got {type(data).__name__}")
@@ -276,9 +284,10 @@ def _parse_matrix(mat, idx):
                 not isinstance(e, list)
                 or len(e) != 2
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in e)
-                or not all(math.isfinite(x) for x in e)
+                or not all(abs(x) <= sys.float_info.max for x in e)  # finite, in float range
             ):
                 raise ParseError(f"matrix {idx} row {r} has a malformed entry: {e!r}")
             entries.append(complex(e[0], e[1]))
         rows.append(entries)
     return np.array(rows, dtype=complex)
+

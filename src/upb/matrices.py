@@ -88,33 +88,14 @@ def determinant(m):
 def stacked_logabsdet(mats):
     """log|det| over a stack of square matrices, shape (..., n, n) -> (...).
 
-    Same pivoted elimination as ``determinant`` but batched and in the log
-    domain so near-singular differences of unitaries stay representable.
-    Singular matrices map to -inf.
+    LAPACK's LU through ``np.linalg.slogdet``, in the log domain so
+    near-singular differences of unitaries stay representable. Singular
+    matrices map to -inf.
     """
     a = np.asarray(mats, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected a stack of square matrices, got shape {a.shape}")
-    lead = a.shape[:-2]
-    n = a.shape[-1]
-    a = a.reshape(-1, n, n).copy()
-    b = a.shape[0]
-    logabs = np.zeros(b)
-    batch = np.arange(b)
-    for k in range(n):
-        piv = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
-        rows_k = a[batch, k].copy()
-        a[batch, k] = a[batch, piv]
-        a[batch, piv] = rows_k
-        pk = a[:, k, k]
-        absp = np.abs(pk)
-        with np.errstate(divide="ignore"):
-            logabs += np.log(absp)
-        if k + 1 < n:
-            safe = np.where(absp > 0, pk, 1.0)
-            factors = a[:, k + 1 :, k] / safe[:, None]
-            a[:, k + 1 :, k:] -= factors[:, :, None] * a[:, k, k:][:, None, :]
-    return logabs.reshape(lead)
+    return np.linalg.slogdet(a)[1]
 
 
 def unitarity_residual(m):

@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import upb.constellation
 from upb import (
     Constellation,
     DimensionError,
@@ -135,6 +137,18 @@ def test_constellation_validates_membership():
         Constellation([np.eye(2), 2.0 * np.eye(2)])  # not unitary
 
 
+def test_constellation_and_summary_hold_one_row_of_pairs():
+    # all m(m-1)/2 = 79800 differences at n = 4 would take 20 MB
+    members = [haar_sample(4, seed) for seed in range(400)]
+    tracemalloc.start()
+    try:
+        diversity_summary(Constellation(members))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_constellation_accepts_wrappers_and_arrays():
     v = Constellation([haar_sample(2, 1), np.eye(2)])
     assert v.n == 2 and v.m == 2
@@ -149,6 +163,17 @@ def test_random_search_deterministic():
     assert score_a == score_b
     for x, y in zip(a.members, b.members):
         np.testing.assert_array_equal(x.array, y.array)
+
+
+def test_random_search_chunking_is_invisible(monkeypatch):
+    for objective in ("sum", "product"):
+        a, score_a = random_search(2, 5, 40, seed=12, objective=objective)
+        with monkeypatch.context() as patch:
+            patch.setattr(upb.constellation, "_PAIR_BYTES", 1)  # one trial per chunk
+            b, score_b = random_search(2, 5, 40, seed=12, objective=objective)
+        assert score_a == score_b
+        for x, y in zip(a.members, b.members):
+            np.testing.assert_array_equal(x.array, y.array)
 
 
 def test_random_search_near_circle_optimum():
@@ -218,6 +243,26 @@ def test_load_rejects_malformed_files(tmp_path):
     bad_entry.write_text(json.dumps({"n": 1, "matrices": [[["x", 0.0]], [[0.0, 1.0]]]}))
     with pytest.raises(ParseError):
         load_constellation(bad_entry)
+
+    too_big = tmp_path / "big.json"  # an integer beyond the float range
+    too_big.write_text('{"n": 1, "matrices": [[[[1' + "0" * 400 + ', 0]]], [[[0, 1]]]]}')
+    with pytest.raises(ParseError, match="matrix 0 row 0"):
+        load_constellation(too_big)
+
+    too_long = tmp_path / "long.json"  # beyond Python's integer digit limit
+    too_long.write_text('{"n": 1' + "0" * 5000 + ', "matrices": []}')
+    with pytest.raises(ParseError, match="long.json"):
+        load_constellation(too_long)
+
+    too_deep = tmp_path / "deep.json"
+    too_deep.write_text("[" * 200000)
+    with pytest.raises(ParseError, match="deep.json"):
+        load_constellation(too_deep)
+
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"n": 1, "label": "\xe9", "matrices": []}')
+    with pytest.raises(ParseError, match="latin1.json"):
+        load_constellation(not_utf8)
 
     too_few = tmp_path / "few.json"
     too_few.write_text(json.dumps({"n": 1, "matrices": [[[1.0, 0.0]]]}))

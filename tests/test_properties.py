@@ -2,16 +2,26 @@
 
 import contextlib
 import io
+import itertools
+import math
 import tempfile
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from upb import (
+    Constellation,
     SolverConfig,
+    ValidationError,
     ball_mass_error,
     ball_volume_fraction,
     compute_bounds,
+    diversity_product,
+    diversity_sum,
+    diversity_summary,
+    haar_sample,
     max_radius,
     solve_r0,
     total_mass,
@@ -48,6 +58,57 @@ def test_r0_strictly_decreasing_in_m(n, metric, m1, m2):
 def test_bounds_lie_in_unit_interval(n, m):
     for res in compute_bounds(n, m):
         assert 0.0 <= res.value <= 1.0, res
+
+
+def _oracle_minimum(values):
+    """(min, first minimizing pair, whether the min is unique by > 1e-12)."""
+    pairs = sorted(values, key=lambda pair: values[pair])  # stable: ties stay in order
+    low = values[pairs[0]]
+    return low, pairs[0], len(pairs) == 1 or values[pairs[1]] - low > 1e-12
+
+
+@PROPERTY
+@given(n=st.integers(1, 5), m=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+def test_diversity_matches_brute_force_oracle(n, m, seed):
+    rng = np.random.default_rng(seed)
+    v = Constellation([haar_sample(n, rng) for _ in range(m)])
+    sums, prods = {}, {}
+    for i, j in itertools.combinations(range(m), 2):
+        d = v.members[i].array - v.members[j].array
+        sums[i, j] = np.linalg.norm(d) / (2.0 * math.sqrt(n))
+        prods[i, j] = abs(np.linalg.det(d)) ** (1.0 / n) / 2.0
+    summary = diversity_summary(v)
+    for got, pair, values in ((summary.diversity_sum, summary.sum_pair, sums),
+                              (summary.diversity_product, summary.product_pair, prods)):
+        low, first, unique = _oracle_minimum(values)
+        assert math.isclose(got, low, rel_tol=1e-12)
+        if unique:
+            assert pair == first
+    assert diversity_sum(v) == summary.diversity_sum
+    assert diversity_product(v) == summary.diversity_product
+    assert summary.diversity_product <= summary.diversity_sum + 1e-12
+
+
+def test_ties_go_to_the_first_pair():
+    # the 4th roots of unity are exact in floating point, so all four
+    # neighbouring pairs tie exactly on both metrics
+    v = Constellation([np.array([[z]]) for z in (1.0, 1j, -1.0, -1j)])
+    summary = diversity_summary(v)
+    assert summary.sum_pair == (0, 1) and summary.product_pair == (0, 1)
+
+
+@PROPERTY
+@given(n=st.integers(1, 4), m=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       copies=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 12)), min_size=1, max_size=4))
+def test_repeated_member_names_first_pair(n, m, seed, copies):
+    rng = np.random.default_rng(seed)
+    members = [haar_sample(n, rng) for _ in range(m)]
+    for source, position in copies:
+        members.insert(min(position, len(members)), members[source % m])
+    first = next((i, j) for i, j in itertools.combinations(range(len(members)), 2)
+                 if members[i] is members[j])
+    with pytest.raises(ValidationError, match=rf"^matrices {first[0]} and {first[1]} are equal"):
+        Constellation(members)
 
 
 # values that are malformed, non-finite or out of range for some flag
