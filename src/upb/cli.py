@@ -35,7 +35,7 @@ from .constellation import (
     riemannian_distance,
     save_constellation,
 )
-from .errors import ConfigError, NumericalError, ParseError, RangeError, ValidationError, check_int
+from .errors import NumericalError, ParseError, RangeError, ValidationError, check_int
 from .matrices import haar_sample
 from .weyl import METRICS, ball_volume_fraction, normalizer_estimate, total_mass
 
@@ -603,7 +603,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValidationError, ParseError, ConfigError) as exc:
+    except (ValidationError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, RangeError) as exc:

@@ -270,8 +270,32 @@ def load_constellation(path):
 
 
 def _parse_matrix(mat, idx):
+    """A JSON matrix of [re, im] entries as a complex array.
+
+    One numpy conversion and one check of the set of entry types accept
+    valid input: only int and float pass, so bool, strings and null do not.
+    Anything else goes to the per-entry scan, which names the first
+    malformed row or entry.
+    """
     if not isinstance(mat, list) or not mat:
         raise ParseError(f"matrix {idx} must be a nonempty list of rows")
+    try:
+        pairs = np.array(mat, dtype=float)
+        types = set(map(type, itertools.chain.from_iterable(itertools.chain.from_iterable(mat))))
+    except (TypeError, ValueError, OverflowError):
+        return _scan_matrix(mat, idx)
+    # finite and strictly inside the float range; an int that rounds to the
+    # largest float goes to the scan, which compares it exactly
+    if (pairs.ndim == 3 and pairs.shape[2] == 2 and types <= {int, float}
+            and np.all(np.abs(pairs) < sys.float_info.max)):
+        return pairs.view(complex)[..., 0]
+    return _scan_matrix(mat, idx)
+
+
+def _scan_matrix(mat, idx):
+    """_parse_matrix entry by entry: ParseError names the first malformed row
+    or entry; what passes (rows without entries, entries of exactly the
+    largest float) is returned as a complex array."""
     rows = []
     width = None
     for r, row in enumerate(mat):
@@ -290,4 +314,3 @@ def _parse_matrix(mat, idx):
             entries.append(complex(e[0], e[1]))
         rows.append(entries)
     return np.array(rows, dtype=complex)
-

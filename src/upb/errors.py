@@ -15,10 +15,6 @@ class DimensionError(ValidationError):
     """Operands are non-square or have incompatible shapes."""
 
 
-class ConfigError(UpbError):
-    """Integration or solver settings are outside their allowed ranges."""
-
-
 class NumericalError(UpbError):
     """An iterative numerical procedure failed to converge.
 

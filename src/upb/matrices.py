@@ -5,10 +5,10 @@ thin validated wrapper used where unitarity is a contract rather than a hope;
 every function below also accepts raw arrays.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, NumericalError, ValidationError, check_int
 
@@ -107,33 +107,36 @@ def unitarity_residual(m):
     return float(np.linalg.norm(a.conj().T @ a - np.eye(rows)))
 
 
+def _check_unitary(a, tol, name):
+    """ValidationError unless ``tol`` (called ``name``) is finite and >= 0
+    and the square array ``a`` has unitarity residual <= tol."""
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"{name} must be finite and ≥ 0, got {tol!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = unitarity_residual(a)
+    if not res <= tol:  # a NaN residual, from overflowing entries, fails too
+        raise ValidationError(f"matrix is not unitary: residual {res:.3e} > {tol:.1e}")
+
+
 def unitary_eigenangles(u, residual_tol=1e-6):
     """Eigenvalue angles of a unitary matrix, sorted ascending in [-pi, pi).
 
-    Uses a complex Schur decomposition (stable for normal matrices; plain
-    eigensolvers lose orthogonality of eigenvectors at clustered spectra).
-    The reconstruction from the Schur basis is checked to 1e-8.
+    The angles of ``np.linalg.eigvals``: a unitary matrix is normal, so its
+    eigenvalues are perfectly conditioned (a perturbation E moves each by at
+    most ||E||), clustered and repeated ones included.
     """
     a = _as_array(u)
     rows, cols = a.shape
     if rows != cols:
         raise DimensionError(f"eigenangles need a square matrix, got {rows}x{cols}")
-    res = unitarity_residual(a)
-    if res > residual_tol:
-        raise ValidationError(f"matrix is not unitary: residual {res:.3e} > {residual_tol:.1e}")
+    _check_unitary(a, residual_tol, "residual_tol")
     try:
-        t, z = scipy.linalg.schur(a, output="complex")
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"Schur decomposition failed: {exc}") from exc
-    theta = np.angle(np.diagonal(t))
+        eig = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalues did not converge: {exc}") from exc
+    theta = np.angle(eig)
     theta = np.where(theta >= np.pi, theta - 2.0 * np.pi, theta)  # branch [-pi, pi)
-    order = np.argsort(theta, kind="stable")
-    theta = np.ascontiguousarray(theta[order])
-    recon = (z[:, order] * np.exp(1j * theta)) @ z[:, order].conj().T
-    recon_err = float(np.linalg.norm(recon - a))
-    if recon_err > 1e-8:
-        raise NumericalError(f"eigenangle reconstruction residual {recon_err:.3e} > 1e-8")
-    return theta
+    return np.sort(theta)
 
 
 def haar_sample(n, rng):
@@ -159,7 +162,12 @@ class UnitaryMatrix:
     """A validated element of U(n).
 
     Rejects non-unitary input instead of renormalizing it; the wrapped array
-    is read-only. ``validation_tol`` bounds the allowed unitarity residual.
+    is read-only. ``validation_tol`` (finite, >= 0) bounds the unitarity
+    residual ||M*M - I||, which also bounds the determinant: with
+    d_i = s_i^2 - 1 over the singular values s_i, sum d_i^2 <= tol^2, so
+    |log|det M|| = |sum log(1 + d_i)| / 2 <= (sqrt(n) tol + tol^2) / 2 for
+    tol <= 1/2. At the default tol of 1e-9, |det M| is within 6e-9 of 1 for
+    every n <= 143.
     """
 
     array: np.ndarray
@@ -170,14 +178,7 @@ class UnitaryMatrix:
         rows, cols = a.shape
         if rows != cols:
             raise DimensionError(f"unitary matrix must be square, got {rows}x{cols}")
-        res = unitarity_residual(a)
-        if res > self.validation_tol:
-            raise ValidationError(
-                f"matrix is not unitary: residual {res:.3e} > {self.validation_tol:.1e}"
-            )
-        dmod = abs(determinant(a))
-        if abs(dmod - 1.0) > 1e-6:
-            raise ValidationError(f"determinant modulus {dmod:.9f} is not within 1e-6 of 1")
+        _check_unitary(a, self.validation_tol, "validation_tol")
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "array", a)

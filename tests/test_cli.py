@@ -2,7 +2,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,6 +319,30 @@ def test_eval_malformed_file_is_usage_error(capsys, tmp_path, content):
     code, _, err = run(capsys, "eval", str(path), "--cache-dir", str(tmp_path))
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+SCIPY_MODULES = "sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.'))"
+
+
+def test_import_and_eval_load_no_scipy(tmp_path):
+    # a count of loaded modules, not a timing: scipy.special loads on the
+    # first bound solve, and nothing on this path needs scipy
+    path = write_constellation(tmp_path, [np.eye(2), -np.eye(2)])
+    code = (
+        "import sys, upb, upb.cli\n"
+        f"print({SCIPY_MODULES})\n"
+        f"code = upb.cli.main(['eval', {str(path)!r}, '--no-timestamp'])\n"
+        f"print(code, {SCIPY_MODULES})\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    res = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert "diversity_sum" in res.stdout
+    assert lines[-1] == "0 []"
 
 
 # --- search ----------------------------------------------------------------------------

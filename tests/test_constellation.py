@@ -284,6 +284,15 @@ def test_load_names_offending_matrix(tmp_path):
         load_constellation(path)
 
 
+def test_load_validates_in_file_order(tmp_path):
+    # matrix 0 is not unitary and matrix 1 is malformed: matrix 0 is named
+    doc = {"n": 1, "matrices": [[[[2.0, 0.0]]], [[[True, 0.0]]]]}
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="^matrix 0: matrix is not unitary"):
+        load_constellation(path)
+
+
 def test_load_rejects_wrong_shape(tmp_path):
     doc = {"n": 2, "matrices": [[[[1.0, 0.0]]], [[[0.0, 1.0]]]]}
     path = tmp_path / "v.json"

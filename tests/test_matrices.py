@@ -184,6 +184,38 @@ def test_unitary_matrix_accepts_loose_tolerance():
     UnitaryMatrix(almost, validation_tol=1e-6)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+def test_nonfinite_or_negative_tolerance_rejected(tol):
+    for a in (2.0 * np.eye(2), np.eye(2)):
+        with pytest.raises(ValidationError, match="^validation_tol must be finite"):
+            UnitaryMatrix(a, validation_tol=tol)
+        with pytest.raises(ValidationError, match="^residual_tol must be finite"):
+            unitary_eigenangles(a, residual_tol=tol)
+    UnitaryMatrix(np.eye(2), validation_tol=0.0)
+    np.testing.assert_array_equal(unitary_eigenangles(np.eye(2), residual_tol=0.0), [0.0, 0.0])
+
+
+def test_overflowing_residual_rejected():
+    # M*M overflows to inf - inf = NaN off the diagonal; NaN must not pass
+    a = np.array([[1e308, 1e308], [1e308, -1e308]])
+    with pytest.raises(ValidationError, match="residual nan"):
+        UnitaryMatrix(a)
+    with pytest.raises(ValidationError, match="residual nan"):
+        unitary_eigenangles(a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_residual_bound_implies_determinant_bound(n):
+    # the worst case for |det| at a given residual: every s_i^2 - 1 = tol / sqrt(n)
+    tol = 1e-6
+    rng = np.random.default_rng(60 + n)
+    u, v = haar_sample(n, rng).array, haar_sample(n, rng).array
+    a = (u * math.sqrt(1.0 + 0.999 * tol / math.sqrt(n))) @ v
+    UnitaryMatrix(a, validation_tol=tol)
+    assert abs(abs(determinant(a)) - 1.0) <= (math.sqrt(n) * tol + tol**2) / 2.0
+    assert abs(abs(determinant(a)) - 1.0) >= 0.99 * math.sqrt(n) * tol / 2.0  # the bound is tight
+
+
 def test_as_complex_matrix_unwraps_wrapper():
     u = haar_sample(2, 11)
     out = as_complex_matrix(u)

@@ -1,11 +1,17 @@
 """Property tests over the whole input range (hypothesis, derandomized)."""
 
 import contextlib
+import copy
 import io
 import itertools
+import json
 import math
+import re
+import sys
 import tempfile
+from pathlib import Path
 
+import loader_oracle
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +20,7 @@ from hypothesis import strategies as st
 from upb import (
     Constellation,
     SolverConfig,
+    UpbError,
     ValidationError,
     ball_mass_error,
     ball_volume_fraction,
@@ -21,10 +28,14 @@ from upb import (
     diversity_product,
     diversity_sum,
     diversity_summary,
+    euclidean_riemannian_envelope,
     haar_sample,
+    load_constellation,
     max_radius,
+    riemannian_distance,
     solve_r0,
     total_mass,
+    unitarity_residual,
 )
 from upb.cli import main
 
@@ -109,6 +120,151 @@ def test_repeated_member_names_first_pair(n, m, seed, copies):
                  if members[i] is members[j])
     with pytest.raises(ValidationError, match=rf"^matrices {first[0]} and {first[1]} are equal"):
         Constellation(members)
+
+
+ANGLES = st.sampled_from([-math.pi, math.pi - 1e-12, math.pi - 1e-9, 0.0, 1e-12, -1e-9, 0.5])
+
+
+@st.composite
+def unitary_pairs(draw):
+    """(n, seed, angles): a Haar pair, or with angles a pair whose A*B is
+    V diag(exp(i angles)) V* for a Haar V."""
+    n = draw(st.integers(1, 6))
+    angle = ANGLES | st.floats(-math.pi, math.pi, exclude_max=True)
+    angles = draw(st.none() | st.lists(angle, min_size=n, max_size=n).map(tuple))
+    return n, draw(st.integers(0, 2**32 - 1)), angles
+
+
+@PROPERTY
+@given(case=unitary_pairs())
+@example(case=(3, 1, (0.7, 0.7, 0.7)))
+@example(case=(4, 2, (-math.pi, -math.pi, 0.2, 0.2)))
+@example(case=(2, 3, (math.pi - 1e-9, math.pi - 1e-9)))
+@example(case=(5, 4, (1e-9, -1e-9, 0.0, 0.0, 1e-12)))
+@example(case=(6, 5, (-math.pi, math.pi - 1e-12, 1e-12, 0.0, -math.pi, math.pi - 1e-12)))
+def test_envelope_brackets_riemannian_distance(case):
+    n, seed, angles = case
+    rng = np.random.default_rng(seed)
+    a = haar_sample(n, rng).array
+    if angles is None:
+        b = haar_sample(n, rng).array
+    else:
+        v = haar_sample(n, rng).array
+        b = a @ (v * np.exp(1j * np.array(angles))) @ v.conj().T
+    dist = riemannian_distance(a, b)
+    # both envelopes increase with d, so bracket the rounding of d itself:
+    # near d = 2 sqrt(n) the lower one, an arcsin near 1, turns a relative
+    # error e of d into one of about sqrt(e) in the bound
+    d = float(np.linalg.norm(a - b))
+    lower = euclidean_riemannian_envelope(n, d * (1.0 - 1e-14))[0]
+    upper = euclidean_riemannian_envelope(n, d * (1.0 + 1e-14))[1]
+    assert lower - 1e-9 <= dist <= upper + 1e-9
+    if angles is not None:
+        assert math.isclose(dist, math.sqrt(sum(t * t for t in angles)), abs_tol=1e-9)
+
+
+def _load_outcome(load, path):
+    """(label, member arrays) of a loaded file, or (exception type, message)."""
+    try:
+        out = load(path)
+    except UpbError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, Constellation):
+        return out.label, [u.array for u in out.members]
+    return out
+
+
+ODD_SCALARS = [True, False, None, "1.0", 10**400, int(sys.float_info.max) + 1, 2**1024,
+               sys.float_info.max, -sys.float_info.max, 1e308, math.nan, math.inf, -math.inf,
+               2**64, -0.0, 0]
+ODD_ENTRIES = [[], [0.0], [0.0, 1.0, 0.0], None, "1.0", 1.0, True, [[0.0, 1.0], 0.0]]
+ODD_ROWS = [[], None, "row", 1.0, [[0.0, 1.0]] * 4, [[True, False]]]
+ODD_MATRICES = [[], None, [[]], [[], []], "matrix", [[[1, 0]]]]
+
+
+def _mutate(draw, doc):
+    """One change, at one place, that may make the document malformed."""
+    mats = doc["matrices"]
+    k = draw(st.integers(0, len(mats) - 1))
+    where = draw(st.sampled_from(["scalar", "entry", "row", "matrix", "copy", "n"]))
+    if where == "n":
+        doc["n"] = draw(st.sampled_from([0, True, "2", None, 4]))
+    elif where == "matrix":
+        mats[k] = draw(st.sampled_from(ODD_MATRICES))
+    elif where == "copy":
+        mats[k] = copy.deepcopy(mats[(k + 1) % len(mats)])
+    elif isinstance(mats[k], list) and mats[k]:
+        rows = mats[k]
+        r = draw(st.integers(0, len(rows) - 1))
+        row = rows[r]
+        if where == "row":
+            ragged = [row[:-1], row + row[:1]] if isinstance(row, list) else []
+            rows[r] = copy.deepcopy(draw(st.sampled_from(ODD_ROWS + ragged)))
+        elif isinstance(row, list) and row:
+            c = draw(st.integers(0, len(row) - 1))
+            if where == "entry":
+                row[c] = copy.deepcopy(draw(st.sampled_from(ODD_ENTRIES)))
+            elif isinstance(row[c], list) and row[c]:
+                row[c][draw(st.integers(0, len(row[c]) - 1))] = draw(st.sampled_from(ODD_SCALARS))
+
+
+@st.composite
+def constellation_documents(draw):
+    """JSON text of a constellation file: Haar members, some scaled off
+    U(n) by a large or a barely visible margin, or integer-valued signed
+    permutations; then up to three changes that may break it."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    for _ in range(m):
+        if draw(st.booleans()):
+            u = haar_sample(n, rng).array * draw(st.sampled_from([1, 1, 2, 1 + 1e-9, 1 + 1e-12]))
+            mats.append([[[float(z.real), float(z.imag)] for z in row] for row in u])
+        else:
+            perm, signs = rng.permutation(n), rng.choice([-1, 1], n)
+            mats.append([[[int(signs[i]) if j == perm[i] else 0, 0] for j in range(n)]
+                         for i in range(n)])
+    doc = {"n": n, "matrices": mats}
+    if draw(st.booleans()):
+        doc["label"] = draw(st.sampled_from(["haar", "", 7]))
+    for _ in range(draw(st.integers(0, 3))):
+        _mutate(draw, doc)
+    return json.dumps(doc)
+
+
+FIRST_NONUNITARY_SECOND_MALFORMED = json.dumps({"n": 1, "matrices": [[[[2, 0]]], [[[None, 0]]]]})
+OVERFLOWING_MEMBER = json.dumps({"n": 2, "matrices": [
+    [[[1e308, 0], [1e308, 0]], [[1e308, 0], [-1e308, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]})
+
+
+@settings(PROPERTY, max_examples=400)
+@given(text=constellation_documents())
+@example(text=FIRST_NONUNITARY_SECOND_MALFORMED)
+@example(text=OVERFLOWING_MEMBER)
+@example(text='{"n": 1, "matrices": [[[[NaN, 0]]], [[[Infinity, 0]]]]}')
+@example(text='{"n": 1, "matrices": [[[[1.7976931348623157e308, 0]]], [[[1, 0]]]]}')
+@example(text='{"n": 1, "matrices": [[[[1, -0.0]]], [[[-0.0, -1]]]]}')  # signed zeros kept
+def test_loader_matches_per_entry_oracle(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.json"
+        path.write_text(text)
+        got, want = _load_outcome(load_constellation, path), _load_outcome(loader_oracle.load, path)
+    if isinstance(got[0], str):
+        assert got[0] == want[0] and len(got[1]) == len(want[1]), (got, want)
+        for x, y in zip(got[1], want[1]):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        return
+    if got != want and got[0] is ValidationError and "residual nan" in got[1]:
+        # the one intended difference: a member whose unitarity residual
+        # overflows to NaN, which the oracle passes on to its determinant
+        # check or accepts
+        idx = int(re.match(r"matrix (\d+): matrix is not unitary: residual nan > ", got[1])[1])
+        member = loader_oracle.parse_matrix(json.loads(text)["matrices"][idx], idx)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(unitarity_residual(member))
+        assert isinstance(want[0], str) or want[1].startswith(f"matrix {idx}: determinant modulus")
+        return
+    assert got == want
 
 
 # values that are malformed, non-finite or out of range for some flag
