@@ -8,12 +8,12 @@ packing equality m * ball_mass(r0) = total_mass:
       k = floor(r0^2/4), a = r0^2/4 - k
   B3  sin(r0 / sqrt(n))                      r0 riemannian
 
-compute_bounds is the one path from (n, m, config) to bound rows: it
-solves each metric's r0 once, attaches one deterministic radius error, and
-optionally caches both. Alongside sit the exact small-case values, the
-euclidean/riemannian distance envelope the B2 derivation rests on, a
-crossover-radius finder for the B1/B2 comparison, and an asymptotic
-(heuristic, m -> infinity) lower bound.
+solve_r0 is the one solve: it returns r0 with its deterministic radius
+error. compute_bounds is the one path from (n, m, config) to bound rows: it
+solves each metric once and optionally caches r0 and its error. Alongside
+sit the exact small-case values, the euclidean/riemannian distance envelope
+the B2 derivation rests on, a crossover-radius finder for the B1/B2
+comparison, and an asymptotic (heuristic, m -> infinity) lower bound.
 """
 
 import hashlib
@@ -29,7 +29,6 @@ from .weyl import ball_mass, ball_mass_error, max_radius, total_mass
 __all__ = [
     "AsymptoticBound",
     "BoundResult",
-    "SolveDiagnostics",
     "SolverConfig",
     "BOUND_IDS",
     "BOUND_METRIC",
@@ -53,6 +52,10 @@ BOUND_IDS = ("b1", "b2", "b3")
 BOUND_METRIC = {"b1": "euclidean", "b2": "euclidean", "b3": "riemannian"}
 
 _FLOOR_SNAP = 1e-12
+# crossover_radius scans the raw B2 - B1 curve on this many radii, then
+# bisects the first sign change to this relative width.
+_CROSSOVER_GRID = 4096
+_CROSSOVER_TOL = 1e-12
 # Last field of solver_key; bump it whenever solve_r0 or the radius error
 # model changes, so that no cache entry of the old algorithm is served.
 _CACHE_VERSION = "v3"
@@ -63,24 +66,10 @@ class SolverConfig:
     """Bisection settings. root_tol is on the radius, not the mass residual."""
 
     root_tol: float = 1e-6
-    max_bisection_steps: int = 200
 
     def __post_init__(self):
         if not (0.0 < self.root_tol < 1.0):
             raise ValidationError(f"root_tol must lie in (0, 1), got {self.root_tol!r}")
-        object.__setattr__(
-            self, "max_bisection_steps", check_int(self.max_bisection_steps, "max_bisection_steps", 1)
-        )
-
-
-@dataclass(frozen=True)
-class SolveDiagnostics:
-    """What a solve did: mass evaluations, the final bracket, and the mass at
-    the returned radius."""
-
-    evaluations: int
-    bracket: tuple
-    mass: float
 
 
 @dataclass(frozen=True)
@@ -108,47 +97,59 @@ class AsymptoticBound:
 
 
 def solver_key(n, m, metric, cfg):
-    """Cache key: n:m:metric:root_tol:max_bisection_steps:version."""
-    return ":".join(
-        [
-            str(n),
-            str(m),
-            metric,
-            format(cfg.root_tol, ".17g"),
-            str(cfg.max_bisection_steps),
-            _CACHE_VERSION,
-        ]
-    )
+    """Cache key: n:m:metric:root_tol:version."""
+    return ":".join([str(n), str(m), metric, format(cfg.root_tol, ".17g"), _CACHE_VERSION])
+
+
+def _bisect(lo, hi, above, width):
+    """Halve [lo, hi] while it is wider than width, keeping above(lo) false
+    and above(hi) true, and return the final bracket.
+
+    Raises NumericalError with the bracket once the midpoint no longer falls
+    strictly inside it, i.e. width is below the float resolution there.
+    """
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise NumericalError(
+                f"bisection cannot reach width {width:g}: bracket [{lo!r}, {hi!r}] "
+                "is at float resolution",
+                bracket=(lo, hi),
+            )
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 def solve_r0(n, m, metric, cfg=None):
-    """Radius r0 with ball_mass(n, r0, metric) = total_mass(n)/m, by bisection.
+    """(r0, radius error) with ball_mass(n, r0, metric) = total_mass(n)/m.
 
-    Returns (r0, SolveDiagnostics). Raises NumericalError with the bracket
-    attached if max_bisection_steps cannot reach root_tol.
+    r0 is the midpoint of a bisection bracket of width <= root_tol. The
+    radius error is half of root_tol plus the kernel's error bound at r0
+    over the mass secant slope across r0 +- max(1e-4, 50 root_tol) max(1, r0).
+    Raises NumericalError with the bracket if root_tol is below the float
+    resolution at r0.
     """
     n = check_int(n, "n", 1)
     m = check_int(m, "m", 2)
     if cfg is None:
         cfg = SolverConfig()
     target = total_mass(n) / m
-    lo, hi = 0.0, max_radius(n, metric)  # mass(0) = 0 < target, mass(hi) = total > target
-    steps = 0
-    while hi - lo > cfg.root_tol:
-        if steps >= cfg.max_bisection_steps:
-            raise NumericalError(
-                f"bisection did not reach root_tol={cfg.root_tol:g} within "
-                f"{cfg.max_bisection_steps} steps (bracket width {hi - lo:.3e})",
-                bracket=(lo, hi),
-            )
-        mid = 0.5 * (lo + hi)
-        if ball_mass(n, mid, metric) >= target:
-            hi = mid
-        else:
-            lo = mid
-        steps += 1
+    rmax = max_radius(n, metric)  # mass(0) = 0 < target, mass(rmax) = total > target
+    lo, hi = _bisect(0.0, rmax, lambda r: ball_mass(n, r, metric) >= target, cfg.root_tol)
     r0 = 0.5 * (lo + hi)
-    return r0, SolveDiagnostics(evaluations=steps + 1, bracket=(lo, hi), mass=ball_mass(n, r0, metric))
+    se_r = 0.5 * cfg.root_tol
+    mass_err = ball_mass_error(n, r0, metric)
+    if mass_err > 0.0:
+        step = max(1e-4, 50.0 * cfg.root_tol) * max(1.0, r0)
+        hi = min(r0 + step, rmax)
+        lo = max(r0 - step, 0.0)
+        slope = (ball_mass(n, hi, metric) - ball_mass(n, lo, metric)) / (hi - lo)
+        if slope > 0.0:
+            se_r += mass_err / slope
+    return r0, se_r
 
 
 def _floor_frac(q):
@@ -216,23 +217,6 @@ def _curve_derivative(bound_id, n, r0, metric):
     return (evaluate_bound(bound_id, n, hi) - evaluate_bound(bound_id, n, lo)) / (hi - lo)
 
 
-def _solve_radius(n, m, metric, cfg):
-    """(r0, radius error): half the root tolerance plus the kernel's
-    truncation bound at r0 over the mass secant slope across
-    r0 +- max(1e-4, 50 root_tol) max(1, r0)."""
-    r0, _ = solve_r0(n, m, metric, cfg)
-    se_r = 0.5 * cfg.root_tol
-    mass_err = ball_mass_error(n, r0, metric)
-    if mass_err > 0.0:
-        step = max(1e-4, 50.0 * cfg.root_tol) * max(1.0, r0)
-        hi = min(r0 + step, max_radius(n, metric))
-        lo = max(r0 - step, 0.0)
-        slope = (ball_mass(n, hi, metric) - ball_mass(n, lo, metric)) / (hi - lo)
-        if slope > 0.0:
-            se_r += mass_err / slope
-    return r0, se_r
-
-
 def _cache_path(cache_dir, key):
     return Path(cache_dir) / f"{hashlib.sha256(key.encode()).hexdigest()[:32]}.json"
 
@@ -265,7 +249,7 @@ def compute_bounds(n, m, methods=BOUND_IDS, cfg=None, cache_dir=None):
     """One BoundResult per id in methods, in that order.
 
     Each metric's r0 is solved once, with its radius error (see
-    _solve_radius); a row's std_error_hint is that error times |dB/dr| at r0.
+    solve_r0); a row's std_error_hint is that error times |dB/dr| at r0.
     With cache_dir, r0 and its error are kept in one JSON file per
     solver_key there, and a cached metric costs no mass evaluation.
     """
@@ -282,7 +266,7 @@ def compute_bounds(n, m, methods=BOUND_IDS, cfg=None, cache_dir=None):
         path = None if cache_dir is None else _cache_path(cache_dir, key)
         radius = None if path is None else _cache_load(path, key)
         if radius is None:
-            radius = _solve_radius(n, m, metric, cfg)
+            radius = solve_r0(n, m, metric, cfg)
             if path is not None:
                 _cache_store(path, key, *radius)
         radii[metric] = (key, *radius)
@@ -363,7 +347,7 @@ def euclidean_riemannian_envelope(n, d):
     return lower, upper
 
 
-def crossover_radius(n, grid=4096, tol=1e-12):
+def crossover_radius(n):
     """Radius where the raw B2 curve crosses B1, for a given dimension n >= 2.
 
     On (0, sqrt(2n)) the raw curve starts above B1 and ends below it; the
@@ -377,25 +361,13 @@ def crossover_radius(n, grid=4096, tol=1e-12):
     def h(r):
         return b2_of_r(n, r, clamp=False) - b1_of_r(n, r)
 
-    rs = [lo + (hi - lo) * i / (grid - 1) for i in range(grid)]
+    rs = [lo + (hi - lo) * i / (_CROSSOVER_GRID - 1) for i in range(_CROSSOVER_GRID)]
     hs = [h(r) for r in rs]
-    bracket = None
-    for i in range(grid - 1):
+    for i in range(_CROSSOVER_GRID - 1):
         if hs[i] > 0.0 >= hs[i + 1]:
-            bracket = (rs[i], rs[i + 1])
-            break
-    if bracket is None:
-        return None
-    a, b = bracket
-    for _ in range(200):
-        if b - a <= tol * max(1.0, b):
-            break
-        mid = 0.5 * (a + b)
-        if h(mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+            a, b = _bisect(rs[i], rs[i + 1], lambda r: h(r) <= 0.0, _CROSSOVER_TOL * max(1.0, rs[i + 1]))
+            return 0.5 * (a + b)
+    return None
 
 
 def asymptotic_lower_bound(n, m, tau, cfg=None):

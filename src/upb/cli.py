@@ -20,13 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (
-    BOUND_IDS,
-    BOUND_METRIC,
-    SolverConfig,
-    compute_bounds,
-    euclidean_riemannian_envelope,
-)
+from .bounds import BOUND_IDS, SolverConfig, compute_bounds, euclidean_riemannian_envelope
 from .constellation import (
     _chordal_radius,
     diversity_summary,
@@ -37,7 +31,7 @@ from .constellation import (
 )
 from .errors import NumericalError, ParseError, RangeError, ValidationError, check_int
 from .matrices import haar_sample
-from .weyl import METRICS, ball_volume_fraction, normalizer_estimate, total_mass
+from .weyl import ball_volume_fraction, normalizer_estimate, total_mass
 
 __all__ = ["main", "console_main"]
 
@@ -209,6 +203,14 @@ def _bound_rows(n: int, m: int, methods, cfg: SolverConfig, root: Path) -> list:
     ]
 
 
+def _gap_rows(args, n: int, m: int, achieved: float) -> list:
+    """One bound_<id> row per bound, with its gap over the achieved diversity."""
+    return [
+        {"name": f"bound_{res.bound_id}", "value": res.value, "detail": f"gap {res.value - achieved:.6g}"}
+        for res in compute_bounds(n, m, BOUND_IDS, _solver_config(args), _cache_dir(args))
+    ]
+
+
 _SWEEP_COLUMNS = ("n", "m", "method", "metric", "r0", "value", "std_error", "strategy", "samples", "seed")
 
 
@@ -230,15 +232,6 @@ def _parse_methods(spec: str):
         if name not in seen:
             seen.append(name)
     return seen
-
-
-def _check_metric_flag(args, methods) -> None:
-    if args.metric is None:
-        return
-    for bound_id in methods:
-        want = BOUND_METRIC[bound_id]
-        if args.metric != want:
-            raise _UsageError(f"method {bound_id} is defined for the {want} metric, not {args.metric}")
 
 
 def _solver_config(args) -> SolverConfig:
@@ -264,7 +257,6 @@ def _record(args, command: str, parameters: dict, columns, rows, notes=(), t0: f
 def cmd_bound(args) -> int:
     t0 = time.perf_counter()
     methods = _parse_methods(args.method)
-    _check_metric_flag(args, methods)
     cfg = _solver_config(args)
     rows = _bound_rows(args.n, args.m, methods, cfg, _cache_dir(args))
     params = {
@@ -331,7 +323,6 @@ def _sweep_sizes(args) -> list:
 def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     methods = _parse_methods(args.method)
-    _check_metric_flag(args, methods)
     cfg = _solver_config(args)
     root = _cache_dir(args)
     rows = []
@@ -375,16 +366,7 @@ def cmd_eval(args) -> int:
     if summary.diversity_product <= 0.0:
         notes.append("constellation is not fully diverse (diversity product is 0)")
     if args.bounds:
-        cfg = _solver_config(args)
-        root = _cache_dir(args)
-        for row in _bound_rows(summary.n, summary.m, list(BOUND_IDS), cfg, root):
-            rows.append(
-                {
-                    "name": f"bound_{row['method']}",
-                    "value": row["value"],
-                    "detail": f"gap {row['value'] - summary.diversity_sum:.6g}",
-                }
-            )
+        rows.extend(_gap_rows(args, summary.n, summary.m, summary.diversity_sum))
     params = {"file": str(args.file), "n": summary.n, "m": summary.m}
     if constellation.label:
         params["label"] = constellation.label
@@ -401,16 +383,7 @@ def cmd_search(args) -> int:
     except OSError as exc:
         raise _UsageError(f"cannot write constellation file: {exc}") from exc
     rows = [{"name": f"best_{args.objective}", "value": score, "detail": f"saved {out_path}"}]
-    cfg = _solver_config(args)
-    root = _cache_dir(args)
-    for row in _bound_rows(args.n, args.m, list(BOUND_IDS), cfg, root):
-        rows.append(
-            {
-                "name": f"bound_{row['method']}",
-                "value": row["value"],
-                "detail": f"gap {row['value'] - score:.6g}",
-            }
-        )
+    rows.extend(_gap_rows(args, args.n, args.m, score))
     params = {
         "n": args.n,
         "m": args.m,
@@ -540,7 +513,6 @@ def _build_parser() -> _Parser:
     numeric.add_argument("--nodes", type=int, help=argparse.SUPPRESS)
     numeric.add_argument("--seed", type=int, default=0)
     numeric.add_argument("--root-tol", type=float, default=1e-6)
-    numeric.add_argument("--metric", choices=sorted(METRICS), default=None)
 
     output = _Parser(add_help=False)
     output.add_argument("--format", default="table", choices=["table", "csv", "json"])
@@ -584,8 +556,7 @@ def _build_parser() -> _Parser:
     p_search.add_argument("--objective", default="sum")
     p_search.set_defaults(func=cmd_search)
 
-    p_self = sub.add_parser("selftest", parents=[numeric, output],
-                            help="fast internal consistency checks")
+    p_self = sub.add_parser("selftest", help="fast internal consistency checks")
     p_self.set_defaults(func=cmd_selftest)
 
     return parser

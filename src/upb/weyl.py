@@ -105,7 +105,7 @@ def log_total_mass(n):
 def total_mass(n):
     """Full-domain density integral (2 pi)^n n!.
 
-    Raises RangeError once the value exceeds float range (n around 124);
+    Raises RangeError once the value exceeds float range (n >= 125);
     use log_total_mass there.
     """
     n = check_int(n, "n", 1)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import upb.weyl
 from tensor_oracle import tensor_mass
 from upb import (
     BOUND_IDS,
@@ -24,12 +25,12 @@ from upb import (
     evaluate_bound,
     exact_delta,
     haar_sample,
+    max_radius,
     riemannian_distance,
     solve_r0,
     solver_key,
     total_mass,
 )
-from upb.bounds import _solve_radius
 
 BOUNDERS = {"b1": bound_b1, "b2": bound_b2, "b3": bound_b3}
 
@@ -65,12 +66,13 @@ def invert_b1(n, target):
 
 @pytest.mark.parametrize("m", [2, 3, 5, 8, 16, 64])
 def test_solve_r0_circle_closed_forms(m, solver):
-    r0_e, diag_e = solve_r0(1, m, "euclidean", solver)
-    r0_r, diag_r = solve_r0(1, m, "riemannian", solver)
+    r0_e, err_e = solve_r0(1, m, "euclidean", solver)
+    r0_r, err_r = solve_r0(1, m, "riemannian", solver)
     assert r0_e == pytest.approx(r0_circle_euclidean(m), abs=2e-6)
     assert r0_r == pytest.approx(r0_circle_riemannian(m), abs=2e-6)
-    assert diag_e.bracket[0] <= r0_e <= diag_e.bracket[1]
-    assert diag_r.bracket[0] <= r0_r <= diag_r.bracket[1]
+    # n = 1 masses are exact arcs, so the radius error is half the root tolerance
+    assert abs(r0_e - r0_circle_euclidean(m)) <= err_e == 0.5 * solver.root_tol
+    assert abs(r0_r - r0_circle_riemannian(m)) <= err_r == 0.5 * solver.root_tol
 
 
 @pytest.mark.parametrize("m", [2, 4, 8, 32, 64])
@@ -306,17 +308,17 @@ def test_solver_key_shape_and_determinism(solver):
 def test_solver_key_carries_every_result_field(solver):
     keys = {
         solver_key(4, 24, "euclidean", cfg)
-        for cfg in (solver, SolverConfig(max_bisection_steps=150), SolverConfig(root_tol=1e-8))
+        for cfg in (solver, SolverConfig(root_tol=1e-8))
     }
-    assert len(keys) == 3
-    assert solver_key(2, 100, "euclidean", solver) == "2:100:euclidean:9.9999999999999995e-07:200:v3"
+    assert len(keys) == 2
+    assert solver_key(2, 100, "euclidean", solver) == "2:100:euclidean:9.9999999999999995e-07:v3"
 
 
 def test_cache_entry_without_version_or_radius_error_is_recomputed(solver, tmp_path):
     (fresh,) = compute_bounds(2, 24, ("b1",), solver, tmp_path)
     (path,) = tmp_path.glob("*.json")
     key = fresh.config_fingerprint
-    old_key = ":".join(key.split(":")[:5])  # the fields keyed before the version
+    old_key = ":".join(key.split(":")[:-1])  # the fields keyed before the version
     for stale_key in (old_key, key):
         path.write_text(json.dumps({"key": stale_key, "r0": 1.0, "timestamp": "2024-01-01T00:00:00+00:00"}))
         (again,) = compute_bounds(2, 24, ("b1",), solver, tmp_path)
@@ -343,17 +345,35 @@ def test_numpy_integers_accepted_and_bool_rejected(solver):
             solve_r0(n, m, "euclidean", solver)
     with pytest.raises(ValidationError):
         compute_bounds(True, 24, cfg=solver)
-    assert SolverConfig(max_bisection_steps=np.int64(50)).max_bisection_steps == 50
-    with pytest.raises(ValidationError):
-        SolverConfig(max_bisection_steps=True)
 
 
 def test_solve_r0_reports_bracket_on_exhaustion():
-    cramped = SolverConfig(root_tol=1e-12, max_bisection_steps=3)
+    # 1e-17 is below the float spacing near r0 = 0.39, so the bisection
+    # stalls on two neighbouring floats around the root
+    below_resolution = SolverConfig(root_tol=1e-17)
     with pytest.raises(NumericalError) as info:
-        solve_r0(1, 8, "euclidean", cramped)
+        solve_r0(1, 8, "euclidean", below_resolution)
     lo, hi = info.value.bracket
-    assert lo < r0_circle_euclidean(8) < hi
+    assert 0.0 < hi - lo <= 2.0 * math.ulp(hi)
+    assert lo - 1e-15 <= r0_circle_euclidean(8) <= hi + 1e-15
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
+def test_cold_solve_evaluates_r0_once(metric, solver, monkeypatch):
+    # one kernel call per bisection step, one for the error at r0 and two
+    # for the secant slope around it
+    radii = []
+    real = upb.weyl._cdf
+
+    def counting(n, r, metric):
+        radii.append(r)
+        return real(n, r, metric)
+
+    monkeypatch.setattr(upb.weyl, "_cdf", counting)
+    r0, _ = solve_r0(2, 24, metric, solver)
+    steps = math.ceil(math.log2(max_radius(2, metric) / solver.root_tol))
+    assert radii.count(r0) == 1
+    assert len(radii) == steps + 3 == {"euclidean": 25, "riemannian": 26}[metric]
 
 
 def test_solve_r0_validates_inputs(solver):
@@ -381,7 +401,7 @@ def test_solve_agrees_with_tensor_oracle():
         for metric in ("euclidean", "riemannian"):
             for m in (2, 3, 24, 1000, 10**4, 10**6):
                 target = total_mass(n) / m
-                r0, radius_error = _solve_radius(n, m, metric, cfg)
+                r0, radius_error = solve_r0(n, m, metric, cfg)
                 assert radius_error < 1e-7, (n, metric, m)
                 for step in (1e-7, radius_error):
                     assert tensor_mass(n, r0 - step, metric) <= target, (n, metric, m, step)

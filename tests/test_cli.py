@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -64,9 +65,6 @@ def test_bound_usage_errors(capsys, tmp_path):
     code, _, _ = run(capsys, "bound", "--n", "2", "--m", "4", "--method", "b9",
                      "--cache-dir", str(tmp_path))
     assert code == 1
-    code, _, err = run(capsys, "bound", "--n", "2", "--m", "4", "--method", "b3",
-                       "--metric", "euclidean", "--cache-dir", str(tmp_path))
-    assert code == 1 and "riemannian" in err
 
 
 def test_samples_and_nodes_are_ignored(capsys, tmp_path):
@@ -97,10 +95,40 @@ def test_bound_numerical_failure_maps_to_exit_2(capsys, tmp_path, monkeypatch):
     assert code == 2 and "injected failure" in err
 
 
+def test_root_tol_below_float_resolution_is_numerical_failure(capsys, tmp_path):
+    code, out, err = run(capsys, "bound", "--n", "1", "--m", "8", "--root-tol", "1e-17",
+                         "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("numerical failure: ") and "float resolution" in err
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as info:
         main(["--help"])
     assert info.value.code == 0
+
+
+def test_each_subcommand_accepts_exactly_its_flags(capsys):
+    # every flag must select something; --samples and --nodes are the
+    # ignored kernel settings that scripts still pass (see README)
+    (subparsers,) = [a for a in cli._build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {opt for action in sub._actions for opt in action.option_strings or [action.dest]}
+        for name, sub in subparsers.choices.items()
+    }
+    common = {"-h", "--help", "--samples", "--nodes", "--seed", "--root-tol",
+              "--format", "--out", "--no-timestamp", "--cache-dir"}
+    assert flags == {
+        "bound": common | {"--n", "--m", "--method"},
+        "table": common,
+        "sweep": common | {"--n", "--m-start", "--m-end", "--m-step", "--m-factor", "--method"},
+        "eval": common | {"file", "--bounds"},
+        "search": common | {"--n", "--m", "--trials", "--objective"},
+        "selftest": {"-h", "--help"},
+    }
+    code, out, err = run(capsys, "selftest", "--format", "json")
+    assert code == 1 and out == "" and "unrecognized arguments" in err
 
 
 # --- determinism and cache --------------------------------------------------------

@@ -29,6 +29,7 @@ from upb import (
     diversity_sum,
     diversity_summary,
     euclidean_riemannian_envelope,
+    exact_delta,
     haar_sample,
     load_constellation,
     max_radius,
@@ -69,6 +70,25 @@ def test_r0_strictly_decreasing_in_m(n, metric, m1, m2):
 def test_bounds_lie_in_unit_interval(n, m):
     for res in compute_bounds(n, m):
         assert 0.0 <= res.value <= 1.0, res
+
+
+# every (n, m) where exact_delta knows the optimum: n = 1, m in {2, 3}, and
+# n = 2 up to m = 16
+exact_cases = st.one_of(
+    st.tuples(st.just(1), st.integers(2, 2000)),
+    st.tuples(st.integers(1, 8), st.sampled_from([2, 3])),
+    st.tuples(st.just(2), st.integers(2, 16)),
+)
+
+
+@PROPERTY
+@given(case=exact_cases)
+@example(case=(1, 3))  # the closest case: B2 falls short by 0.95 of its std_error
+def test_bounds_dominate_exact_optima(case):
+    n, m = case
+    exact = exact_delta(n, m)
+    for res in compute_bounds(n, m):
+        assert res.value + res.std_error_hint >= exact, res
 
 
 def _oracle_minimum(values):
@@ -295,6 +315,7 @@ def cli_argv(draw):
     if draw(st.booleans()):
         argv += ["--method", draw(st.sampled_from(["all", "b1", "b3", "b1,b2", "b9", ""]))]
     if draw(st.booleans()):
+        # --metric is no flag of bound or sweep: a usage error (exit 1)
         argv += ["--metric", draw(st.sampled_from(["euclidean", "riemannian", "chordal"]))]
     if draw(st.booleans()):
         values = list(range(2, len(argv), 2))

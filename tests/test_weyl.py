@@ -240,8 +240,6 @@ def test_config_validation():
         with pytest.raises(ValidationError):
             SolverConfig(root_tol=root_tol)
     with pytest.raises(ValidationError):
-        SolverConfig(max_bisection_steps=0)
-    with pytest.raises(ValidationError):
         normalizer_estimate(2, 1, 0)
     with pytest.raises(ValidationError):
         normalizer_estimate(2, 1000, -1)
