@@ -380,8 +380,7 @@ def asymptotic_lower_bound(n, m, tau, cfg=None):
     """
     n = check_int(n, "n", 1)
     m = check_int(m, "m", 2)
-    if not isinstance(tau, int) or tau < 0:
-        raise ValidationError(f"tau must be a nonnegative integer, got {tau!r}")
+    tau = check_int(tau, "tau", 0)
     r0, _ = solve_r0(n, m, "euclidean", cfg)
     value = math.sqrt(n) * r0 * (tau + 1.0) ** (-1.0 / n**2)
     return AsymptoticBound(n=n, m=m, tau=tau, r0=r0, value=value)

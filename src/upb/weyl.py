@@ -15,11 +15,25 @@ function of S is the n x n Toeplitz determinant
 
   phi(t) = E exp(i t S) = det[c_{j-k}(t)],   c_k(t) = (1/2pi) int e^{i t f - i k th} dth,
 
-with closed-form coefficients (Jacobi-Anger resp. a completed square):
+with coefficients (Jacobi-Anger resp. a completed square u = th - k/(2t)):
 
   euclidean   c_k(t) = e^{it/2} (-i)^k J_k(t/2)
-  riemannian  c_k(t) = e^{-ik^2/(4t)} e^{i pi/4} sqrt(pi)/(2 sqrt t) / (2 pi)
-                       * [erf(w (pi - k/(2t))) - erf(w (-pi - k/(2t)))],  w = e^{-i pi/4} sqrt t
+  riemannian  c_k(t) = c_{-k}(t) = e^{-ik^2/(4t)} (1/2pi) int e^{i t u^2} du,
+                                   u from -pi - k/(2t) to pi - k/(2t)
+
+Both are evaluated with numpy alone, each to about 1e-15 absolute:
+
+  J_0..J_{n-1}(x), x < x0 = max(30, 2(n-1)): the trapezoid rule on
+      e^{ix sin tau} = sum_k J_k(x) e^{ik tau}, one FFT per x, which is
+      exponentially accurate for a periodic analytic integrand (Trefethen and
+      Weideman 2014, SIAM Rev. 56);
+  J_0..J_{n-1}(x), x >= x0: J_0 and J_1 from the Hankel expansion (DLMF
+      10.17.3), then the forward recurrence, which is stable for k < x;
+  riemannian, where t (pi - (n-1)/(2t))^2 >= 40: the full Gaussian integral
+      sqrt(pi/t) e^{i pi/4} minus two tails, each from the asymptotic series
+      int_v^inf e^{iu^2} du = (i e^{iv^2}/2v) sum_m (2m-1)!!/(2iv^2)^m, whose
+      terms still fall where it is cut (v^2 >= 40);
+  riemannian, elsewhere: Gauss-Legendre quadrature on [-pi, pi].
 
 S lives on [0, P], P = n kappa (kappa = 1 resp. pi^2), so F is inverted by
 the Fourier series on that period, with omega_k = 2 pi k / P:
@@ -63,6 +77,14 @@ _MAX_TERMS = 1 << 19
 _RADIUS_TOL = 3e-8
 # Matrices per chunk of the table build, so no temporary exceeds ~2 MB.
 _CHUNK_BYTES = 1 << 21
+# Toeplitz coefficients (see the module docstring). Each series is cut
+# where its first omitted term, relative to the leading term 1, is below
+# 1e-16 at the edge of its region; all three still decrease there.
+_BESSEL_X0 = 30.0  # trapezoid rule below max(_BESSEL_X0, 2(n-1)), Hankel above
+_HANKEL_TERMS = 15  # at x = 30
+_FRESNEL_V2 = 40.0  # tail series from v^2 = _FRESNEL_V2 on, quadrature below
+_FRESNEL_TERMS = 26  # at v^2 = 40
+_CLAUSEN_TERMS = 22  # at |x| = pi
 _CHUNK = 1 << 17  # uniform draws per chunk in normalizer_estimate
 
 
@@ -241,34 +263,147 @@ class _Table:
         with the Clausen function Cl_2(x) = Im Li_2(e^{ix}); else 0."""
         if not self.subtract_leading:
             return 0.0
-        from scipy.special import spence  # Li_2(z) = spence(1 - z)
+        return 4.0 / math.pi**3 * _clausen2(math.pi * (s + 1.0))
 
-        return 4.0 / math.pi**3 * float(np.imag(spence(1.0 - np.exp(1j * math.pi * (s + 1.0)))))
+
+@lru_cache(maxsize=1)
+def _clausen_coefficients():
+    """|B_2k| / (2k (2k+1)!) for k = 1.._CLAUSEN_TERMS, from the exact
+    Bernoulli numbers of sum_{j<=m} C(m+1, j) B_j = 0."""
+    from fractions import Fraction  # not at module load: only n = 2 euclidean needs it
+
+    b = [Fraction(1)]
+    for m in range(1, 2 * _CLAUSEN_TERMS + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return [float(abs(b[2 * k]) / (2 * k * math.factorial(2 * k + 1)))
+            for k in range(1, _CLAUSEN_TERMS + 1)]
+
+
+def _clausen2(x):
+    """Clausen function Cl_2(x) = Im Li_2(e^{ix}) = -int_0^x log|2 sin(u/2)| du,
+    from x - x log|x| + sum_k |B_2k| x^(2k+1) / (2k (2k+1)!) on [-pi, pi]."""
+    x = math.remainder(x, 2.0 * math.pi)
+    if x == 0.0:
+        return 0.0
+    x2, acc = x * x, 0.0
+    for c in reversed(_clausen_coefficients()):
+        acc = (acc + c) * x2
+    return x * (1.0 - math.log(abs(x)) + acc)
+
+
+def _bessel_j(x, n):
+    """J_0(x), ..., J_{n-1}(x) at each x > 0, shape (len(x), n), n >= 2."""
+    x0 = max(_BESSEL_X0, 2.0 * (n - 1))
+    out = np.empty((x.size, n))
+    small = x < x0
+    if small.any():
+        # Entry k of the trapezoid sum is sum_l J_{k + l size}(x). J_l(x)
+        # falls off within a few x^(1/3) of l = x, so the nearest alias
+        # J_{size - k}(x), k < n, is negligible for this size.
+        size = 1 << math.ceil(math.log2(x0 + (n - 1) + 10.0 * x0 ** (1.0 / 3.0) + 40.0))
+        tau = (2.0 * math.pi / size) * np.arange(size)
+        out[small] = np.fft.fft(np.exp(1j * x[small, None] * np.sin(tau)))[:, :n].real / size
+    if not small.all():
+        xb = x[~small]
+        rows = np.empty((xb.size, n))
+        rows[:, 0], rows[:, 1] = _hankel_j01(xb)
+        for k in range(1, n - 1):
+            rows[:, k + 1] = (2.0 * k / xb) * rows[:, k] - rows[:, k - 1]
+        out[~small] = rows
+    return out
+
+
+def _hankel_j01(x):
+    """(J_0(x), J_1(x)) for x >= _BESSEL_X0: J_nu(x) is the real part of
+    sqrt(2/(pi x)) e^{i(x - nu pi/2 - pi/4)} sum_k i^k a_k(nu) x^-k with
+    a_k(nu) = prod_{j<=k} (4 nu^2 - (2j - 1)^2) / (8j)."""
+    inv = 1.0 / x
+    wave = np.sqrt(2.0 / (math.pi * x)) * np.exp(1j * x)
+    out = []
+    for nu in (0, 1):
+        series = np.ones_like(wave)
+        for j in range(_HANKEL_TERMS - 1, 0, -1):
+            series = 1.0 + (0.125j * (4 * nu * nu - (2 * j - 1) ** 2) / j) * inv * series
+        out.append((wave * series * np.exp(-0.25j * math.pi * (2 * nu + 1))).real)
+    return out
+
+
+def _fresnel_tail(v):
+    """e^{-iv^2} int_v^inf e^{iu^2} du for v^2 >= _FRESNEL_V2, from the
+    asymptotic series (i/2v) sum_m (2m-1)!! / (2iv^2)^m."""
+    z = -0.5j / (v * v)
+    series = np.ones_like(z)
+    for m in range(_FRESNEL_TERMS - 1, 0, -1):
+        series = 1.0 + (2 * m - 1) * z * series
+    return 0.5j * series / v
+
+
+@lru_cache(maxsize=32)
+def _legendre_rule(size, n):
+    """Gauss-Legendre rule of `size` (even) nodes on [-pi, pi] as (theta^2, B)
+    over the nodes theta > 0, with B[j, k] = w_j cos(k theta_j) for the
+    Legendre weights w_j on [-1, 1], so that the riemannian
+    c_k(t) = e^{i t theta^2} @ B: the odd part of the integrand cancels
+    between theta and -theta.
+
+    The nodes are Newton's method on P_size from its three-term recurrence,
+    which keeps the weights accurate to a few ulp; numpy's leggauss loses
+    about 1e-14 at 200 nodes.
+    """
+    x = np.cos(math.pi * (np.arange(size // 2) + 0.75) / (size + 0.5))
+    for _ in range(10):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, size + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        slope = size * (x * p1 - p0) / (x * x - 1.0)
+        step = p1 / slope
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    weight = 2.0 / ((1.0 - x * x) * slope * slope)
+    # the half rule's weights sum to 1; without this their rounding bias
+    # would be the error of c_0(t) as t -> 0
+    weight /= math.fsum(weight)
+    theta = math.pi * x
+    return theta * theta, weight[:, None] * np.cos(np.outer(theta, np.arange(n)))
+
+
+def _riemannian_c(t, n):
+    """c_0(t), ..., c_{n-1}(t) for f = theta^2 at each t > 0, shape (len(t), n)."""
+    k = np.arange(n)
+    out = np.empty((t.size, n), dtype=complex)
+    # the integration limit nearest u = 0 over |k| < n, where v = sqrt(t) edge
+    edge = math.pi - (n - 1) / (2.0 * t)
+    tails = (edge > 0.0) & (t * edge * edge >= _FRESNEL_V2)
+    if tails.any():
+        tt = t[tails, None]
+        root, shift = np.sqrt(tt), k / (2.0 * tt)
+        gauss = np.sqrt(math.pi / tt) * np.exp(0.25j * math.pi - 1j * k * k / (4.0 * tt))
+        # e^{-ik^2/(4t)} e^{iv^2} = (-1)^k e^{i t pi^2} at v = sqrt(t) (pi -+ k/(2t))
+        ends = _fresnel_tail(root * (math.pi - shift)) + _fresnel_tail(root * (math.pi + shift))
+        ends *= (-1.0) ** k * np.exp(1j * math.pi**2 * tt) / root
+        out[tails] = (gauss - ends) / (2.0 * math.pi)
+    if not tails.all():
+        tq = t[~tails]
+        # enough nodes for the phase t theta^2 - k theta at every |k| < n
+        size = 32 * math.ceil((tq.max() * math.pi**2 + 2.0 * (n - 1) + 40.0) / 32.0)
+        theta2, basis = _legendre_rule(size, n)
+        out[~tails] = np.exp(1j * tq[:, None] * theta2) @ basis
+    return out
 
 
 def _toeplitz_phi(n, t, metric):
     """E exp(i t S) = det[c_{j-k}(t)] at each t > 0."""
-    # scipy.special is imported here, not at module load: it slows
-    # `import upb` measurably, and only solves need it.
-    from scipy.special import erf, jv
-
     lags = np.arange(n)[:, None] - np.arange(n)[None, :]
-    orders = np.arange(-(n - 1), n)
-    tt = t[:, None]
     if metric == "euclidean":
         # c_k = e^{it/2} (-i)^k J_k(t/2); the (-i)^k factors are a diagonal
         # similarity and the e^{it/2} factors pull out as e^{int/2}.
-        coef = jv(orders[None, :], 0.5 * tt)
-        det = np.linalg.det(coef[:, lags + n - 1])
+        # J_{-k} = (-1)^k J_k.
+        sign = np.where(lags < 0, (-1.0) ** lags, 1.0)
+        det = np.linalg.det(_bessel_j(0.5 * t, n)[:, np.abs(lags)] * sign)
         return np.exp(0.5j * n * t) * det
-    shift = orders[None, :] / (2.0 * tt)
-    w = np.exp(-0.25j * math.pi) * np.sqrt(tt)
-    coef = (
-        np.exp(-1j * orders[None, :] ** 2 / (4.0 * tt) + 0.25j * math.pi)
-        * (erf(w * (math.pi - shift)) - erf(w * (-math.pi - shift)))
-        / (4.0 * np.sqrt(math.pi * tt))
-    )
-    return np.linalg.det(coef[:, lags + n - 1])
+    # c_{-k} = c_k since theta^2 is even
+    return np.linalg.det(_riemannian_c(t, n)[:, np.abs(lags)])
 
 
 @lru_cache(maxsize=16)

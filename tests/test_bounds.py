@@ -289,9 +289,14 @@ def test_asymptotic_bound_n1_below_exact(solver):
         assert out.value == pytest.approx(solve_r0(1, m, "euclidean", solver)[0] / 3.0, rel=1e-9)
 
 
-def test_asymptotic_bound_validates_tau():
-    with pytest.raises(ValidationError):
-        asymptotic_lower_bound(2, 8, -1)
+def test_asymptotic_bound_validates_tau(solver):
+    for tau in (-1, True, 2.0):
+        with pytest.raises(ValidationError):
+            asymptotic_lower_bound(2, 8, tau, solver)
+    # numpy integers are integers, as everywhere else in the package
+    out = asymptotic_lower_bound(2, 8, np.int64(3), solver)
+    assert out == asymptotic_lower_bound(2, 8, 3, solver)
+    assert type(out.tau) is int
 
 
 # --- solver plumbing --------------------------------------------------------------------

@@ -353,24 +353,35 @@ SCIPY_MODULES = "sorted(k for k in sys.modules if k == 'scipy' or k.startswith('
 
 
 def test_import_and_eval_load_no_scipy(tmp_path):
-    # a count of loaded modules, not a timing: scipy.special loads on the
-    # first bound solve, and nothing on this path needs scipy
+    # a count of loaded modules, not a timing: the package depends on numpy
+    # alone, so neither `import upb` nor a cold solve may load scipy
     path = write_constellation(tmp_path, [np.eye(2), -np.eye(2)])
-    code = (
-        "import sys, upb, upb.cli\n"
-        f"print({SCIPY_MODULES})\n"
-        f"code = upb.cli.main(['eval', {str(path)!r}, '--no-timestamp'])\n"
-        f"print(code, {SCIPY_MODULES})\n"
-    )
+    # each command with a word its output must contain
+    commands = [
+        (["eval", str(path)], "diversity_sum"),
+        (["eval", str(path), "--bounds"], "bound_b3"),
+        (["bound", "--n", "3", "--m", "16"], "riemannian"),
+        (["table"], "max abs deviation"),
+        (["search", "--n", "2", "--m", "4", "--trials", "20", "--seed", "3",
+          "--out", str(tmp_path / "best.json")], "bound_b3"),
+    ]
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    res = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    lines = res.stdout.splitlines()
-    assert lines[0] == "[]"
-    assert "diversity_sum" in res.stdout
-    assert lines[-1] == "0 []"
+    for i, (argv, word) in enumerate(commands):
+        argv = argv + ["--no-timestamp", "--cache-dir", str(tmp_path / f"cache-{i}")]
+        code = (
+            "import sys, upb, upb.cli\n"
+            f"print({SCIPY_MODULES})\n"
+            f"code = upb.cli.main({argv!r})\n"
+            f"print(code, {SCIPY_MODULES})\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        assert lines[0] == "[]", argv
+        assert word in res.stdout, argv
+        assert lines[-1] == "0 []", argv
 
 
 # --- search ----------------------------------------------------------------------------

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import j1
+from scipy.special import erf, j1, jv, spence
 
 from tensor_oracle import ball_statistic_level, haar_statistics, tensor_mass
+from upb import weyl
 from upb import (
     RangeError,
     SolverConfig,
@@ -195,6 +196,56 @@ def test_mc_agrees_with_tensor(metric):
             exact = tensor_mass(n, r, metric) / total_mass(n)
             empirical = float(np.mean(stats <= ball_statistic_level(r, metric)))
             assert abs(empirical - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / draws)
+
+
+# --- Toeplitz coefficients against scipy.special ----------------------------------
+
+
+def riemannian_coef_erf(t, n):
+    """c_0..c_{n-1} of f = theta^2 at each t, from complex erf (a completed square)."""
+    k = np.arange(n)[None, :]
+    tt = t[:, None]
+    shift = k / (2.0 * tt)
+    w = np.exp(-0.25j * math.pi) * np.sqrt(tt)
+    return (
+        np.exp(0.25j * math.pi - 1j * k**2 / (4.0 * tt))
+        * (erf(w * (math.pi - shift)) - erf(w * (-math.pi - shift)))
+        / (4.0 * np.sqrt(math.pi * tt))
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 16, 64, 124])
+def test_coefficients_match_scipy_oracle(n):
+    # Each grid straddles the switch between methods: the FFT trapezoid rule
+    # and the Hankel expansion at x0, quadrature and the Fresnel tails at
+    # t_star, where t (pi - (n-1)/(2t))^2 = 40.
+    x0 = max(30.0, 2.0 * (n - 1))
+    x = np.concatenate([
+        np.linspace(0.01, 3.0 * x0, 1201),
+        x0 * (1.0 + np.array([-1e-12, 0.0, 1e-12])),
+        np.geomspace(3.0 * x0, 1e6, 200),
+    ])
+    bessel = jv(np.arange(n)[None, :], x[:, None])
+    assert np.max(np.abs(weyl._bessel_j(x, n) - bessel)) <= 1e-12
+
+    t_star = ((math.sqrt(40.0) + math.sqrt(40.0 + 2.0 * math.pi * (n - 1))) / (2.0 * math.pi)) ** 2
+    t = np.concatenate([
+        np.linspace(2.0 / (n * math.pi), 3.0 * t_star, 1201),  # from the table's first omega_k
+        t_star * (1.0 + np.array([-1e-9, 0.0, 1e-9])),
+        np.geomspace(3.0 * t_star, 3e5, 200),
+    ])
+    assert np.max(np.abs(weyl._riemannian_c(t, n) - riemannian_coef_erf(t, n))) <= 1e-12
+
+
+def test_clausen_matches_scipy_spence():
+    # the n = 2 euclidean leading term takes Cl_2 at pi (s + 1), s in [0, 2];
+    # scipy's Li_2(w) is spence(1 - w)
+    s = np.linspace(0.0, 2.0, 4001)
+    ours = np.array([weyl._clausen2(math.pi * (v + 1.0)) for v in s])
+    ref = np.imag(spence(1.0 - np.exp(1j * math.pi * (s + 1.0))))
+    assert np.max(np.abs(ours - ref)) <= 1e-14
+    # Cl_2(pi/2) is Catalan's constant
+    assert weyl._clausen2(math.pi / 2.0) == pytest.approx(0.915965594177219015, abs=1e-15)
 
 
 # --- oracle properties -----------------------------------------------------------
