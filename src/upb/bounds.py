@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import NumericalError, ValidationError, check_int
+from .errors import NumericalError, ValidationError, check_int, check_real
 from .weyl import ball_mass, ball_mass_error, max_radius, total_mass
 
 __all__ = [
@@ -68,8 +68,10 @@ class SolverConfig:
     root_tol: float = 1e-6
 
     def __post_init__(self):
-        if not (0.0 < self.root_tol < 1.0):
-            raise ValidationError(f"root_tol must lie in (0, 1), got {self.root_tol!r}")
+        root_tol = check_real(self.root_tol, "root_tol")
+        if not 0.0 < root_tol < 1.0:
+            raise ValidationError(f"root_tol must lie in (0, 1), got {root_tol!r}")
+        object.__setattr__(self, "root_tol", root_tol)
 
 
 @dataclass(frozen=True)
@@ -160,10 +162,11 @@ def _floor_frac(q):
 
 def _check_radius(n, r, metric="euclidean"):
     check_int(n, "n", 1)
+    r = check_real(r, "radius")
     rmax = max_radius(n, metric)
-    if not (math.isfinite(r) and -1e-9 <= r <= rmax * (1.0 + 1e-9)):
+    if not -1e-9 <= r <= rmax * (1.0 + 1e-9):
         raise ValidationError(f"radius must lie in [0, {rmax:.6g}], got {r!r}")
-    return min(max(float(r), 0.0), rmax)
+    return min(max(r, 0.0), rmax)
 
 
 def b1_of_r(n, r):

@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -58,63 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# run records and output formatting
-
-
-@dataclass
-class RunRecord:
-    """One CLI invocation: parameters in, tabular results out."""
-
-    command: str
-    parameters: dict
-    columns: tuple
-    rows: list  # dicts keyed by column name
-    wall_time_s: float
-    timestamp: str
-    notes: tuple = ()
-
-    def to_dict(self, include_time: bool) -> dict:
-        out = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "results": [{c: row[c] for c in self.columns} for row in self.rows],
-        }
-        if self.notes:
-            out["notes"] = list(self.notes)
-        if include_time:
-            out["wall_time_s"] = round(self.wall_time_s, 3)
-            out["timestamp"] = self.timestamp
-        return out
-
-
-def _json_scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise NumericalError(f"non-finite value in output: {value!r}")
-        return format(value, ".17g")
-    if isinstance(value, int):
-        return str(value)
-    return json.dumps(value)
-
-
-def _json_render(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [f"{inner}{json.dumps(k)}: {_json_render(v, indent + 1)}" for k, v in obj.items()]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        parts = [f"{inner}{_json_render(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    return _json_scalar(obj)
+# output formatting
 
 
 def _cell(value, digits: int) -> str:
@@ -130,39 +73,42 @@ def _cell(value, digits: int) -> str:
     return str(value)
 
 
-def _render_table(record: RunRecord, include_time: bool) -> str:
-    cols = list(record.columns)
-    grid = [[c for c in cols]]
-    for row in record.rows:
-        grid.append([_cell(row[c], 6) for c in cols])
-    widths = [max(len(r[i]) for r in grid) for i in range(len(cols))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in grid]
-    for note in record.notes:
-        lines.append(note)
-    if include_time:
-        lines.append(f"wall_time_s {record.wall_time_s:.3f}  timestamp {record.timestamp}")
-    return "\n".join(lines) + "\n"
-
-
-def _render_csv(record: RunRecord) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(record.columns)
-    for row in record.rows:
-        writer.writerow([_cell(row[c], 17) for c in record.columns])
-    return buf.getvalue()
-
-
-def _emit(record: RunRecord, args) -> None:
-    include_time = not args.no_timestamp
+def _emit(args, command: str, parameters: dict, columns, rows, notes=(), t0: float = 0.0) -> None:
+    """Write one invocation's rows as a table, CSV or JSON, to stdout or to
+    --out (for search, --out names the constellation file instead)."""
+    wall_time_s = time.perf_counter() - t0
+    timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     if args.format == "json":
-        text = _json_render(record.to_dict(include_time)) + "\n"
+        doc = {
+            "command": command,
+            "parameters": parameters,
+            "results": [{c: row[c] for c in columns} for row in rows],
+        }
+        if notes:
+            doc["notes"] = list(notes)
+        if not args.no_timestamp:
+            doc["wall_time_s"] = round(wall_time_s, 3)
+            doc["timestamp"] = timestamp
+        try:
+            text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:  # a NaN or infinite float
+            raise NumericalError(f"non-finite value in output: {exc}") from exc
     elif args.format == "csv":
-        text = _render_csv(record)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(row[c], 17) for c in columns] for row in rows)
+        text = buf.getvalue()
     else:
-        text = _render_table(record, include_time)
+        grid = [list(columns)] + [[_cell(row[c], 6) for c in columns] for row in rows]
+        widths = [max(len(r[i]) for r in grid) for i in range(len(columns))]
+        lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in grid]
+        lines.extend(notes)
+        if not args.no_timestamp:
+            lines.append(f"wall_time_s {wall_time_s:.3f}  timestamp {timestamp}")
+        text = "\n".join(lines) + "\n"
     out_path = getattr(args, "out", None)
-    if out_path is not None and record.command != "search":
+    if out_path is not None and command != "search":
         try:
             Path(out_path).write_text(text)
         except OSError as exc:
@@ -238,18 +184,6 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(root_tol=args.root_tol)
 
 
-def _record(args, command: str, parameters: dict, columns, rows, notes=(), t0: float = 0.0) -> RunRecord:
-    return RunRecord(
-        command=command,
-        parameters=parameters,
-        columns=tuple(columns),
-        rows=rows,
-        notes=tuple(notes),
-        wall_time_s=time.perf_counter() - t0,
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -265,7 +199,7 @@ def cmd_bound(args) -> int:
         "method": ",".join(methods),
         "root_tol": cfg.root_tol,
     }
-    _emit(_record(args, "bound", params, _SWEEP_COLUMNS, rows, t0=t0), args)
+    _emit(args, "bound", params, _SWEEP_COLUMNS, rows, t0=t0)
     return 0
 
 
@@ -291,7 +225,7 @@ def cmd_table(args) -> int:
             )
     params = {"n": 2, "root_tol": cfg.root_tol}
     notes = (f"max abs deviation {worst:.6g} over {len(rows)} entries",)
-    _emit(_record(args, "table", params, ("m", "method", "computed", "reference", "abs_dev"), rows, notes, t0), args)
+    _emit(args, "table", params, ("m", "method", "computed", "reference", "abs_dev"), rows, notes, t0)
     return 0
 
 
@@ -337,7 +271,7 @@ def cmd_sweep(args) -> int:
         "method": ",".join(methods),
         "root_tol": cfg.root_tol,
     }
-    _emit(_record(args, "sweep", params, _SWEEP_COLUMNS, rows, t0=t0), args)
+    _emit(args, "sweep", params, _SWEEP_COLUMNS, rows, t0=t0)
     return 0
 
 
@@ -370,7 +304,7 @@ def cmd_eval(args) -> int:
     params = {"file": str(args.file), "n": summary.n, "m": summary.m}
     if constellation.label:
         params["label"] = constellation.label
-    _emit(_record(args, "eval", params, ("name", "value", "detail"), rows, tuple(notes), t0), args)
+    _emit(args, "eval", params, ("name", "value", "detail"), rows, notes, t0)
     return 0
 
 
@@ -391,7 +325,7 @@ def cmd_search(args) -> int:
         "objective": args.objective,
         "seed": args.seed,
     }
-    _emit(_record(args, "search", params, ("name", "value", "detail"), rows, t0=t0), args)
+    _emit(args, "search", params, ("name", "value", "detail"), rows, t0=t0)
     return 0
 
 
@@ -411,14 +345,9 @@ def _selftest_normalizer() -> str:
 
 def _selftest_kernel_vs_haar() -> str:
     """The mass kernel's ball fraction against the empirical CDF of the ball
-    statistic S over batched Haar draws (QR of a complex Gaussian matrix with
-    the phases of R's diagonal divided out), within 5 binomial standard errors."""
+    statistic S over batched Haar draws, within 5 binomial standard errors."""
     n, draws = 3, 100_000
-    rng = np.random.default_rng(20_240_719)
-    z = rng.standard_normal((draws, n, n)) + 1j * rng.standard_normal((draws, n, n))
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=1, axis2=2)
-    u = q * (diag / np.abs(diag))[:, None, :]
+    u = haar_sample(n, 20_240_719, draws)
     stats = {
         "euclidean": 0.5 * (n - np.trace(u, axis1=1, axis2=2).real),
         "riemannian": np.sum(np.angle(np.linalg.eigvals(u)) ** 2, axis=1),

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, ParseError, ValidationError, check_int
-from .matrices import UnitaryMatrix, stacked_logabsdet, unitary_eigenangles
+from .matrices import UnitaryMatrix, as_complex_matrix, haar_sample, stacked_logabsdet, unitary_eigenangles
 
 __all__ = [
     "Constellation",
@@ -142,8 +142,7 @@ def diversity_product(v):
 
 def riemannian_distance(a, b):
     """Geodesic distance sqrt(sum theta_j^2) of the eigenangles of A* B."""
-    aa = a.array if isinstance(a, UnitaryMatrix) else np.asarray(a, dtype=complex)
-    bb = b.array if isinstance(b, UnitaryMatrix) else np.asarray(b, dtype=complex)
+    aa, bb = as_complex_matrix(a), as_complex_matrix(b)
     if aa.shape != bb.shape:
         raise DimensionError(f"dimension mismatch: {aa.shape} vs {bb.shape}")
     theta = unitary_eigenangles(aa.conj().T @ bb)
@@ -166,18 +165,20 @@ def _chordal_radius(n, dsum):
 def random_search(n, m, trials, seed, objective="sum"):
     """Best of ``trials`` Haar-sampled constellations under an objective.
 
-    objective is "sum" or "product". Deterministic given seed, and chunking
-    is invisible: trial k always takes the k-th block of m n^2 complex
-    draws from one sequential stream. Returns (Constellation, score).
+    objective is "sum" or "product". seed is a numpy Generator or a Python
+    or numpy integer of any sign and size, taken mod 2^64. Deterministic
+    given seed, and chunking is invisible: trial k always takes the k-th
+    block of m haar_sample draws from one sequential stream. Returns
+    (Constellation, score).
     """
     n = check_int(n, "n", 1)
     m = check_int(m, "m", 2)
     trials = check_int(trials, "trials", 1)
     if objective not in ("sum", "product"):
         raise ValidationError(f"objective must be 'sum' or 'product', got {objective!r}")
-    rng = np.random.default_rng(
-        seed if isinstance(seed, np.random.Generator) else (int(seed) & _SEED_MASK)
-    )
+    if not isinstance(seed, np.random.Generator):
+        seed = check_int(seed, "seed", -math.inf) & _SEED_MASK
+    rng = np.random.default_rng(seed)
     values = _sum_values if objective == "sum" else _product_values
     chunk = max(1, _PAIR_BYTES // ((m - 1) * n * n * 16))
     best_score = -1.0
@@ -185,13 +186,7 @@ def random_search(n, m, trials, seed, objective="sum"):
     done = 0
     while done < trials:
         take = min(chunk, trials - done)
-        g = rng.standard_normal((take, m, n, n, 2))
-        z = (g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0)
-        q, r = np.linalg.qr(z)
-        d = np.diagonal(r, axis1=-2, axis2=-1)
-        absd = np.abs(d)
-        phase = np.where(absd > 0, d, 1.0) / np.where(absd > 0, absd, 1.0)
-        q = q * phase[..., None, :]
+        q = haar_sample(n, rng, (take, m))
         scores = np.full(take, np.inf)
         for _, diffs in _pair_rows(q):
             scores = np.minimum(scores, np.min(values(diffs, n), axis=-1))

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, and its integer validator."""
+"""Exception hierarchy shared across the package, and its integer and real validators."""
 
+import math
 import numbers
 
 
@@ -45,3 +46,20 @@ def check_int(value, name, minimum):
     if value < minimum:
         raise ValidationError(f"{name} must be ≥ {minimum}, got {value!r}")
     return int(value)
+
+
+def check_real(value, name):
+    """value as a Python float if it is a finite real number, else ValidationError.
+
+    Python and numpy reals (integers included) are accepted; bool is not.
+    Range checks are left to the caller.
+    """
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} must be finite, got an integer beyond the float range") from None
+    if not math.isfinite(out):
+        raise ValidationError(f"{name} must be finite, got {out!r}")
+    return out

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ValidationError, check_int
+from .errors import DimensionError, NumericalError, ValidationError, check_int, check_real
 
 __all__ = [
     "UnitaryMatrix",
@@ -45,15 +45,18 @@ def as_complex_matrix(m):
     return a
 
 
-def _as_array(m):
-    if isinstance(m, UnitaryMatrix):
-        return m.array
-    return as_complex_matrix(m)
+def _square(m, what):
+    """as_complex_matrix(m), which must be square; ``what`` names it in the error."""
+    a = as_complex_matrix(m)
+    rows, cols = a.shape
+    if rows != cols:
+        raise DimensionError(f"{what} must be square, got {rows}x{cols}")
+    return a
 
 
 def frobenius_norm(m):
     """Frobenius norm: sqrt of the sum of squared entry moduli."""
-    a = _as_array(m)
+    a = as_complex_matrix(m)
     return float(np.sqrt(np.sum(np.abs(a) ** 2)))
 
 
@@ -64,11 +67,8 @@ def determinant(m):
     ties broken by the lowest row index; the result is the product of pivots
     times the permutation sign. A zero pivot short-circuits to 0.
     """
-    a = _as_array(m)
-    rows, cols = a.shape
-    if rows != cols:
-        raise DimensionError(f"determinant needs a square matrix, got {rows}x{cols}")
-    a = a.copy()
+    a = _square(m, "determinant input").copy()
+    rows = a.shape[0]
     sign = 1.0
     det = 1.0 + 0.0j
     for k in range(rows):
@@ -100,17 +100,15 @@ def stacked_logabsdet(mats):
 
 def unitarity_residual(m):
     """Frobenius norm of M*M - I (0 for exactly unitary M)."""
-    a = _as_array(m)
-    rows, cols = a.shape
-    if rows != cols:
-        raise DimensionError(f"unitarity residual needs a square matrix, got {rows}x{cols}")
-    return float(np.linalg.norm(a.conj().T @ a - np.eye(rows)))
+    a = _square(m, "unitarity residual input")
+    return float(np.linalg.norm(a.conj().T @ a - np.eye(a.shape[0])))
 
 
 def _check_unitary(a, tol, name):
     """ValidationError unless ``tol`` (called ``name``) is finite and >= 0
     and the square array ``a`` has unitarity residual <= tol."""
-    if not 0.0 <= tol < math.inf:
+    tol = check_real(tol, name)
+    if tol < 0.0:
         raise ValidationError(f"{name} must be finite and ≥ 0, got {tol!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         res = unitarity_residual(a)
@@ -125,10 +123,7 @@ def unitary_eigenangles(u, residual_tol=1e-6):
     eigenvalues are perfectly conditioned (a perturbation E moves each by at
     most ||E||), clustered and repeated ones included.
     """
-    a = _as_array(u)
-    rows, cols = a.shape
-    if rows != cols:
-        raise DimensionError(f"eigenangles need a square matrix, got {rows}x{cols}")
+    a = _square(u, "eigenangle input")
     _check_unitary(a, residual_tol, "residual_tol")
     try:
         eig = np.linalg.eigvals(a)
@@ -139,22 +134,30 @@ def unitary_eigenangles(u, residual_tol=1e-6):
     return np.sort(theta)
 
 
-def haar_sample(n, rng):
-    """Draw a Haar-distributed element of U(n).
+def haar_sample(n, rng, size=None):
+    """Draw Haar-distributed elements of U(n).
 
-    ``rng`` is a numpy Generator or an integer seed. Complex Ginibre matrix,
-    QR, then the Q columns are rephased by the R diagonal so the distribution
-    is exactly Haar rather than QR-convention dependent.
+    ``rng`` is a numpy Generator or an integer seed. ``size=None`` returns
+    one UnitaryMatrix; an int or a tuple of ints returns an array of shape
+    (*size, n, n) whose matrices are, in C order, those that as many single
+    draws from the same stream would give. Complex Ginibre matrix (real and
+    imaginary parts interleaved), QR, then the Q columns are rephased by the
+    R diagonal so the distribution is exactly Haar rather than
+    QR-convention dependent (Mezzadri 2007, Notices AMS 54).
     """
     n = check_int(n, "n", 1)
+    dims = () if size is None else size if isinstance(size, tuple) else (size,)
+    shape = tuple(check_int(k, "size", 0) for k in dims)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    g = rng.standard_normal((*shape, n, n, 2))
+    z = (g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     absd = np.abs(d)
     phase = np.where(absd > 0, d, 1.0) / np.where(absd > 0, absd, 1.0)
-    return UnitaryMatrix(q * phase)
+    q = q * phase[..., None, :]
+    return UnitaryMatrix(q) if size is None else q
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,10 +177,7 @@ class UnitaryMatrix:
     validation_tol: float = 1e-9
 
     def __post_init__(self):
-        a = as_complex_matrix(self.array)
-        rows, cols = a.shape
-        if rows != cols:
-            raise DimensionError(f"unitary matrix must be square, got {rows}x{cols}")
+        a = _square(self.array, "unitary matrix")
         _check_unitary(a, self.validation_tol, "validation_tol")
         a = a.copy()
         a.setflags(write=False)

@@ -52,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import RangeError, ValidationError, check_int
+from .errors import RangeError, ValidationError, check_int, check_real
 
 __all__ = [
     "ball_mass",
@@ -147,9 +147,7 @@ def _mass_and_error(n, r, metric):
     """(ball mass, bound on its truncation error), both in density units."""
     n = check_int(n, "n", 1)
     _check_metric(metric)
-    if not isinstance(r, (int, float, np.floating, np.integer)) or not math.isfinite(r):
-        raise ValidationError(f"radius must be a finite number, got {r!r}")
-    r = float(r)
+    r = check_real(r, "radius")
     if r < 0:
         raise ValidationError(f"radius must be nonnegative, got {r}")
     total = total_mass(n)

@@ -11,11 +11,13 @@ from upb import (
     BOUND_METRIC,
     NumericalError,
     SolverConfig,
+    UnitaryMatrix,
     ValidationError,
     asymptotic_lower_bound,
     b1_of_r,
     b2_of_r,
     b3_of_r,
+    ball_mass,
     bound_b1,
     bound_b2,
     bound_b3,
@@ -31,6 +33,7 @@ from upb import (
     solver_key,
     total_mass,
 )
+from upb.errors import check_real
 
 BOUNDERS = {"b1": bound_b1, "b2": bound_b2, "b3": bound_b3}
 
@@ -350,6 +353,27 @@ def test_numpy_integers_accepted_and_bool_rejected(solver):
             solve_r0(n, m, "euclidean", solver)
     with pytest.raises(ValidationError):
         compute_bounds(True, 24, cfg=solver)
+
+
+def test_real_inputs_share_one_validator():
+    # radii, root_tol and unitarity tolerances all go through check_real:
+    # Python and numpy reals pass as floats; bool, strings, None and
+    # non-finite values (an int beyond the float range included) do not
+    assert check_real(np.float32(0.5), "x") == 0.5
+    assert type(check_real(np.int64(2), "x")) is float
+    assert ball_mass(2, np.float64(1.0), "euclidean") == ball_mass(2, 1, "euclidean")
+    assert SolverConfig(root_tol=np.float64(1e-6)) == SolverConfig()
+    for bad in (True, "1", None, float("nan"), float("inf"), 10**400):
+        for call in (
+            lambda: check_real(bad, "x"),
+            lambda: ball_mass(2, bad, "euclidean"),
+            lambda: b1_of_r(2, bad),
+            lambda: euclidean_riemannian_envelope(2, bad),
+            lambda: SolverConfig(root_tol=bad),
+            lambda: UnitaryMatrix(np.eye(2), validation_tol=bad),
+        ):
+            with pytest.raises(ValidationError):
+                call()
 
 
 def test_solve_r0_reports_bracket_on_exhaustion():

@@ -47,6 +47,28 @@ def test_bound_n1_matches_sine(capsys, tmp_path):
     assert "timestamp" not in doc and "wall_time_s" not in doc
 
 
+def test_json_floats_stay_floats(capsys, tmp_path):
+    # B2 at (3, 8) saturates at exactly 1.0: it must read back as a float,
+    # not as the integer 1
+    doc = run_json(capsys, "bound", "--n", "3", "--m", "8", "--cache-dir", str(tmp_path))
+    b2 = next(row for row in doc["results"] if row["method"] == "b2")
+    assert b2["value"] == 1.0 and type(b2["value"]) is float
+    assert type(doc["parameters"]["root_tol"]) is float
+
+
+def test_nonfinite_json_value_is_numerical_failure(capsys, tmp_path, monkeypatch):
+    rows = cli._bound_rows
+
+    def nan_rows(*args):
+        return [dict(row, value=math.nan) for row in rows(*args)]
+
+    monkeypatch.setattr(cli, "_bound_rows", nan_rows)
+    code, out, err = run(capsys, "bound", "--n", "1", "--m", "4", "--format", "json",
+                         "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "numerical failure: non-finite value in output" in err
+
+
 def test_bound_reproduces_published_m128(capsys, tmp_path):
     doc = run_json(
         capsys, "bound", "--n", "2", "--m", "128", "--method", "b1",

@@ -104,6 +104,10 @@ def test_riemannian_distance_symmetry():
 def test_riemannian_distance_rejects_mixed_shapes():
     with pytest.raises(DimensionError):
         riemannian_distance(np.eye(2), np.eye(3))
+    with pytest.raises(DimensionError):
+        riemannian_distance([1.0], [1.0])
+    with pytest.raises(ValidationError):  # coerced by as_complex_matrix, like every matrix argument
+        riemannian_distance(np.eye(2), [["a", 0], [0, 1]])
 
 
 # --- packing radius ---------------------------------------------------------------
@@ -200,6 +204,19 @@ def test_random_search_validates_arguments():
         random_search(1, 4, 0, seed=1)
     with pytest.raises(ValidationError):
         random_search(1, 4, 10, seed=1, objective="trace")
+    for seed in ("3", 1.7, True, None, np.float64(3.0)):
+        with pytest.raises(ValidationError, match="^seed must be an integer"):
+            random_search(1, 4, 10, seed=seed)
+    # any integer is taken mod 2^64: negative, numpy and beyond 64 bits alike
+    score = random_search(1, 4, 10, seed=-5)[1]
+    for seed in (np.int64(-5), 2**64 - 5, 2**128 - 5, np.uint64(2**64 - 5)):
+        assert random_search(1, 4, 10, seed=seed)[1] == score
+
+
+def test_random_search_reproduces_documented_score():
+    # the README's quick-start value; it pins the draw layout of haar_sample
+    _, score = random_search(1, 4, 5000, seed=6)
+    assert abs(score - 0.678713) <= 1e-6
 
 
 # --- save / load -------------------------------------------------------------------------

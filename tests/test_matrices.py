@@ -163,6 +163,18 @@ def test_haar_sample_accepts_generator_and_advances_it():
     assert np.abs(a.array - b.array).max() > 1e-6
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_haar_batch_equals_successive_single_draws(n):
+    rng = np.random.default_rng(5)
+    singles = np.stack([haar_sample(n, rng).array for _ in range(6)])
+    np.testing.assert_array_equal(haar_sample(n, 5, 6), singles)
+    np.testing.assert_array_equal(haar_sample(n, 5, (2, 3)), singles.reshape(2, 3, n, n))
+    assert haar_sample(n, 5, 0).shape == (0, n, n)
+    for size in (True, 2.0, "3", -1, (2, 1.5), [2]):
+        with pytest.raises(ValidationError):
+            haar_sample(n, 5, size)
+
+
 # --- UnitaryMatrix wrapper ---------------------------------------------------
 
 
