@@ -1,7 +1,8 @@
 """Packing bounds on the diversity sum of unitary constellations.
 
 Three upper bounds, each a function of a critical radius r0 solving the
-packing equality m * ball_mass(r0) = total_mass:
+packing equality m * ball_mass(r0) = total_mass, i.e. F(r0) = 1/m for the
+Haar fraction F of the ball:
 
   B1  sqrt(r0^2/n - r0^4/(4 n^2))            r0 euclidean
   B2  sin sqrt(pi^2 k/n + 4 arcsin^2(sqrt(a))/n)  r0 euclidean,
@@ -9,14 +10,13 @@ packing equality m * ball_mass(r0) = total_mass:
   B3  sin(r0 / sqrt(n))                      r0 riemannian
 
 solve_r0 is the one solve: it returns r0 with its deterministic radius
-error. compute_bounds is the one path from (n, m, config) to bound rows: it
+error. compute_bounds is the one path from (n, m, root_tol) to bound rows: it
 solves each metric once and optionally caches r0 and its error. Alongside
 sit the exact small-case values, the euclidean/riemannian distance envelope
 the B2 derivation rests on, a crossover-radius finder for the B1/B2
 comparison, and an asymptotic (heuristic, m -> infinity) lower bound.
 """
 
-import hashlib
 import json
 import math
 import os
@@ -24,12 +24,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import NumericalError, ValidationError, check_int, check_real
-from .weyl import ball_mass, ball_mass_error, max_radius, total_mass
+from .weyl import _fraction_and_error, ball_volume_fraction, max_radius
 
 __all__ = [
     "AsymptoticBound",
     "BoundResult",
-    "SolverConfig",
     "BOUND_IDS",
     "BOUND_METRIC",
     "asymptotic_lower_bound",
@@ -62,19 +61,6 @@ _CACHE_VERSION = "v3"
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """Bisection settings. root_tol is on the radius, not the mass residual."""
-
-    root_tol: float = 1e-6
-
-    def __post_init__(self):
-        root_tol = check_real(self.root_tol, "root_tol")
-        if not 0.0 < root_tol < 1.0:
-            raise ValidationError(f"root_tol must lie in (0, 1), got {root_tol!r}")
-        object.__setattr__(self, "root_tol", root_tol)
-
-
-@dataclass(frozen=True)
 class BoundResult:
     n: int
     m: int
@@ -98,9 +84,18 @@ class AsymptoticBound:
     heuristic: bool = True
 
 
-def solver_key(n, m, metric, cfg):
+def _check_root_tol(root_tol):
+    """root_tol, the bisection width on the radius, as a float in (0, 1)."""
+    root_tol = check_real(root_tol, "root_tol")
+    if not 0.0 < root_tol < 1.0:
+        raise ValidationError(f"root_tol must lie in (0, 1), got {root_tol!r}")
+    return root_tol
+
+
+def solver_key(n, m, metric, root_tol=1e-6):
     """Cache key: n:m:metric:root_tol:version."""
-    return ":".join([str(n), str(m), metric, format(cfg.root_tol, ".17g"), _CACHE_VERSION])
+    root_tol = _check_root_tol(root_tol)
+    return ":".join([str(n), str(m), metric, format(root_tol, ".17g"), _CACHE_VERSION])
 
 
 def _bisect(lo, hi, above, width):
@@ -125,32 +120,30 @@ def _bisect(lo, hi, above, width):
     return lo, hi
 
 
-def solve_r0(n, m, metric, cfg=None):
-    """(r0, radius error) with ball_mass(n, r0, metric) = total_mass(n)/m.
+def solve_r0(n, m, metric, root_tol=1e-6):
+    """(r0, radius error) with ball_volume_fraction(n, r0, metric) = 1/m.
 
     r0 is the midpoint of a bisection bracket of width <= root_tol. The
     radius error is half of root_tol plus the kernel's error bound at r0
-    over the mass secant slope across r0 +- max(1e-4, 50 root_tol) max(1, r0).
-    Raises NumericalError with the bracket if root_tol is below the float
-    resolution at r0.
+    over the fraction's secant slope across r0 +- max(1e-4, 50 root_tol)
+    max(1, r0). Raises NumericalError with the bracket if root_tol is below
+    the float resolution at r0, and RangeError above the kernel's n = 200.
     """
     n = check_int(n, "n", 1)
     m = check_int(m, "m", 2)
-    if cfg is None:
-        cfg = SolverConfig()
-    target = total_mass(n) / m
-    rmax = max_radius(n, metric)  # mass(0) = 0 < target, mass(rmax) = total > target
-    lo, hi = _bisect(0.0, rmax, lambda r: ball_mass(n, r, metric) >= target, cfg.root_tol)
+    root_tol = _check_root_tol(root_tol)
+    rmax = max_radius(n, metric)  # F(0) = 0 < 1/m, F(rmax) = 1 > 1/m
+    lo, hi = _bisect(0.0, rmax, lambda r: ball_volume_fraction(n, r, metric) >= 1.0 / m, root_tol)
     r0 = 0.5 * (lo + hi)
-    se_r = 0.5 * cfg.root_tol
-    mass_err = ball_mass_error(n, r0, metric)
-    if mass_err > 0.0:
-        step = max(1e-4, 50.0 * cfg.root_tol) * max(1.0, r0)
+    se_r = 0.5 * root_tol
+    frac_err = _fraction_and_error(n, r0, metric)[1]
+    if frac_err > 0.0:
+        step = max(1e-4, 50.0 * root_tol) * max(1.0, r0)
         hi = min(r0 + step, rmax)
         lo = max(r0 - step, 0.0)
-        slope = (ball_mass(n, hi, metric) - ball_mass(n, lo, metric)) / (hi - lo)
+        slope = (ball_volume_fraction(n, hi, metric) - ball_volume_fraction(n, lo, metric)) / (hi - lo)
         if slope > 0.0:
-            se_r += mass_err / slope
+            se_r += frac_err / slope
     return r0, se_r
 
 
@@ -221,7 +214,8 @@ def _curve_derivative(bound_id, n, r0, metric):
 
 
 def _cache_path(cache_dir, key):
-    return Path(cache_dir) / f"{hashlib.sha256(key.encode()).hexdigest()[:32]}.json"
+    # named after the key; _cache_load checks the key stored inside
+    return Path(cache_dir) / f"{key.replace(':', '_')}.json"
 
 
 def _cache_load(path, key):
@@ -248,7 +242,7 @@ def _cache_store(path, key, r0, se_r):
         pass  # the cache only saves time; the solve itself succeeded
 
 
-def compute_bounds(n, m, methods=BOUND_IDS, cfg=None, cache_dir=None):
+def compute_bounds(n, m, methods=BOUND_IDS, root_tol=1e-6, cache_dir=None):
     """One BoundResult per id in methods, in that order.
 
     Each metric's r0 is solved once, with its radius error (see
@@ -261,15 +255,13 @@ def compute_bounds(n, m, methods=BOUND_IDS, cfg=None, cache_dir=None):
     for bound_id in methods:
         if bound_id not in BOUND_METRIC:
             raise ValidationError(f"unknown bound id {bound_id!r}; expected one of {BOUND_IDS}")
-    if cfg is None:
-        cfg = SolverConfig()
     radii = {}
     for metric in sorted({BOUND_METRIC[b] for b in methods}):
-        key = solver_key(n, m, metric, cfg)
+        key = solver_key(n, m, metric, root_tol)
         path = None if cache_dir is None else _cache_path(cache_dir, key)
         radius = None if path is None else _cache_load(path, key)
         if radius is None:
-            radius = solve_r0(n, m, metric, cfg)
+            radius = solve_r0(n, m, metric, root_tol)
             if path is not None:
                 _cache_store(path, key, *radius)
         radii[metric] = (key, *radius)
@@ -292,19 +284,19 @@ def compute_bounds(n, m, methods=BOUND_IDS, cfg=None, cache_dir=None):
     return results
 
 
-def bound_b1(n, m, cfg=None):
+def bound_b1(n, m, root_tol=1e-6):
     """Diversity-sum upper bound B1 at the euclidean critical radius."""
-    return compute_bounds(n, m, ("b1",), cfg)[0]
+    return compute_bounds(n, m, ("b1",), root_tol)[0]
 
 
-def bound_b2(n, m, cfg=None):
+def bound_b2(n, m, root_tol=1e-6):
     """Diversity-sum upper bound B2 at the euclidean critical radius."""
-    return compute_bounds(n, m, ("b2",), cfg)[0]
+    return compute_bounds(n, m, ("b2",), root_tol)[0]
 
 
-def bound_b3(n, m, cfg=None):
+def bound_b3(n, m, root_tol=1e-6):
     """Diversity-sum upper bound B3 at the riemannian critical radius."""
-    return compute_bounds(n, m, ("b3",), cfg)[0]
+    return compute_bounds(n, m, ("b3",), root_tol)[0]
 
 
 def exact_delta(n, m):
@@ -373,7 +365,7 @@ def crossover_radius(n):
     return None
 
 
-def asymptotic_lower_bound(n, m, tau, cfg=None):
+def asymptotic_lower_bound(n, m, tau, root_tol=1e-6):
     """Heuristic asymptotic lower bound sqrt(n) r0 (tau+1)^(-1/n^2).
 
     tau is the caller-supplied simultaneous-tangency count (asymptotically
@@ -384,6 +376,6 @@ def asymptotic_lower_bound(n, m, tau, cfg=None):
     n = check_int(n, "n", 1)
     m = check_int(m, "m", 2)
     tau = check_int(tau, "tau", 0)
-    r0, _ = solve_r0(n, m, "euclidean", cfg)
+    r0, _ = solve_r0(n, m, "euclidean", root_tol)
     value = math.sqrt(n) * r0 * (tau + 1.0) ** (-1.0 / n**2)
     return AsymptoticBound(n=n, m=m, tau=tau, r0=r0, value=value)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import BOUND_IDS, SolverConfig, compute_bounds, euclidean_riemannian_envelope
+from .bounds import BOUND_IDS, compute_bounds, euclidean_riemannian_envelope
 from .constellation import (
     _chordal_radius,
     diversity_summary,
@@ -130,8 +130,8 @@ def _cache_dir(args) -> Path:
     return Path(_DEFAULT_CACHE_DIR)
 
 
-def _bound_rows(n: int, m: int, methods, cfg: SolverConfig, root: Path) -> list:
-    results = compute_bounds(n, m, methods, cfg, root)
+def _bound_rows(args, n: int, m: int, methods) -> list:
+    results = compute_bounds(n, m, methods, args.root_tol, _cache_dir(args))
     return [
         {
             "n": n,
@@ -153,7 +153,7 @@ def _gap_rows(args, n: int, m: int, achieved: float) -> list:
     """One bound_<id> row per bound, with its gap over the achieved diversity."""
     return [
         {"name": f"bound_{res.bound_id}", "value": res.value, "detail": f"gap {res.value - achieved:.6g}"}
-        for res in compute_bounds(n, m, BOUND_IDS, _solver_config(args), _cache_dir(args))
+        for res in compute_bounds(n, m, BOUND_IDS, args.root_tol, _cache_dir(args))
     ]
 
 
@@ -180,10 +180,6 @@ def _parse_methods(spec: str):
     return seen
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(root_tol=args.root_tol)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -191,13 +187,12 @@ def _solver_config(args) -> SolverConfig:
 def cmd_bound(args) -> int:
     t0 = time.perf_counter()
     methods = _parse_methods(args.method)
-    cfg = _solver_config(args)
-    rows = _bound_rows(args.n, args.m, methods, cfg, _cache_dir(args))
+    rows = _bound_rows(args, args.n, args.m, methods)
     params = {
         "n": args.n,
         "m": args.m,
         "method": ",".join(methods),
-        "root_tol": cfg.root_tol,
+        "root_tol": args.root_tol,
     }
     _emit(args, "bound", params, _SWEEP_COLUMNS, rows, t0=t0)
     return 0
@@ -205,12 +200,10 @@ def cmd_bound(args) -> int:
 
 def cmd_table(args) -> int:
     t0 = time.perf_counter()
-    cfg = _solver_config(args)
-    root = _cache_dir(args)
     rows = []
     worst = 0.0
     for i, m in enumerate(_TABLE_M):
-        for res in compute_bounds(2, m, ("b1", "b2"), cfg, root):
+        for res in compute_bounds(2, m, ("b1", "b2"), args.root_tol, _cache_dir(args)):
             reference = _TABLE_REF[res.bound_id][i]
             dev = abs(res.value - reference)
             worst = max(worst, dev)
@@ -223,7 +216,7 @@ def cmd_table(args) -> int:
                     "abs_dev": dev,
                 }
             )
-    params = {"n": 2, "root_tol": cfg.root_tol}
+    params = {"n": 2, "root_tol": args.root_tol}
     notes = (f"max abs deviation {worst:.6g} over {len(rows)} entries",)
     _emit(args, "table", params, ("m", "method", "computed", "reference", "abs_dev"), rows, notes, t0)
     return 0
@@ -257,11 +250,9 @@ def _sweep_sizes(args) -> list:
 def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     methods = _parse_methods(args.method)
-    cfg = _solver_config(args)
-    root = _cache_dir(args)
     rows = []
     for m in _sweep_sizes(args):
-        rows.extend(_bound_rows(args.n, m, methods, cfg, root))
+        rows.extend(_bound_rows(args, args.n, m, methods))
     params = {
         "n": args.n,
         "m_start": args.m_start,
@@ -269,7 +260,7 @@ def cmd_sweep(args) -> int:
         "m_step": args.m_step,
         "m_factor": args.m_factor,
         "method": ",".join(methods),
-        "root_tol": cfg.root_tol,
+        "root_tol": args.root_tol,
     }
     _emit(args, "sweep", params, _SWEEP_COLUMNS, rows, t0=t0)
     return 0

@@ -32,9 +32,10 @@ __all__ = [
 ]
 
 _SEED_MASK = (1 << 64) - 1
-# Bytes of pair differences random_search holds at once: one row of pairs
-# for each trial of a chunk. Results do not depend on it.
-_PAIR_BYTES = 4 << 20
+# Bytes random_search holds at once: at its peak a chunk of trials takes
+# about 6 arrays the size of its Haar draw (the draw, QR temporaries, one
+# row of pair differences). Results do not depend on it.
+_SEARCH_BYTES = 4 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +181,7 @@ def random_search(n, m, trials, seed, objective="sum"):
         seed = check_int(seed, "seed", -math.inf) & _SEED_MASK
     rng = np.random.default_rng(seed)
     values = _sum_values if objective == "sum" else _product_values
-    chunk = max(1, _PAIR_BYTES // ((m - 1) * n * n * 16))
+    chunk = max(1, _SEARCH_BYTES // (6 * m * n * n * 16))
     best_score = -1.0
     best = None
     done = 0

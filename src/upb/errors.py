@@ -44,8 +44,20 @@ def check_int(value, name, minimum):
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
-        raise ValidationError(f"{name} must be ≥ {minimum}, got {value!r}")
+        raise ValidationError(f"{name} must be ≥ {minimum}, got {_describe_int(value)}")
     return int(value)
+
+
+def _describe_int(value):
+    """repr(value), or its digit count where Python refuses to print it."""
+    try:
+        return repr(value)
+    except ValueError:  # beyond sys.get_int_max_str_digits(), 4300 by default
+        size = abs(int(value))
+        digits = int((size.bit_length() - 1) * math.log10(2.0)) + 1  # a lower bound
+        while size >= 10**digits:
+            digits += 1
+        return f"an integer of {digits} digits"
 
 
 def check_real(value, name):

@@ -9,7 +9,8 @@ eigenvalue statistic S = sum_j f(theta_j):
   euclidean   f = sin^2(theta/2), s = (r/2)^2   (chordal ball, r <= 2 sqrt(n))
   riemannian  f = theta^2,        s = r^2       (geodesic ball, r <= pi sqrt(n))
 
-So ball_mass / total_mass is the CDF F(s) of S under Haar measure. By the
+So the Haar fraction F = ball_mass / total_mass of a ball, computed without
+the total mass (which overflows from n = 125), is the CDF F(s) of S. By the
 Heine-Szego identity (Gessel 1990; Johansson 1997) the characteristic
 function of S is the n x n Toeplitz determinant
 
@@ -70,6 +71,7 @@ METRICS = ("euclidean", "riemannian")
 # budget cap per angle: max of sin^2(theta/2) resp. theta^2 over one axis
 _KAPPA = {"euclidean": 1.0, "riemannian": math.pi**2}
 
+_MAX_N = 200  # each term is an n x n determinant; a solve at n = 200 takes seconds
 _FIRST_TERMS = 1 << 10
 _MAX_TERMS = 1 << 19
 # Truncation target: the estimated CDF error, turned into a radius error
@@ -143,51 +145,54 @@ def max_radius(n, metric):
     return 2.0 * math.sqrt(n) if metric == "euclidean" else math.pi * math.sqrt(n)
 
 
-def _mass_and_error(n, r, metric):
-    """(ball mass, bound on its truncation error), both in density units."""
+def _fraction_and_error(n, r, metric):
+    """(F(r), bound on its truncation error): the Haar fraction of U(n) in
+    the ball of radius r. Raises RangeError above n = _MAX_N."""
     n = check_int(n, "n", 1)
+    if n > _MAX_N:
+        raise RangeError(f"n={n} exceeds the mass kernel's limit n <= {_MAX_N}")
     _check_metric(metric)
     r = check_real(r, "radius")
     if r < 0:
         raise ValidationError(f"radius must be nonnegative, got {r}")
-    total = total_mass(n)
     if r == 0.0:
         return 0.0, 0.0
     if r >= max_radius(n, metric):
-        return total, 0.0
+        return 1.0, 0.0
     if n == 1:
         arc = 4.0 * math.asin(0.5 * r) if metric == "euclidean" else 2.0 * r
-        return arc, 0.0
+        return arc / (2.0 * math.pi), 0.0
     frac, err = _cdf(n, r, metric)
-    return total * min(max(frac, 0.0), 1.0), total * err
+    return min(max(frac, 0.0), 1.0), err
 
 
 def ball_mass(n, r, metric):
-    """Density mass of the metric ball of radius r.
-
-    r = 0 gives exactly 0 and r >= max_radius(n, metric) exactly the total
-    mass; n = 1 is the arc length. Otherwise the value is total_mass(n)
-    times the Fourier-series CDF of the module docstring, within
-    ball_mass_error(n, r, metric) of the exact mass.
+    """Density mass of the metric ball of radius r: total_mass(n) times
+    ball_volume_fraction(n, r, metric), within ball_mass_error(n, r, metric)
+    of the exact mass. Raises RangeError from n = 125, where total_mass does.
     """
-    return _mass_and_error(n, r, metric)[0]
+    return total_mass(n) * _fraction_and_error(n, r, metric)[0]
 
 
 def ball_mass_error(n, r, metric):
-    """Error estimate of ball_mass(n, r, metric), in mass units.
-
-    The truncation part is the largest change of the partial sums over the
-    last half of the terms used, which exceeds the remaining tail once the
-    terms decay like a power of k; the rounding part is 4 eps times the sum
-    of the terms' magnitudes. It is 0 where ball_mass is exact (r = 0,
-    saturation, n = 1).
+    """Error estimate of ball_mass(n, r, metric), in mass units: total_mass(n)
+    times the kernel's bound on F. Its truncation part is the largest change
+    of the partial sums over the last half of the terms used, which exceeds
+    the remaining tail once the terms decay like a power of k; its rounding
+    part is 4 eps times the sum of the terms' magnitudes. It is 0 where
+    ball_mass is exact (r = 0, saturation, n = 1).
     """
-    return _mass_and_error(n, r, metric)[1]
+    return total_mass(n) * _fraction_and_error(n, r, metric)[1]
 
 
 def ball_volume_fraction(n, r, metric):
-    """ball_mass divided by the total mass, clipped to [0, 1]."""
-    return min(max(ball_mass(n, r, metric) / total_mass(n), 0.0), 1.0)
+    """Haar probability F(r) of the metric ball of radius r, in [0, 1].
+
+    r = 0 gives exactly 0 and r >= max_radius(n, metric) exactly 1; n = 1 is
+    the arc length over 2 pi. Otherwise it is the Fourier-series CDF of the
+    module docstring. Defined for n <= 200 (RangeError above).
+    """
+    return _fraction_and_error(n, r, metric)[0]
 
 
 def normalizer_estimate(n, samples, seed):

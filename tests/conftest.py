@@ -1,8 +1,6 @@
 import pytest
 
-from upb import SolverConfig
-
-
 @pytest.fixture
 def solver():
-    return SolverConfig()
+    """The default root_tol."""
+    return 1e-6

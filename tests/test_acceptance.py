@@ -17,7 +17,6 @@ import pytest
 
 from upb import (
     Constellation,
-    SolverConfig,
     bound_b1,
     bound_b2,
     bound_b3,
@@ -35,7 +34,7 @@ from upb import (
     total_mass,
 )
 
-CFG = SolverConfig()
+CFG = 1e-6  # root_tol
 
 TABLE_M = (24, 48, 64, 80, 100, 120, 128, 1000)
 TABLE_B1 = (0.7598, 0.6603, 0.6131, 0.5932, 0.5578, 0.5425, 0.5347, 0.3270)

@@ -10,7 +10,6 @@ from upb import (
     BOUND_IDS,
     BOUND_METRIC,
     NumericalError,
-    SolverConfig,
     UnitaryMatrix,
     ValidationError,
     asymptotic_lower_bound,
@@ -74,8 +73,8 @@ def test_solve_r0_circle_closed_forms(m, solver):
     assert r0_e == pytest.approx(r0_circle_euclidean(m), abs=2e-6)
     assert r0_r == pytest.approx(r0_circle_riemannian(m), abs=2e-6)
     # n = 1 masses are exact arcs, so the radius error is half the root tolerance
-    assert abs(r0_e - r0_circle_euclidean(m)) <= err_e == 0.5 * solver.root_tol
-    assert abs(r0_r - r0_circle_riemannian(m)) <= err_r == 0.5 * solver.root_tol
+    assert abs(r0_e - r0_circle_euclidean(m)) <= err_e == 0.5 * solver
+    assert abs(r0_r - r0_circle_riemannian(m)) <= err_r == 0.5 * solver
 
 
 @pytest.mark.parametrize("m", [2, 4, 8, 32, 64])
@@ -310,13 +309,13 @@ def test_solver_key_shape_and_determinism(solver):
     assert key == solver_key(2, 100, "euclidean", solver)
     parts = key.split(":")
     assert parts[0] == "2" and parts[1] == "100" and parts[2] == "euclidean"
-    assert key != solver_key(2, 100, "euclidean", SolverConfig(root_tol=1e-8))
+    assert key != solver_key(2, 100, "euclidean", 1e-8)
 
 
 def test_solver_key_carries_every_result_field(solver):
     keys = {
-        solver_key(4, 24, "euclidean", cfg)
-        for cfg in (solver, SolverConfig(root_tol=1e-8))
+        solver_key(4, 24, "euclidean", root_tol)
+        for root_tol in (solver, 1e-8)
     }
     assert len(keys) == 2
     assert solver_key(2, 100, "euclidean", solver) == "2:100:euclidean:9.9999999999999995e-07:v3"
@@ -352,7 +351,7 @@ def test_numpy_integers_accepted_and_bool_rejected(solver):
         with pytest.raises(ValidationError):
             solve_r0(n, m, "euclidean", solver)
     with pytest.raises(ValidationError):
-        compute_bounds(True, 24, cfg=solver)
+        compute_bounds(True, 24, root_tol=solver)
 
 
 def test_real_inputs_share_one_validator():
@@ -362,14 +361,14 @@ def test_real_inputs_share_one_validator():
     assert check_real(np.float32(0.5), "x") == 0.5
     assert type(check_real(np.int64(2), "x")) is float
     assert ball_mass(2, np.float64(1.0), "euclidean") == ball_mass(2, 1, "euclidean")
-    assert SolverConfig(root_tol=np.float64(1e-6)) == SolverConfig()
+    assert solver_key(2, 4, "euclidean", np.float64(1e-6)) == solver_key(2, 4, "euclidean")
     for bad in (True, "1", None, float("nan"), float("inf"), 10**400):
         for call in (
             lambda: check_real(bad, "x"),
             lambda: ball_mass(2, bad, "euclidean"),
             lambda: b1_of_r(2, bad),
             lambda: euclidean_riemannian_envelope(2, bad),
-            lambda: SolverConfig(root_tol=bad),
+            lambda: solve_r0(2, 4, "euclidean", bad),
             lambda: UnitaryMatrix(np.eye(2), validation_tol=bad),
         ):
             with pytest.raises(ValidationError):
@@ -379,9 +378,8 @@ def test_real_inputs_share_one_validator():
 def test_solve_r0_reports_bracket_on_exhaustion():
     # 1e-17 is below the float spacing near r0 = 0.39, so the bisection
     # stalls on two neighbouring floats around the root
-    below_resolution = SolverConfig(root_tol=1e-17)
     with pytest.raises(NumericalError) as info:
-        solve_r0(1, 8, "euclidean", below_resolution)
+        solve_r0(1, 8, "euclidean", 1e-17)
     lo, hi = info.value.bracket
     assert 0.0 < hi - lo <= 2.0 * math.ulp(hi)
     assert lo - 1e-15 <= r0_circle_euclidean(8) <= hi + 1e-15
@@ -400,7 +398,7 @@ def test_cold_solve_evaluates_r0_once(metric, solver, monkeypatch):
 
     monkeypatch.setattr(upb.weyl, "_cdf", counting)
     r0, _ = solve_r0(2, 24, metric, solver)
-    steps = math.ceil(math.log2(max_radius(2, metric) / solver.root_tol))
+    steps = math.ceil(math.log2(max_radius(2, metric) / solver))
     assert radii.count(r0) == 1
     assert len(radii) == steps + 3 == {"euclidean": 25, "riemannian": 26}[metric]
 
@@ -412,6 +410,12 @@ def test_solve_r0_validates_inputs(solver):
         solve_r0(0, 4, "euclidean", solver)
     with pytest.raises(ValidationError):
         solve_r0(2, 4, "chordal", solver)
+    # Python refuses to print an int of more than 4300 digits, so a message
+    # gives the size of such an m instead of ending in a bare ValueError
+    for m, got in ((-10**5000, "an integer of 5001 digits"), (-10**4300, "an integer of 4301 digits"),
+                   (1 - 10**4300, "-" + "9" * 4300)):
+        with pytest.raises(ValidationError, match=f"got {got}$"):
+            solve_r0(2, m, "euclidean", solver)
 
 
 def test_bound_result_bookkeeping(solver):
@@ -425,12 +429,11 @@ def test_bound_result_bookkeeping(solver):
 def test_solve_agrees_with_tensor_oracle():
     # r0 is within 1e-7 of the tensor-quadrature root, and within the radius
     # error that compute_bounds reports: tensor mass brackets the target there
-    cfg = SolverConfig(root_tol=1e-10)
     for n in (2, 3):
         for metric in ("euclidean", "riemannian"):
             for m in (2, 3, 24, 1000, 10**4, 10**6):
                 target = total_mass(n) / m
-                r0, radius_error = solve_r0(n, m, metric, cfg)
+                r0, radius_error = solve_r0(n, m, metric, 1e-10)
                 assert radius_error < 1e-7, (n, metric, m)
                 for step in (1e-7, radius_error):
                     assert tensor_mass(n, r0 - step, metric) <= target, (n, metric, m, step)

@@ -153,6 +153,19 @@ def test_constellation_and_summary_hold_one_row_of_pairs():
     assert peak < 4 * 2**20
 
 
+def test_random_search_stays_within_its_memory_budget():
+    # 4 MiB of Haar draws, QR temporaries and pair differences at a time;
+    # sizing chunks by the pair row alone peaked at about 25 MiB at both sizes
+    for n, m, trials in ((2, 12, 10**4), (8, 100, 50)):
+        tracemalloc.start()
+        try:
+            random_search(n, m, trials, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, (n, m, trials)
+
+
 def test_constellation_accepts_wrappers_and_arrays():
     v = Constellation([haar_sample(2, 1), np.eye(2)])
     assert v.n == 2 and v.m == 2
@@ -173,7 +186,7 @@ def test_random_search_chunking_is_invisible(monkeypatch):
     for objective in ("sum", "product"):
         a, score_a = random_search(2, 5, 40, seed=12, objective=objective)
         with monkeypatch.context() as patch:
-            patch.setattr(upb.constellation, "_PAIR_BYTES", 1)  # one trial per chunk
+            patch.setattr(upb.constellation, "_SEARCH_BYTES", 1)  # one trial per chunk
             b, score_b = random_search(2, 5, 40, seed=12, objective=objective)
         assert score_a == score_b
         for x, y in zip(a.members, b.members):

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from upb import (
     Constellation,
-    SolverConfig,
     UpbError,
     ValidationError,
     ball_mass_error,
@@ -61,8 +60,7 @@ def test_r0_strictly_decreasing_in_m(n, metric, m1, m2):
     if m1 == m2:
         return
     small, large = sorted((m1, m2))
-    cfg = SolverConfig(root_tol=1e-10)
-    assert solve_r0(n, small, metric, cfg)[0] > solve_r0(n, large, metric, cfg)[0]
+    assert solve_r0(n, small, metric, 1e-10)[0] > solve_r0(n, large, metric, 1e-10)[0]
 
 
 @PROPERTY

@@ -8,7 +8,6 @@ from tensor_oracle import ball_statistic_level, haar_statistics, tensor_mass
 from upb import weyl
 from upb import (
     RangeError,
-    SolverConfig,
     ValidationError,
     ball_mass,
     ball_mass_error,
@@ -16,6 +15,7 @@ from upb import (
     log_total_mass,
     max_radius,
     normalizer_estimate,
+    solve_r0,
     total_mass,
     weyl_density,
 )
@@ -103,6 +103,21 @@ def test_total_mass_overflow_raises_range_error():
     with pytest.raises(RangeError):
         total_mass(200)
     log_total_mass(200)  # the log-domain value stays representable
+
+
+def test_fraction_and_solve_past_total_mass_overflow():
+    # F needs no (2 pi)^n n!: ball_mass overflows from n = 125, the fraction
+    # and the solve on F(r0) = 1/m do not; the kernel stops at n = 200
+    with pytest.raises(RangeError):
+        ball_mass(125, 1.0, "euclidean")
+    assert 0.0 <= ball_volume_fraction(125, 1.0, "euclidean") <= 1.0
+    # 2e4 Haar draws put the 1/16 quantile of the statistic at radius
+    # 15.74356 with a standard error of 0.00068
+    r0, _ = solve_r0(125, 16, "euclidean")
+    assert abs(r0 - 15.74356) < 4 * 0.00068
+    for n in (201, 10**6):
+        with pytest.raises(RangeError, match="n <= 200"):
+            ball_volume_fraction(n, 1.0, "euclidean")
 
 
 def test_normalizer_estimate_agrees_with_total():
@@ -289,7 +304,7 @@ def test_mc_seed_changes_estimate():
 def test_config_validation():
     for root_tol in (0.0, 1.0, float("nan")):
         with pytest.raises(ValidationError):
-            SolverConfig(root_tol=root_tol)
+            solve_r0(2, 4, "euclidean", root_tol)
     with pytest.raises(ValidationError):
         normalizer_estimate(2, 1, 0)
     with pytest.raises(ValidationError):
