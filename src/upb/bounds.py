@@ -1,8 +1,8 @@
 """Packing bounds on the diversity sum of unitary constellations.
 
 Three upper bounds, each a function of a critical radius r0 solving the
-packing equality m * ball_mass(r0) = total_mass, i.e. F(r0) = 1/m for the
-Haar fraction F of the ball:
+packing equality F(r0) = 1/m for the Haar fraction F of the ball: m
+disjoint balls cover at most all of U(n).
 
   B1  sqrt(r0^2/n - r0^4/(4 n^2))            r0 euclidean
   B2  sin sqrt(pi^2 k/n + 4 arcsin^2(sqrt(a))/n)  r0 euclidean,
@@ -333,6 +333,12 @@ def euclidean_riemannian_envelope(n, d):
 
     with k = floor(d^2/4) (1e-12 snap) and a the remainder. Equality holds at
     d = 0 and d = 2 sqrt(n); lower <= upper everywhere.
+
+    The lower envelope is ill-conditioned near d = 2 sqrt(n): a relative
+    rounding e of d moves it by about 2 sqrt(n) sqrt(2e). At n = 2 with both
+    eigenangles 1e-9 from pi, d rounds to 2 sqrt(2) and the lower envelope
+    exceeds the true distance by 1.4e-9, so checks against it must bracket
+    the rounding of d.
     """
     d = _check_radius(n, d)
     x = min(d / (2.0 * math.sqrt(n)), 1.0)

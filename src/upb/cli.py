@@ -21,6 +21,7 @@ import numpy as np
 
 from .bounds import BOUND_IDS, compute_bounds, euclidean_riemannian_envelope
 from .constellation import (
+    Constellation,
     _chordal_radius,
     diversity_summary,
     load_constellation,
@@ -358,8 +359,6 @@ def _selftest_kernel_vs_haar() -> str:
 
 def _selftest_product_le_sum() -> str:
     rng = np.random.default_rng(7)
-    from .constellation import Constellation
-
     for trial in range(100):
         n = int(rng.integers(1, 5))
         m = int(rng.integers(2, 9))
@@ -483,18 +482,10 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValidationError, ParseError) as exc:
+    except (_UsageError, ValidationError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, RangeError) as exc:

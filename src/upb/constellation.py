@@ -200,29 +200,16 @@ def random_search(n, m, trials, seed, objective="sum"):
     return Constellation(members, label=f"random-search-{objective}"), best_score
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def save_constellation(v, path):
-    """Write a constellation as JSON: keys n, label (if set), matrices, in
-    that order; entries as [re, im] pairs at 17 significant digits."""
-    out = ["{"]
-    out.append(f'  "n": {v.n},')
+    """Write a constellation as one line of JSON: keys n, label (if set),
+    matrices, in that order; entries as [re, im] pairs in shortest
+    round-trip form, so the file loads back bit for bit."""
+    doc = {"n": v.n}
     if v.label:
-        out.append(f'  "label": {json.dumps(v.label)},')
-    out.append('  "matrices": [')
-    mats = []
-    for u in v.members:
-        rows = ",\n      ".join(
-            "[" + ", ".join(f"[{_fmt(e.real)}, {_fmt(e.imag)}]" for e in row) + "]"
-            for row in u.array
-        )
-        mats.append("    [\n      " + rows + "\n    ]")
-    out.append(",\n".join(mats))
-    out.append("  ]")
-    out.append("}")
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+        doc["label"] = v.label
+    pairs = np.stack([u.array for u in v.members]).view(float).reshape(v.m, v.n, v.n, 2)
+    doc["matrices"] = pairs.tolist()
+    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
 def load_constellation(path):

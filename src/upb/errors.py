@@ -3,6 +3,15 @@
 import math
 import numbers
 
+__all__ = [
+    "DimensionError",
+    "NumericalError",
+    "ParseError",
+    "RangeError",
+    "UpbError",
+    "ValidationError",
+]
+
 
 class UpbError(Exception):
     """Base class for every error raised by this package."""

@@ -1,4 +1,4 @@
-"""Complex matrix primitives: norms, determinants, eigenangles, Haar sampling.
+"""Complex matrix primitives: coercion, log-determinants, eigenangles, Haar sampling.
 
 Matrices are plain numpy arrays (row-major, complex128). ``UnitaryMatrix`` is a
 thin validated wrapper used where unitarity is a contract rather than a hope;
@@ -10,18 +10,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ValidationError, check_int, check_real
+from .errors import DimensionError, NumericalError, ValidationError, check_int
 
 __all__ = [
     "UnitaryMatrix",
     "as_complex_matrix",
-    "determinant",
-    "frobenius_norm",
     "haar_sample",
     "stacked_logabsdet",
     "unitarity_residual",
     "unitary_eigenangles",
 ]
+
+_VALIDATION_TOL = 1e-9  # bound on a UnitaryMatrix's residual ||M*M - I||
+_EIGENANGLE_TOL = 1e-6  # bound on that of unitary_eigenangles' argument
 
 
 def as_complex_matrix(m):
@@ -54,37 +55,6 @@ def _square(m, what):
     return a
 
 
-def frobenius_norm(m):
-    """Frobenius norm: sqrt of the sum of squared entry moduli."""
-    a = as_complex_matrix(m)
-    return float(np.sqrt(np.sum(np.abs(a) ** 2)))
-
-
-def determinant(m):
-    """Determinant by row-pivoted Gaussian elimination.
-
-    Partial pivoting picks the largest column modulus below the diagonal,
-    ties broken by the lowest row index; the result is the product of pivots
-    times the permutation sign. A zero pivot short-circuits to 0.
-    """
-    a = _square(m, "determinant input").copy()
-    rows = a.shape[0]
-    sign = 1.0
-    det = 1.0 + 0.0j
-    for k in range(rows):
-        p = k + int(np.argmax(np.abs(a[k:, k])))  # argmax takes the first max: lowest index wins ties
-        if a[p, k] == 0:
-            return 0j
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            sign = -sign
-        pivot = a[k, k]
-        det *= pivot
-        if k + 1 < rows:
-            a[k + 1 :, k:] -= np.outer(a[k + 1 :, k] / pivot, a[k, k:])
-    return complex(sign * det)
-
-
 def stacked_logabsdet(mats):
     """log|det| over a stack of square matrices, shape (..., n, n) -> (...).
 
@@ -104,19 +74,15 @@ def unitarity_residual(m):
     return float(np.linalg.norm(a.conj().T @ a - np.eye(a.shape[0])))
 
 
-def _check_unitary(a, tol, name):
-    """ValidationError unless ``tol`` (called ``name``) is finite and >= 0
-    and the square array ``a`` has unitarity residual <= tol."""
-    tol = check_real(tol, name)
-    if tol < 0.0:
-        raise ValidationError(f"{name} must be finite and ≥ 0, got {tol!r}")
+def _check_unitary(a, tol):
+    """ValidationError unless the square array ``a`` has unitarity residual <= tol."""
     with np.errstate(over="ignore", invalid="ignore"):
         res = unitarity_residual(a)
     if not res <= tol:  # a NaN residual, from overflowing entries, fails too
         raise ValidationError(f"matrix is not unitary: residual {res:.3e} > {tol:.1e}")
 
 
-def unitary_eigenangles(u, residual_tol=1e-6):
+def unitary_eigenangles(u):
     """Eigenvalue angles of a unitary matrix, sorted ascending in [-pi, pi).
 
     The angles of ``np.linalg.eigvals``: a unitary matrix is normal, so its
@@ -124,7 +90,7 @@ def unitary_eigenangles(u, residual_tol=1e-6):
     most ||E||), clustered and repeated ones included.
     """
     a = _square(u, "eigenangle input")
-    _check_unitary(a, residual_tol, "residual_tol")
+    _check_unitary(a, _EIGENANGLE_TOL)
     try:
         eig = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
@@ -165,20 +131,18 @@ class UnitaryMatrix:
     """A validated element of U(n).
 
     Rejects non-unitary input instead of renormalizing it; the wrapped array
-    is read-only. ``validation_tol`` (finite, >= 0) bounds the unitarity
-    residual ||M*M - I||, which also bounds the determinant: with
-    d_i = s_i^2 - 1 over the singular values s_i, sum d_i^2 <= tol^2, so
-    |log|det M|| = |sum log(1 + d_i)| / 2 <= (sqrt(n) tol + tol^2) / 2 for
-    tol <= 1/2. At the default tol of 1e-9, |det M| is within 6e-9 of 1 for
-    every n <= 143.
+    is read-only. The unitarity residual ||M*M - I|| must be at most
+    tol = 1e-9, which also bounds the determinant: with d_i = s_i^2 - 1 over
+    the singular values s_i, sum d_i^2 <= tol^2, so
+    |log|det M|| = |sum log(1 + d_i)| / 2 <= (sqrt(n) tol + tol^2) / 2, and
+    |det M| is within 6e-9 of 1 for every n <= 143.
     """
 
     array: np.ndarray
-    validation_tol: float = 1e-9
 
     def __post_init__(self):
         a = _square(self.array, "unitary matrix")
-        _check_unitary(a, self.validation_tol, "validation_tol")
+        _check_unitary(a, _VALIDATION_TOL)
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "array", a)

@@ -1,4 +1,4 @@
-"""Eigenvalue-angle density on U(n) and ball masses under it.
+"""Eigenvalue-angle density on U(n) and the Haar fraction of balls under it.
 
 The density of eigenangles theta in D1 = [-pi, pi)^n of a Haar unitary is
 proportional to rho(theta) = prod_{j<k} |e^{i theta_j} - e^{i theta_k}|^2,
@@ -9,8 +9,8 @@ eigenvalue statistic S = sum_j f(theta_j):
   euclidean   f = sin^2(theta/2), s = (r/2)^2   (chordal ball, r <= 2 sqrt(n))
   riemannian  f = theta^2,        s = r^2       (geodesic ball, r <= pi sqrt(n))
 
-So the Haar fraction F = ball_mass / total_mass of a ball, computed without
-the total mass (which overflows from n = 125), is the CDF F(s) of S. By the
+So the Haar fraction F of a ball (its mass over the total mass, which
+overflows from n = 125 and is never formed) is the CDF F(s) of S. By the
 Heine-Szego identity (Gessel 1990; Johansson 1997) the characteristic
 function of S is the n x n Toeplitz determinant
 
@@ -56,10 +56,8 @@ import numpy as np
 from .errors import RangeError, ValidationError, check_int, check_real
 
 __all__ = [
-    "ball_mass",
-    "ball_mass_error",
+    "METRICS",
     "ball_volume_fraction",
-    "log_total_mass",
     "max_radius",
     "normalizer_estimate",
     "total_mass",
@@ -120,21 +118,14 @@ def _density_rows(thetas):
     return w
 
 
-def log_total_mass(n):
-    """log of the full-domain density integral, n log(2pi) + log(n!)."""
-    n = check_int(n, "n", 1)
-    return n * math.log(2.0 * math.pi) + math.lgamma(n + 1)
-
-
 def total_mass(n):
     """Full-domain density integral (2 pi)^n n!.
 
-    Raises RangeError once the value exceeds float range (n >= 125);
-    use log_total_mass there.
+    Raises RangeError once the value exceeds float range (n >= 125).
     """
     n = check_int(n, "n", 1)
-    if log_total_mass(n) > 709.0:
-        raise RangeError(f"total mass overflows float64 for n={n}; use log_total_mass")
+    if n * math.log(2.0 * math.pi) + math.lgamma(n + 1) > 709.0:
+        raise RangeError(f"total mass overflows float64 for n={n}")
     return (2.0 * math.pi) ** n * float(math.factorial(n))
 
 
@@ -146,8 +137,9 @@ def max_radius(n, metric):
 
 
 def _fraction_and_error(n, r, metric):
-    """(F(r), bound on its truncation error): the Haar fraction of U(n) in
-    the ball of radius r. Raises RangeError above n = _MAX_N."""
+    """(F(r), bound on its error): the Haar fraction of U(n) in the ball of
+    radius r, with _cdf's truncation plus rounding bound, which is 0 where F
+    is exact (r = 0, saturation, n = 1). Raises RangeError above n = _MAX_N."""
     n = check_int(n, "n", 1)
     if n > _MAX_N:
         raise RangeError(f"n={n} exceeds the mass kernel's limit n <= {_MAX_N}")
@@ -164,25 +156,6 @@ def _fraction_and_error(n, r, metric):
         return arc / (2.0 * math.pi), 0.0
     frac, err = _cdf(n, r, metric)
     return min(max(frac, 0.0), 1.0), err
-
-
-def ball_mass(n, r, metric):
-    """Density mass of the metric ball of radius r: total_mass(n) times
-    ball_volume_fraction(n, r, metric), within ball_mass_error(n, r, metric)
-    of the exact mass. Raises RangeError from n = 125, where total_mass does.
-    """
-    return total_mass(n) * _fraction_and_error(n, r, metric)[0]
-
-
-def ball_mass_error(n, r, metric):
-    """Error estimate of ball_mass(n, r, metric), in mass units: total_mass(n)
-    times the kernel's bound on F. Its truncation part is the largest change
-    of the partial sums over the last half of the terms used, which exceeds
-    the remaining tail once the terms decay like a power of k; its rounding
-    part is 4 eps times the sum of the terms' magnitudes. It is 0 where
-    ball_mass is exact (r = 0, saturation, n = 1).
-    """
-    return total_mass(n) * _fraction_and_error(n, r, metric)[1]
 
 
 def ball_volume_fraction(n, r, metric):

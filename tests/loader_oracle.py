@@ -5,7 +5,7 @@ load(path) returns (label, member arrays) or raises what that loader raises,
 with the same type and message. Every entry is checked one at a time, and
 each member is validated the old way: its unitarity residual against 1e-9,
 then |det| within 1e-6 of 1 through the reference elimination
-upb.matrices.determinant, then pairwise distinctness within 1e-12.
+determinant_oracle.determinant, then pairwise distinctness within 1e-12.
 """
 
 import itertools
@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from upb import ParseError, ValidationError, determinant, unitarity_residual
+from determinant_oracle import determinant
+from upb import ParseError, ValidationError, unitarity_residual
 
 
 def parse_matrix(mat, idx):

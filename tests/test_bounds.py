@@ -10,13 +10,12 @@ from upb import (
     BOUND_IDS,
     BOUND_METRIC,
     NumericalError,
-    UnitaryMatrix,
     ValidationError,
     asymptotic_lower_bound,
     b1_of_r,
     b2_of_r,
     b3_of_r,
-    ball_mass,
+    ball_volume_fraction,
     bound_b1,
     bound_b2,
     bound_b3,
@@ -149,8 +148,6 @@ def test_b1_formula_spot_values():
 def test_half_volume_radius_is_sqrt_2n(solver):
     # the density is symmetric under sin^2(theta/2) -> 1 - sin^2(theta/2),
     # so the m=2 packing radius is exactly sqrt(2n); B1 peaks there at 1
-    from upb import ball_volume_fraction
-
     for n in (1, 2, 3):
         frac = ball_volume_fraction(n, math.sqrt(2.0 * n), "euclidean")
         assert frac == pytest.approx(0.5, abs=1e-12)
@@ -355,21 +352,21 @@ def test_numpy_integers_accepted_and_bool_rejected(solver):
 
 
 def test_real_inputs_share_one_validator():
-    # radii, root_tol and unitarity tolerances all go through check_real:
+    # radii and root_tol all go through check_real:
     # Python and numpy reals pass as floats; bool, strings, None and
     # non-finite values (an int beyond the float range included) do not
     assert check_real(np.float32(0.5), "x") == 0.5
     assert type(check_real(np.int64(2), "x")) is float
-    assert ball_mass(2, np.float64(1.0), "euclidean") == ball_mass(2, 1, "euclidean")
+    f = ball_volume_fraction(2, 1, "euclidean")
+    assert ball_volume_fraction(2, np.float64(1.0), "euclidean") == f
     assert solver_key(2, 4, "euclidean", np.float64(1e-6)) == solver_key(2, 4, "euclidean")
     for bad in (True, "1", None, float("nan"), float("inf"), 10**400):
         for call in (
             lambda: check_real(bad, "x"),
-            lambda: ball_mass(2, bad, "euclidean"),
+            lambda: ball_volume_fraction(2, bad, "euclidean"),
             lambda: b1_of_r(2, bad),
             lambda: euclidean_riemannian_envelope(2, bad),
             lambda: solve_r0(2, 4, "euclidean", bad),
-            lambda: UnitaryMatrix(np.eye(2), validation_tol=bad),
         ):
             with pytest.raises(ValidationError):
                 call()

@@ -237,14 +237,22 @@ def test_random_search_reproduces_documented_score():
 
 def test_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(41)
-    v = Constellation([haar_sample(3, rng) for _ in range(4)], label="round-trip")
-    path = tmp_path / "v.json"
-    save_constellation(v, path)
-    back = load_constellation(path)
-    assert back.label == "round-trip"
-    assert back.n == 3 and back.m == 4
-    for x, y in zip(v.members, back.members):
-        np.testing.assert_array_equal(x.array, y.array)
+    for n in (3, 8):
+        v = Constellation([haar_sample(n, rng) for _ in range(4)], label="round-trip")
+        path = tmp_path / f"v{n}.json"
+        save_constellation(v, path)
+        back = load_constellation(path)
+        assert back.label == "round-trip"
+        assert back.n == n and back.m == 4
+        for x, y in zip(v.members, back.members):
+            assert x.array.tobytes() == y.array.tobytes()  # bit for bit, signed zeros included
+    # entries are written in their shortest round-trip form, which for
+    # these differs from 17 significant digits
+    text = path.read_text()
+    entries = v.members[0].array.view(float).ravel()
+    shorter = [x for x in entries if repr(float(x)) != format(x, ".17g")]
+    assert shorter
+    assert all(repr(float(x)) in text and format(x, ".17g") not in text for x in shorter)
 
 
 def test_saved_file_is_plain_json_with_stable_keys(tmp_path):
@@ -257,6 +265,15 @@ def test_saved_file_is_plain_json_with_stable_keys(tmp_path):
     assert doc["n"] == 2
     assert doc["matrices"][0][0][0] == [1.0, 0.0]
     assert text.index('"n"') < text.index('"matrices"')
+    assert text.endswith("}\n") and text.count("\n") == 1  # one line
+
+    label = 'a "quoted" label: ünïcödé ∑ \\ 🙂'
+    labelled = Constellation([np.eye(2), -np.eye(2)], label=label)
+    save_constellation(labelled, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert list(doc.keys()) == ["n", "label", "matrices"]
+    assert doc["label"] == label
+    assert load_constellation(path).label == label
 
 
 def test_load_rejects_malformed_files(tmp_path):

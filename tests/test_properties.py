@@ -21,8 +21,6 @@ from upb import (
     Constellation,
     UpbError,
     ValidationError,
-    ball_mass_error,
-    ball_volume_fraction,
     compute_bounds,
     diversity_product,
     diversity_sum,
@@ -34,9 +32,9 @@ from upb import (
     max_radius,
     riemannian_distance,
     solve_r0,
-    total_mass,
     unitarity_residual,
 )
+from upb import weyl
 from upb.cli import main
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
@@ -48,10 +46,10 @@ metrics = st.sampled_from(["euclidean", "riemannian"])
 def test_fraction_in_unit_interval_and_nondecreasing(n, metric, a, b):
     rmax = max_radius(n, metric)
     lo, hi = sorted((a * rmax, b * rmax))
-    f_lo, f_hi = ball_volume_fraction(n, lo, metric), ball_volume_fraction(n, hi, metric)
+    f_lo, e_lo = weyl._fraction_and_error(n, lo, metric)
+    f_hi, e_hi = weyl._fraction_and_error(n, hi, metric)
     assert 0.0 <= f_lo <= 1.0 and 0.0 <= f_hi <= 1.0
-    slack = (ball_mass_error(n, lo, metric) + ball_mass_error(n, hi, metric)) / total_mass(n)
-    assert f_lo <= f_hi + slack
+    assert f_lo <= f_hi + e_lo + e_hi
 
 
 @PROPERTY

@@ -1,10 +1,13 @@
 """The README's CLI examples, run in order: each documented output must be
-what the CLI prints, so the examples cannot go stale."""
+what the CLI prints, so the examples cannot go stale; and its list of entry
+points, which must be public names of upb."""
 
 import re
 import shlex
 from pathlib import Path
 
+import upb
+from upb import bounds, constellation, errors, matrices, weyl
 from upb.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -42,3 +45,20 @@ def test_readme_cli_examples(capsys, tmp_path, monkeypatch):
         captured = capsys.readouterr()
         assert code == 0, (argv, captured.err)
         assert as_documented(expected, captured.out.splitlines()) == expected, argv
+
+
+def test_public_names_agree_with_submodules_and_readme():
+    exported = [bounds, constellation, errors, matrices, weyl]
+    assert sorted(upb.__all__) == sorted({"__version__"}.union(*(mod.__all__ for mod in exported)))
+    for name in upb.__all__:
+        assert hasattr(upb, name), name
+    text = README.read_text(encoding="utf-8")
+    listed = text.split("Key entry points:", 1)[1].split(". The solve", 1)[0]
+    names = re.findall(r"`([^`]+)`", listed)
+    assert "compute_bounds" in names and "load_constellation" in names
+    for name in names:
+        head, *tails = name.split("/")  # bound_b1/b2/b3
+        for full in [head] + [head[: -len(tail)] + tail for tail in tails]:
+            assert full in upb.__all__, full
+    for gone in ("ball_mass", "ball_mass_error", "log_total_mass", "frobenius_norm", "determinant"):
+        assert not any(hasattr(mod, gone) for mod in [upb, *exported]), gone

@@ -9,10 +9,7 @@ from upb import weyl
 from upb import (
     RangeError,
     ValidationError,
-    ball_mass,
-    ball_mass_error,
     ball_volume_fraction,
-    log_total_mass,
     max_radius,
     normalizer_estimate,
     solve_r0,
@@ -96,20 +93,21 @@ def test_total_mass_closed_forms():
     assert total_mass(1) == pytest.approx(2 * math.pi)
     assert total_mass(2) == pytest.approx(8 * math.pi**2)
     assert total_mass(3) == pytest.approx(48 * math.pi**3)
-    assert log_total_mass(4) == pytest.approx(math.log(total_mass(4)), rel=1e-13)
+    assert total_mass(4) == pytest.approx(384 * math.pi**4)
 
 
 def test_total_mass_overflow_raises_range_error():
-    with pytest.raises(RangeError):
-        total_mass(200)
-    log_total_mass(200)  # the log-domain value stays representable
+    assert math.isfinite(total_mass(124))
+    for n in (125, 200):
+        with pytest.raises(RangeError, match=f"^total mass overflows float64 for n={n}$"):
+            total_mass(n)
 
 
 def test_fraction_and_solve_past_total_mass_overflow():
-    # F needs no (2 pi)^n n!: ball_mass overflows from n = 125, the fraction
-    # and the solve on F(r0) = 1/m do not; the kernel stops at n = 200
+    # F needs no (2 pi)^n n!: total_mass overflows from n = 125, the
+    # fraction and the solve on F(r0) = 1/m do not; the kernel stops at n = 200
     with pytest.raises(RangeError):
-        ball_mass(125, 1.0, "euclidean")
+        total_mass(125)
     assert 0.0 <= ball_volume_fraction(125, 1.0, "euclidean") <= 1.0
     # 2e4 Haar draws put the 1/16 quantile of the statistic at radius
     # 15.74356 with a standard error of 0.00068
@@ -126,41 +124,46 @@ def test_normalizer_estimate_agrees_with_total():
     assert abs(value - total_mass(2)) / total_mass(2) < 0.01
 
 
-# --- ball mass: exact anchors ---------------------------------------------------
+# --- ball fraction: exact anchors ------------------------------------------------
+# The oracles give density masses; divided by total_mass(n) they are fractions.
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
 def test_ball_mass_n1_closed_form(metric):
+    total = total_mass(1)
     for r in (0.25, 0.5, 1.0, 1.5):
-        assert ball_mass(1, r, metric) == pytest.approx(mass_circle_1(r, metric), abs=1e-12)
+        frac, _ = weyl._fraction_and_error(1, r, metric)
+        assert frac == pytest.approx(mass_circle_1(r, metric) / total, abs=1e-12 / total)
 
 
 def test_ball_mass_n1_examples():
     # euclidean r=1: 4 asin(1/2) = 2 pi / 3 ; riemannian r=pi/2: pi
-    assert ball_mass(1, 1.0, "euclidean") == pytest.approx(2 * math.pi / 3)
-    assert ball_mass(1, math.pi / 2, "riemannian") == pytest.approx(math.pi)
+    assert weyl._fraction_and_error(1, 1.0, "euclidean")[0] == pytest.approx(1 / 3)
+    assert weyl._fraction_and_error(1, math.pi / 2, "riemannian")[0] == pytest.approx(1 / 2)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
 def test_ball_mass_saturates_exactly(metric):
     for n in (1, 2, 3):
         rmax = max_radius(n, metric)
-        assert ball_mass(n, rmax, metric) == total_mass(n)
-        assert ball_mass(n, rmax + 5.0, metric) == total_mass(n)
-        assert ball_mass(n, 0.0, metric) == 0.0
+        assert weyl._fraction_and_error(n, rmax, metric) == (1.0, 0.0)
+        assert weyl._fraction_and_error(n, rmax + 5.0, metric) == (1.0, 0.0)
+        assert weyl._fraction_and_error(n, 0.0, metric) == (0.0, 0.0)
 
 
 def test_ball_mass_riemannian_2_matches_bessel():
     for r in (0.3, 0.8, 1.5, 2.4, 3.0):
-        value = ball_mass(2, r, "riemannian")
-        assert abs(value - mass_bessel_riemannian_2(r)) <= ball_mass_error(2, r, "riemannian")
-        assert value == pytest.approx(mass_bessel_riemannian_2(r), rel=1e-7)
+        frac, err = weyl._fraction_and_error(2, r, "riemannian")
+        exact = mass_bessel_riemannian_2(r) / total_mass(2)
+        assert abs(frac - exact) <= err
+        assert frac == pytest.approx(exact, rel=1e-7)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
 def test_ball_mass_2_matches_riemann_sum(metric):
     for r in (0.8, 1.6, 2.4):
-        assert ball_mass(2, r, metric) == pytest.approx(mass_riemann_2d(r, metric), rel=2e-3)
+        frac, _ = weyl._fraction_and_error(2, r, metric)
+        assert frac == pytest.approx(mass_riemann_2d(r, metric) / total_mass(2), rel=2e-3)
 
 
 def test_ball_volume_fraction_range():
@@ -178,8 +181,8 @@ def test_kernel_matches_tensor_oracle_on_radius_grid(metric):
     for n in (2, 3):
         for r in np.linspace(0.05, max_radius(n, metric) - 0.05, 25):
             r = float(r)
-            exact = tensor_mass(n, r, metric)
-            assert abs(ball_mass(n, r, metric) - exact) <= ball_mass_error(n, r, metric), (n, r)
+            frac, err = weyl._fraction_and_error(n, r, metric)
+            assert abs(frac - tensor_mass(n, r, metric) / total_mass(n)) <= err, (n, r)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -313,13 +316,13 @@ def test_config_validation():
 
 def test_ball_mass_validates_arguments():
     with pytest.raises(ValidationError):
-        ball_mass(0, 1.0, "euclidean")
+        ball_volume_fraction(0, 1.0, "euclidean")
     with pytest.raises(ValidationError):
-        ball_mass(2, -0.5, "euclidean")
+        ball_volume_fraction(2, -0.5, "euclidean")
     with pytest.raises(ValidationError):
-        ball_mass(2, 1.0, "chordal")
+        ball_volume_fraction(2, 1.0, "chordal")
     with pytest.raises(ValidationError):
-        ball_mass(2, float("nan"), "euclidean")
+        ball_volume_fraction(2, float("nan"), "euclidean")
 
 
 def test_max_radius_values():
