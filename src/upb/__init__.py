@@ -5,111 +5,15 @@ packing equality for the critical radius, and turns it into upper bounds on
 the diversity sum and product, alongside random-search baselines.
 """
 
-from .bounds import (
-    BOUND_IDS,
-    BOUND_METRIC,
-    AsymptoticBound,
-    BoundResult,
-    asymptotic_lower_bound,
-    b1_of_r,
-    b2_of_r,
-    b3_of_r,
-    bound_b1,
-    bound_b2,
-    bound_b3,
-    compute_bounds,
-    crossover_radius,
-    euclidean_riemannian_envelope,
-    evaluate_bound,
-    exact_delta,
-    solve_r0,
-    solver_key,
-)
-from .constellation import (
-    Constellation,
-    DiversitySummary,
-    chordal_packing_radius,
-    diversity_product,
-    diversity_sum,
-    diversity_summary,
-    load_constellation,
-    random_search,
-    riemannian_distance,
-    save_constellation,
-)
-from .errors import (
-    DimensionError,
-    NumericalError,
-    ParseError,
-    RangeError,
-    UpbError,
-    ValidationError,
-)
-from .matrices import (
-    UnitaryMatrix,
-    as_complex_matrix,
-    haar_sample,
-    stacked_logabsdet,
-    unitarity_residual,
-    unitary_eigenangles,
-)
-from .weyl import (
-    METRICS,
-    ball_volume_fraction,
-    max_radius,
-    normalizer_estimate,
-    total_mass,
-    weyl_density,
-)
+from . import bounds, constellation, errors, matrices, weyl
+from .bounds import *
+from .constellation import *
+from .errors import *
+from .matrices import *
+from .weyl import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoticBound",
-    "BOUND_IDS",
-    "BOUND_METRIC",
-    "BoundResult",
-    "Constellation",
-    "DimensionError",
-    "DiversitySummary",
-    "METRICS",
-    "NumericalError",
-    "ParseError",
-    "RangeError",
-    "UnitaryMatrix",
-    "UpbError",
-    "ValidationError",
-    "__version__",
-    "as_complex_matrix",
-    "asymptotic_lower_bound",
-    "b1_of_r",
-    "b2_of_r",
-    "b3_of_r",
-    "ball_volume_fraction",
-    "bound_b1",
-    "bound_b2",
-    "bound_b3",
-    "chordal_packing_radius",
-    "compute_bounds",
-    "crossover_radius",
-    "diversity_product",
-    "diversity_sum",
-    "diversity_summary",
-    "euclidean_riemannian_envelope",
-    "evaluate_bound",
-    "exact_delta",
-    "haar_sample",
-    "load_constellation",
-    "max_radius",
-    "normalizer_estimate",
-    "random_search",
-    "riemannian_distance",
-    "save_constellation",
-    "solve_r0",
-    "solver_key",
-    "stacked_logabsdet",
-    "total_mass",
-    "unitarity_residual",
-    "unitary_eigenangles",
-    "weyl_density",
-]
+# the submodules' __all__ lists are disjoint (tests/test_readme.py checks)
+__all__ = [*bounds.__all__, *constellation.__all__, *errors.__all__, *matrices.__all__,
+           *weyl.__all__, "__version__"]

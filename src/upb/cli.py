@@ -150,11 +150,11 @@ def _bound_rows(args, n: int, m: int, methods) -> list:
     ]
 
 
-def _gap_rows(args, n: int, m: int, achieved: float) -> list:
+def _gap_rows(results, achieved: float) -> list:
     """One bound_<id> row per bound, with its gap over the achieved diversity."""
     return [
         {"name": f"bound_{res.bound_id}", "value": res.value, "detail": f"gap {res.value - achieved:.6g}"}
-        for res in compute_bounds(n, m, BOUND_IDS, args.root_tol, _cache_dir(args))
+        for res in results
     ]
 
 
@@ -270,6 +270,10 @@ def cmd_sweep(args) -> int:
 def cmd_eval(args) -> int:
     t0 = time.perf_counter()
     constellation = load_constellation(args.file)
+    # bounds first: n > 200 fails here, before the pair scan
+    results = []
+    if args.bounds:
+        results = compute_bounds(constellation.n, constellation.m, BOUND_IDS, args.root_tol, _cache_dir(args))
     summary = diversity_summary(constellation)
     rows = [
         {
@@ -291,8 +295,7 @@ def cmd_eval(args) -> int:
     notes = []
     if summary.diversity_product <= 0.0:
         notes.append("constellation is not fully diverse (diversity product is 0)")
-    if args.bounds:
-        rows.extend(_gap_rows(args, summary.n, summary.m, summary.diversity_sum))
+    rows.extend(_gap_rows(results, summary.diversity_sum))
     params = {"file": str(args.file), "n": summary.n, "m": summary.m}
     if constellation.label:
         params["label"] = constellation.label
@@ -302,6 +305,10 @@ def cmd_eval(args) -> int:
 
 def cmd_search(args) -> int:
     t0 = time.perf_counter()
+    # flags, then the bounds, then the search: a bad --trials or n > 200
+    # fails before any work, and a failed solve writes no file
+    check_int(args.trials, "trials", 1)
+    results = compute_bounds(args.n, args.m, BOUND_IDS, args.root_tol, _cache_dir(args))
     best, score = random_search(args.n, args.m, args.trials, args.seed, objective=args.objective)
     out_path = args.out if args.out is not None else f"constellation-n{args.n}-m{args.m}-{args.objective}.json"
     try:
@@ -309,7 +316,7 @@ def cmd_search(args) -> int:
     except OSError as exc:
         raise _UsageError(f"cannot write constellation file: {exc}") from exc
     rows = [{"name": f"best_{args.objective}", "value": score, "detail": f"saved {out_path}"}]
-    rows.extend(_gap_rows(args, args.n, args.m, score))
+    rows.extend(_gap_rows(results, score))
     params = {
         "n": args.n,
         "m": args.m,
@@ -472,7 +479,7 @@ def _build_parser() -> _Parser:
     p_search.add_argument("--n", type=int, required=True)
     p_search.add_argument("--m", type=int, required=True)
     p_search.add_argument("--trials", type=int, default=10_000)
-    p_search.add_argument("--objective", default="sum")
+    p_search.add_argument("--objective", default="sum", choices=["sum", "product"])
     p_search.set_defaults(func=cmd_search)
 
     p_self = sub.add_parser("selftest", help="fast internal consistency checks")

@@ -41,11 +41,12 @@ the Fourier series on that period, with omega_k = 2 pi k / P:
 
   F(s) = s/P + (2/P) sum_{k>=1} Re[phi(omega_k) (1 - e^{-i omega_k s}) / (i omega_k)].
 
-The phi(omega_k) table depends on (n, metric) only; it is cached and grown
-on demand. The number of terms K doubles from 1024 until the partial sums
-have settled (see _cdf); only small radii, where F is tiny, pay for many
-terms. n = 1 uses the closed form, where the series converges slowly, and
-n = 2 euclidean sums the 1/t term of phi in closed form (see _Table).
+The terms phi(omega_k)/omega_k depend on (n, metric, k) only; _terms
+memoizes them per block of terms. The number of terms K doubles from 1024
+until the partial sums have settled (see _cdf); only small radii, where F is
+tiny, pay for many terms. n = 1 uses the closed form, where the series
+converges slowly, and n = 2 euclidean sums the 1/t term of phi in closed
+form (see _terms).
 """
 
 import math
@@ -195,53 +196,6 @@ def normalizer_estimate(n, samples, seed):
 # ---------------------------------------------------------------------------
 
 
-class _Table:
-    """phi(omega_k) / omega_k for k = 1..len of one (n, metric), grown on demand.
-
-    Stored as the real arrays re = Re(phi)/omega and im = Im(phi)/omega, so a
-    term of the series is re sin(omega s) + im (1 - cos(omega s)).
-    """
-
-    def __init__(self, n, metric):
-        self.n = n
-        self.metric = metric
-        self.period = n * _KAPPA[metric]
-        # n = 2 euclidean: phi(t) = e^{it} 4/(pi t) + O(t^-2), since
-        # J_0^2 + J_1^2 ~ 2/(pi x). That 1/t term (the saddle at S = 1) makes
-        # the series converge only like 1/K near s = 1, so it is left out of
-        # the table and its share of F is added in closed form by leading().
-        self.subtract_leading = n == 2 and metric == "euclidean"
-        self.omega = np.empty(0)
-        self.re = np.empty(0)
-        self.im = np.empty(0)
-
-    def grow(self, size):
-        start = len(self.omega)
-        if size <= start:
-            return
-        step = max(1, _CHUNK_BYTES // (16 * self.n * self.n))
-        omega, re, im = [self.omega], [self.re], [self.im]
-        for lo in range(start, size, step):
-            w = 2.0 * math.pi * np.arange(lo + 1, min(lo + step, size) + 1) / self.period
-            phi = _toeplitz_phi(self.n, w, self.metric)
-            if self.subtract_leading:
-                phi = phi - 4.0 * np.exp(1j * w) / (math.pi * w)
-            omega.append(w)
-            re.append(phi.real / w)
-            im.append(phi.imag / w)
-        self.omega = np.concatenate(omega)
-        self.re = np.concatenate(re)
-        self.im = np.concatenate(im)
-
-    def leading(self, s):
-        """Share of F(s) of the terms left out of the table: for n = 2
-        euclidean, sum_k (4/pi^3) sin(pi k (s + 1)) / k^2 = (4/pi^3) Cl_2(pi (s + 1)),
-        with the Clausen function Cl_2(x) = Im Li_2(e^{ix}); else 0."""
-        if not self.subtract_leading:
-            return 0.0
-        return 4.0 / math.pi**3 * _clausen2(math.pi * (s + 1.0))
-
-
 @lru_cache(maxsize=1)
 def _clausen_coefficients():
     """|B_2k| / (2k (2k+1)!) for k = 1.._CLAUSEN_TERMS, from the exact
@@ -382,9 +336,32 @@ def _toeplitz_phi(n, t, metric):
     return np.linalg.det(_riemannian_c(t, n)[:, np.abs(lags)])
 
 
-@lru_cache(maxsize=16)
-def _table(n, metric):
-    return _Table(n, metric)
+@lru_cache(maxsize=176)  # 16 (n, metric) pairs x 11 blocks, hi = 2^9 .. 2^19
+def _terms(n, metric, lo, hi):
+    """(omega_k, Re(phi)/omega_k, Im(phi)/omega_k) for k = lo+1..hi, so a term
+    of the series is re sin(omega s) + im (1 - cos(omega s)).
+
+    Built in chunks of _CHUNK_BYTES from lo; the chunk sets the riemannian
+    quadrature size, so a term's bits depend on its block (lo, hi], and _cdf
+    always asks for the same blocks. For n = 2 euclidean,
+    phi(t) = e^{it} 4/(pi t) + O(t^-2), since J_0^2 + J_1^2 ~ 2/(pi x). That
+    1/t term (the saddle at S = 1) makes the series converge only like 1/K
+    near s = 1, so it is left out here and _cdf adds its share in closed form.
+    """
+    step = max(1, _CHUNK_BYTES // (16 * n * n))
+    omega, re, im = [], [], []
+    for start in range(lo, hi, step):
+        w = 2.0 * math.pi * np.arange(start + 1, min(start + step, hi) + 1) / (n * _KAPPA[metric])
+        phi = _toeplitz_phi(n, w, metric)
+        if n == 2 and metric == "euclidean":
+            phi = phi - 4.0 * np.exp(1j * w) / (math.pi * w)
+        omega.append(w)
+        re.append(phi.real / w)
+        im.append(phi.imag / w)
+    out = tuple(np.concatenate(a) for a in (omega, re, im))
+    for a in out:
+        a.flags.writeable = False  # shared by every later call
+    return out
 
 
 def _cdf(n, r, metric):
@@ -397,16 +374,21 @@ def _cdf(n, r, metric):
     rounding error of the sum, or at _MAX_TERMS. The returned estimate is
     truncation plus rounding.
     """
-    table = _table(n, metric)
+    period = n * _KAPPA[metric]
     s = (0.5 * r) ** 2 if metric == "euclidean" else r * r
-    scale = 2.0 / table.period
-    value = s / table.period + table.leading(s)
+    scale = 2.0 / period
+    value = s / period
+    if n == 2 and metric == "euclidean":
+        # the share of the 1/t term _terms leaves out:
+        # sum_k (4/pi^3) sin(pi k (s + 1)) / k^2 = (4/pi^3) Cl_2(pi (s + 1)),
+        # with the Clausen function Cl_2(x) = Im Li_2(e^{ix})
+        value += 4.0 / math.pi**3 * _clausen2(math.pi * (s + 1.0))
     magnitude = abs(value)
     lo, hi = 0, _FIRST_TERMS // 2
     while True:
-        table.grow(hi)
-        ws = table.omega[lo:hi] * s
-        terms = table.re[lo:hi] * np.sin(ws) + table.im[lo:hi] * (2.0 * np.sin(0.5 * ws) ** 2)
+        omega, re, im = _terms(n, metric, lo, hi)
+        ws = omega * s
+        terms = re * np.sin(ws) + im * (2.0 * np.sin(0.5 * ws) ** 2)
         partial = np.cumsum(terms) * scale
         value += float(partial[-1])
         magnitude += float(np.sum(np.abs(terms))) * scale
@@ -416,5 +398,5 @@ def _cdf(n, r, metric):
             rounding = 4.0 * np.finfo(float).eps * magnitude
             target = _RADIUS_TOL * n * n * max(value, 0.0) / r
             if trunc <= max(target, rounding) or hi >= _MAX_TERMS:
-                return value, trunc + rounding
+                return value, float(trunc + rounding)
         lo, hi = hi, 2 * hi

@@ -415,9 +415,14 @@ def test_solve_r0_validates_inputs(solver):
             solve_r0(2, m, "euclidean", solver)
 
 
-def test_bound_result_bookkeeping(solver):
+def test_bound_result_bookkeeping(solver, tmp_path):
     res = bound_b1(2, 64, solver)
     assert res.n == 2 and res.m == 64
+    # plain floats, not numpy scalars, so a solved row and a cached one agree
+    assert all(type(v) is float for v in (res.r0, res.value, res.std_error_hint))
+    assert all(type(v) is float for v in solve_r0(2, 64, "riemannian", solver))
+    cold, warm = (compute_bounds(2, 64, ("b1",), solver, tmp_path)[0] for _ in range(2))
+    assert repr(cold) == repr(warm) == repr(res)
     assert res.config_fingerprint == solver_key(2, 64, "euclidean", solver)
     assert res.std_error_hint >= 0.0
     assert res.std_error_hint < 1e-4  # deterministic kernel: root_tol plus truncation

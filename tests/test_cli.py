@@ -443,13 +443,29 @@ def test_search_saved_file_reproducible(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_search_validates_flags(capsys, tmp_path):
+def test_search_validates_flags(capsys, tmp_path, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("flags are checked before the bounds are solved")
+
+    monkeypatch.setattr(cli, "compute_bounds", no_solve)
     code, _, _ = run(capsys, "search", "--n", "1", "--m", "4", "--trials", "0",
                      "--cache-dir", str(tmp_path))
     assert code == 1
     code, _, _ = run(capsys, "search", "--n", "1", "--m", "4", "--objective", "trace",
                      "--cache-dir", str(tmp_path))
     assert code == 1
+
+
+def test_search_past_kernel_limit_fails_before_searching(capsys, tmp_path, monkeypatch):
+    # the bounds are solved first, so n > 200 exits before the search and
+    # writes no constellation file
+    monkeypatch.chdir(tmp_path)
+    start = time.monotonic()
+    code, out, err = run(capsys, "search", "--n", "201", "--m", "2", "--trials", "1")
+    assert code == 2 and out == ""
+    assert "n <= 200" in err
+    assert time.monotonic() - start < 5.0
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- selftest ----------------------------------------------------------------------------

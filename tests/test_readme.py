@@ -50,6 +50,12 @@ def test_readme_cli_examples(capsys, tmp_path, monkeypatch):
 def test_public_names_agree_with_submodules_and_readme():
     exported = [bounds, constellation, errors, matrices, weyl]
     assert sorted(upb.__all__) == sorted({"__version__"}.union(*(mod.__all__ for mod in exported)))
+    # upb star-imports each submodule, so a name in two lists would silently
+    # bind to the later module's object
+    assert len(set(upb.__all__)) == len(upb.__all__)
+    for i, a in enumerate(exported):
+        for b in exported[i + 1:]:
+            assert not set(a.__all__) & set(b.__all__), (a.__name__, b.__name__)
     for name in upb.__all__:
         assert hasattr(upb, name), name
     text = README.read_text(encoding="utf-8")

@@ -266,6 +266,34 @@ def test_clausen_matches_scipy_spence():
     assert weyl._clausen2(math.pi / 2.0) == pytest.approx(0.915965594177219015, abs=1e-15)
 
 
+# --- memoized series terms -------------------------------------------------------
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
+def test_fraction_is_independent_of_memo_history(metric):
+    # a block of terms has the same bits whichever call first builds it
+    for n in (2, 3, 4):
+        radii = (0.5 * max_radius(n, metric), 1.0, 0.3)
+        cold = []
+        for r in radii:
+            weyl._terms.cache_clear()
+            cold.append(weyl._fraction_and_error(n, r, metric))
+        weyl._terms.cache_clear()
+        weyl._fraction_and_error(n, 0.05, metric)
+        assert weyl._terms.cache_info().misses >= 4  # more blocks than the radii need
+        assert [weyl._fraction_and_error(n, r, metric) for r in radii] == cold
+
+
+@pytest.mark.parametrize("metric, blocks", [("euclidean", 2), ("riemannian", 3)])
+def test_cold_solve_builds_each_block_once(metric, blocks):
+    # 1024 resp. 2048 terms, in the blocks (0, 512], (512, 1024], (1024, 2048]
+    weyl._terms.cache_clear()
+    solve_r0(2, 24, metric)
+    assert weyl._terms.cache_info().misses == blocks
+    solve_r0(2, 25, metric)
+    assert weyl._terms.cache_info().misses == blocks
+
+
 # --- oracle properties -----------------------------------------------------------
 
 
