@@ -10,8 +10,8 @@ disjoint balls cover at most all of U(n).
   B3  sin(r0 / sqrt(n))                      r0 riemannian
 
 solve_r0 is the one solve: it returns r0 with its deterministic radius
-error. compute_bounds is the one path from (n, m, root_tol) to bound rows: it
-solves each metric once and optionally caches r0 and its error. Alongside
+error. compute_bounds is the one path from (n, m) to bound rows: it solves
+each metric once and optionally caches r0 and its error. Alongside
 sit the exact small-case values, the euclidean/riemannian distance envelope
 the B2 derivation rests on, a crossover-radius finder for the B1/B2
 comparison, and an asymptotic (heuristic, m -> infinity) lower bound.
@@ -57,7 +57,9 @@ _CROSSOVER_GRID = 4096
 _CROSSOVER_TOL = 1e-12
 # Last field of solver_key; bump it whenever solve_r0 or the radius error
 # model changes, so that no cache entry of the old algorithm is served.
-_CACHE_VERSION = "v3"
+_CACHE_VERSION = "v4"
+# solve_r0 bisects the radius to a bracket of this width
+_ROOT_WIDTH = 1e-6
 
 
 @dataclass(frozen=True)
@@ -84,18 +86,9 @@ class AsymptoticBound:
     heuristic: bool = True
 
 
-def _check_root_tol(root_tol):
-    """root_tol, the bisection width on the radius, as a float in (0, 1)."""
-    root_tol = check_real(root_tol, "root_tol")
-    if not 0.0 < root_tol < 1.0:
-        raise ValidationError(f"root_tol must lie in (0, 1), got {root_tol!r}")
-    return root_tol
-
-
-def solver_key(n, m, metric, root_tol=1e-6):
-    """Cache key: n:m:metric:root_tol:version."""
-    root_tol = _check_root_tol(root_tol)
-    return ":".join([str(n), str(m), metric, format(root_tol, ".17g"), _CACHE_VERSION])
+def solver_key(n, m, metric):
+    """Cache key: n:m:metric:version."""
+    return ":".join([str(n), str(m), metric, _CACHE_VERSION])
 
 
 def _bisect(lo, hi, above, width):
@@ -120,31 +113,28 @@ def _bisect(lo, hi, above, width):
     return lo, hi
 
 
-def solve_r0(n, m, metric, root_tol=1e-6):
+def solve_r0(n, m, metric):
     """(r0, radius error) with ball_volume_fraction(n, r0, metric) = 1/m.
 
-    r0 is the midpoint of a bisection bracket of width <= root_tol. The
-    radius error is half of root_tol plus the kernel's error bound at r0
-    over the fraction's secant slope across r0 +- max(1e-4, 50 root_tol)
-    max(1, r0). Raises NumericalError with the bracket if root_tol is below
-    the float resolution at r0, and RangeError above the kernel's n = 200.
+    r0 is the midpoint of a bisection bracket of width _ROOT_WIDTH. The
+    radius error is half that width plus the kernel's error bound at r0 over
+    the density dF/dr there, both from the one kernel call at r0. Raises
+    NumericalError with the bracket where the kernel has an error but no
+    positive density at r0, and RangeError above the kernel's n = 200.
     """
     n = check_int(n, "n", 1)
     m = check_int(m, "m", 2)
-    root_tol = _check_root_tol(root_tol)
     rmax = max_radius(n, metric)  # F(0) = 0 < 1/m, F(rmax) = 1 > 1/m
-    lo, hi = _bisect(0.0, rmax, lambda r: ball_volume_fraction(n, r, metric) >= 1.0 / m, root_tol)
+    lo, hi = _bisect(0.0, rmax, lambda r: ball_volume_fraction(n, r, metric) >= 1.0 / m, _ROOT_WIDTH)
     r0 = 0.5 * (lo + hi)
-    se_r = 0.5 * root_tol
-    frac_err = _fraction_and_error(n, r0, metric)[1]
-    if frac_err > 0.0:
-        step = max(1e-4, 50.0 * root_tol) * max(1.0, r0)
-        hi = min(r0 + step, rmax)
-        lo = max(r0 - step, 0.0)
-        slope = (ball_volume_fraction(n, hi, metric) - ball_volume_fraction(n, lo, metric)) / (hi - lo)
-        if slope > 0.0:
-            se_r += frac_err / slope
-    return r0, se_r
+    _, frac_err, slope = _fraction_and_error(n, r0, metric)
+    if not slope > 0.0:  # frac_err is 0 only at n = 1, where the slope is positive
+        raise NumericalError(
+            f"no positive density dF/dr at r0 = {r0!r} (got {slope!r}), so the "
+            f"fraction's error {frac_err:.3g} cannot be carried to the radius",
+            bracket=(lo, hi),
+        )
+    return r0, 0.5 * _ROOT_WIDTH + frac_err / slope
 
 
 def _floor_frac(q):
@@ -242,7 +232,7 @@ def _cache_store(path, key, r0, se_r):
         pass  # the cache only saves time; the solve itself succeeded
 
 
-def compute_bounds(n, m, methods=BOUND_IDS, root_tol=1e-6, cache_dir=None):
+def compute_bounds(n, m, methods=BOUND_IDS, cache_dir=None):
     """One BoundResult per id in methods, in that order.
 
     Each metric's r0 is solved once, with its radius error (see
@@ -257,11 +247,11 @@ def compute_bounds(n, m, methods=BOUND_IDS, root_tol=1e-6, cache_dir=None):
             raise ValidationError(f"unknown bound id {bound_id!r}; expected one of {BOUND_IDS}")
     radii = {}
     for metric in sorted({BOUND_METRIC[b] for b in methods}):
-        key = solver_key(n, m, metric, root_tol)
+        key = solver_key(n, m, metric)
         path = None if cache_dir is None else _cache_path(cache_dir, key)
         radius = None if path is None else _cache_load(path, key)
         if radius is None:
-            radius = solve_r0(n, m, metric, root_tol)
+            radius = solve_r0(n, m, metric)
             if path is not None:
                 _cache_store(path, key, *radius)
         radii[metric] = (key, *radius)
@@ -284,19 +274,19 @@ def compute_bounds(n, m, methods=BOUND_IDS, root_tol=1e-6, cache_dir=None):
     return results
 
 
-def bound_b1(n, m, root_tol=1e-6):
+def bound_b1(n, m):
     """Diversity-sum upper bound B1 at the euclidean critical radius."""
-    return compute_bounds(n, m, ("b1",), root_tol)[0]
+    return compute_bounds(n, m, ("b1",))[0]
 
 
-def bound_b2(n, m, root_tol=1e-6):
+def bound_b2(n, m):
     """Diversity-sum upper bound B2 at the euclidean critical radius."""
-    return compute_bounds(n, m, ("b2",), root_tol)[0]
+    return compute_bounds(n, m, ("b2",))[0]
 
 
-def bound_b3(n, m, root_tol=1e-6):
+def bound_b3(n, m):
     """Diversity-sum upper bound B3 at the riemannian critical radius."""
-    return compute_bounds(n, m, ("b3",), root_tol)[0]
+    return compute_bounds(n, m, ("b3",))[0]
 
 
 def exact_delta(n, m):
@@ -371,7 +361,7 @@ def crossover_radius(n):
     return None
 
 
-def asymptotic_lower_bound(n, m, tau, root_tol=1e-6):
+def asymptotic_lower_bound(n, m, tau):
     """Heuristic asymptotic lower bound sqrt(n) r0 (tau+1)^(-1/n^2).
 
     tau is the caller-supplied simultaneous-tangency count (asymptotically
@@ -382,6 +372,6 @@ def asymptotic_lower_bound(n, m, tau, root_tol=1e-6):
     n = check_int(n, "n", 1)
     m = check_int(m, "m", 2)
     tau = check_int(tau, "tau", 0)
-    r0, _ = solve_r0(n, m, "euclidean", root_tol)
+    r0, _ = solve_r0(n, m, "euclidean")
     value = math.sqrt(n) * r0 * (tau + 1.0) ** (-1.0 / n**2)
     return AsymptoticBound(n=n, m=m, tau=tau, r0=r0, value=value)

@@ -31,7 +31,7 @@ from .constellation import (
 )
 from .errors import NumericalError, ParseError, RangeError, ValidationError, check_int
 from .matrices import haar_sample
-from .weyl import ball_volume_fraction, normalizer_estimate, total_mass
+from .weyl import _check_kernel_n, ball_volume_fraction, normalizer_estimate, total_mass
 
 __all__ = ["main", "console_main"]
 
@@ -63,15 +63,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _cell(value, digits: int) -> str:
     """Render one cell: floats at the given precision, the rest verbatim."""
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return format(value, f".{digits}g")
-    if value is None:
-        return "-"
-    return str(value)
+    return format(value, f".{digits}g") if isinstance(value, float) else str(value)
 
 
 def _emit(args, command: str, parameters: dict, columns, rows, notes=(), t0: float = 0.0) -> None:
@@ -132,7 +124,7 @@ def _cache_dir(args) -> Path:
 
 
 def _bound_rows(args, n: int, m: int, methods) -> list:
-    results = compute_bounds(n, m, methods, args.root_tol, _cache_dir(args))
+    results = compute_bounds(n, m, methods, _cache_dir(args))
     return [
         {
             "n": n,
@@ -193,7 +185,6 @@ def cmd_bound(args) -> int:
         "n": args.n,
         "m": args.m,
         "method": ",".join(methods),
-        "root_tol": args.root_tol,
     }
     _emit(args, "bound", params, _SWEEP_COLUMNS, rows, t0=t0)
     return 0
@@ -204,7 +195,7 @@ def cmd_table(args) -> int:
     rows = []
     worst = 0.0
     for i, m in enumerate(_TABLE_M):
-        for res in compute_bounds(2, m, ("b1", "b2"), args.root_tol, _cache_dir(args)):
+        for res in compute_bounds(2, m, ("b1", "b2"), _cache_dir(args)):
             reference = _TABLE_REF[res.bound_id][i]
             dev = abs(res.value - reference)
             worst = max(worst, dev)
@@ -217,7 +208,7 @@ def cmd_table(args) -> int:
                     "abs_dev": dev,
                 }
             )
-    params = {"n": 2, "root_tol": args.root_tol}
+    params = {"n": 2}
     notes = (f"max abs deviation {worst:.6g} over {len(rows)} entries",)
     _emit(args, "table", params, ("m", "method", "computed", "reference", "abs_dev"), rows, notes, t0)
     return 0
@@ -261,7 +252,6 @@ def cmd_sweep(args) -> int:
         "m_step": args.m_step,
         "m_factor": args.m_factor,
         "method": ",".join(methods),
-        "root_tol": args.root_tol,
     }
     _emit(args, "sweep", params, _SWEEP_COLUMNS, rows, t0=t0)
     return 0
@@ -273,7 +263,7 @@ def cmd_eval(args) -> int:
     # bounds first: n > 200 fails here, before the pair scan
     results = []
     if args.bounds:
-        results = compute_bounds(constellation.n, constellation.m, BOUND_IDS, args.root_tol, _cache_dir(args))
+        results = compute_bounds(constellation.n, constellation.m, BOUND_IDS, _cache_dir(args))
     summary = diversity_summary(constellation)
     rows = [
         {
@@ -305,11 +295,13 @@ def cmd_eval(args) -> int:
 
 def cmd_search(args) -> int:
     t0 = time.perf_counter()
-    # flags, then the bounds, then the search: a bad --trials or n > 200
-    # fails before any work, and a failed solve writes no file
+    # flags and the kernel's n limit, then the search, then the bounds: a bad
+    # --trials or n > 200 fails before any work, a failed solve writes no
+    # file, and the kernel's memo is not yet held while the search runs
     check_int(args.trials, "trials", 1)
-    results = compute_bounds(args.n, args.m, BOUND_IDS, args.root_tol, _cache_dir(args))
+    _check_kernel_n(args.n)
     best, score = random_search(args.n, args.m, args.trials, args.seed, objective=args.objective)
+    results = compute_bounds(args.n, args.m, BOUND_IDS, _cache_dir(args))
     out_path = args.out if args.out is not None else f"constellation-n{args.n}-m{args.m}-{args.objective}.json"
     try:
         save_constellation(best, out_path)
@@ -438,7 +430,6 @@ def _build_parser() -> _Parser:
     numeric.add_argument("--samples", type=int, help=argparse.SUPPRESS)
     numeric.add_argument("--nodes", type=int, help=argparse.SUPPRESS)
     numeric.add_argument("--seed", type=int, default=0)
-    numeric.add_argument("--root-tol", type=float, default=1e-6)
 
     output = _Parser(add_help=False)
     output.add_argument("--format", default="table", choices=["table", "csv", "json"])

@@ -137,26 +137,34 @@ def max_radius(n, metric):
     return 2.0 * math.sqrt(n) if metric == "euclidean" else math.pi * math.sqrt(n)
 
 
-def _fraction_and_error(n, r, metric):
-    """(F(r), bound on its error): the Haar fraction of U(n) in the ball of
-    radius r, with _cdf's truncation plus rounding bound, which is 0 where F
-    is exact (r = 0, saturation, n = 1). Raises RangeError above n = _MAX_N."""
+def _check_kernel_n(n):
+    """n as an int in [1, _MAX_N], the mass kernel's range; RangeError above."""
     n = check_int(n, "n", 1)
     if n > _MAX_N:
         raise RangeError(f"n={n} exceeds the mass kernel's limit n <= {_MAX_N}")
+    return n
+
+
+def _fraction_and_error(n, r, metric):
+    """(F(r), bound on its error, dF/dr): the Haar fraction of U(n) in the
+    ball of radius r, with _cdf's truncation plus rounding bound, which is 0
+    where F is exact (r = 0, saturation, n = 1), and its derivative in r (0
+    from saturation on). Raises RangeError above n = _MAX_N."""
+    n = _check_kernel_n(n)
     _check_metric(metric)
     r = check_real(r, "radius")
     if r < 0:
         raise ValidationError(f"radius must be nonnegative, got {r}")
-    if r == 0.0:
-        return 0.0, 0.0
     if r >= max_radius(n, metric):
-        return 1.0, 0.0
+        return 1.0, 0.0, 0.0
     if n == 1:
-        arc = 4.0 * math.asin(0.5 * r) if metric == "euclidean" else 2.0 * r
-        return arc / (2.0 * math.pi), 0.0
-    frac, err = _cdf(n, r, metric)
-    return min(max(frac, 0.0), 1.0), err
+        if metric == "euclidean":
+            return 2.0 * math.asin(0.5 * r) / math.pi, 0.0, 1.0 / (math.pi * math.sqrt(1.0 - 0.25 * r * r))
+        return r / math.pi, 0.0, 1.0 / math.pi
+    if r == 0.0:
+        return 0.0, 0.0, 0.0
+    frac, err, slope = _cdf(n, r, metric)
+    return min(max(frac, 0.0), 1.0), err, slope
 
 
 def ball_volume_fraction(n, r, metric):
@@ -365,32 +373,40 @@ def _terms(n, metric, lo, hi):
 
 
 def _cdf(n, r, metric):
-    """(F(s), error estimate) for the ball of radius r, 0 < r < max_radius.
+    """(F(s), error estimate, dF/dr) for the ball of radius r, 0 < r < max_radius.
 
     Terms are summed in blocks (K/2, K] with K doubling from _FIRST_TERMS.
     After each block the truncation estimate is the largest change of the
     partial sums within it. Summing stops once that, converted to a radius
     error by F ~ r^(n^2), is below _RADIUS_TOL, or once it is below the
     rounding error of the sum, or at _MAX_TERMS. The returned estimate is
-    truncation plus rounding.
+    truncation plus rounding. The density dF/ds is the same series
+    differentiated term by term, omega (re cos(omega s) + im sin(omega s)),
+    summed over the same blocks.
     """
     period = n * _KAPPA[metric]
     s = (0.5 * r) ** 2 if metric == "euclidean" else r * r
     scale = 2.0 / period
     value = s / period
+    density = 1.0 / period
     if n == 2 and metric == "euclidean":
         # the share of the 1/t term _terms leaves out:
         # sum_k (4/pi^3) sin(pi k (s + 1)) / k^2 = (4/pi^3) Cl_2(pi (s + 1)),
-        # with the Clausen function Cl_2(x) = Im Li_2(e^{ix})
+        # with the Clausen function Cl_2(x) = Im Li_2(e^{ix}), whose
+        # derivative is -log|2 sin(x/2)|
         value += 4.0 / math.pi**3 * _clausen2(math.pi * (s + 1.0))
+        density -= 4.0 / math.pi**2 * math.log(abs(2.0 * math.sin(0.5 * math.pi * (s + 1.0))))
     magnitude = abs(value)
     lo, hi = 0, _FIRST_TERMS // 2
     while True:
         omega, re, im = _terms(n, metric, lo, hi)
         ws = omega * s
-        terms = re * np.sin(ws) + im * (2.0 * np.sin(0.5 * ws) ** 2)
+        sin_ws = np.sin(ws)
+        versine = 2.0 * np.sin(0.5 * ws) ** 2  # 1 - cos(omega s)
+        terms = re * sin_ws + im * versine
         partial = np.cumsum(terms) * scale
         value += float(partial[-1])
+        density += float(np.dot(omega, re * (1.0 - versine) + im * sin_ws)) * scale
         magnitude += float(np.sum(np.abs(terms))) * scale
         if lo:
             # partial sums S_j - S_lo for j in (lo, hi]; S_lo itself is 0
@@ -398,5 +414,6 @@ def _cdf(n, r, metric):
             rounding = 4.0 * np.finfo(float).eps * magnitude
             target = _RADIUS_TOL * n * n * max(value, 0.0) / r
             if trunc <= max(target, rounding) or hi >= _MAX_TERMS:
-                return value, float(trunc + rounding)
+                ds_dr = 0.5 * r if metric == "euclidean" else 2.0 * r
+                return value, float(trunc + rounding), density * ds_dr
         lo, hi = hi, 2 * hi

@@ -34,8 +34,6 @@ from upb import (
     total_mass,
 )
 
-CFG = 1e-6  # root_tol
-
 TABLE_M = (24, 48, 64, 80, 100, 120, 128, 1000)
 TABLE_B1 = (0.7598, 0.6603, 0.6131, 0.5932, 0.5578, 0.5425, 0.5347, 0.3270)
 TABLE_B2 = (0.7794, 0.6734, 0.6235, 0.6026, 0.5654, 0.5496, 0.5415, 0.3285)
@@ -49,7 +47,7 @@ def table_row(bound_id, references):
     start = time.monotonic()
     devs = []
     for m, ref in zip(TABLE_M, references):
-        r0, _ = solve_r0(2, m, "euclidean", CFG)
+        r0, _ = solve_r0(2, m, "euclidean")
         devs.append(abs(evaluate_bound(bound_id, 2, r0) - ref))
     return devs, time.monotonic() - start
 
@@ -81,7 +79,7 @@ def test_criterion_3_n1_collapse_to_sine():
     for m in range(2, 65):
         expected = math.sin(math.pi / m)
         for fn in (bound_b1, bound_b2, bound_b3):
-            worst = max(worst, abs(fn(1, m, CFG).value - expected))
+            worst = max(worst, abs(fn(1, m).value - expected))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-6 and elapsed < 5.0
     verdict(3, "n=1 bounds equal sin(pi/m)", ok,
@@ -161,7 +159,7 @@ def test_criterion_8_bound_dominance():
         delta = exact_delta(n, m)
         assert delta is not None, (n, m)
         for fn in (bound_b1, bound_b2, bound_b3):
-            shortfall = delta - fn(n, m, CFG).value
+            shortfall = delta - fn(n, m).value
             if shortfall > worst:
                 worst, worst_case = shortfall, (n, m, fn.__name__)
     ok = worst <= 5e-3
@@ -172,7 +170,7 @@ def test_criterion_8_bound_dominance():
 
 def test_criterion_9_monotonicity():
     ms = (8, 16, 32, 64, 128, 256, 512, 1024)
-    radii = [solve_r0(2, m, "euclidean", CFG)[0] for m in ms]
+    radii = [solve_r0(2, m, "euclidean")[0] for m in ms]
     values = [evaluate_bound("b1", 2, r) for r in radii]
     radii_ok = all(a > b for a, b in zip(radii, radii[1:]))
     values_ok = all(a > b for a, b in zip(values, values[1:]))
@@ -186,7 +184,7 @@ def test_criterion_10_search_below_bounds():
     worst = -np.inf
     for n, m in ((1, 4), (2, 4), (2, 8)):
         _, score = random_search(n, m, 2000, seed=0)
-        best = min(fn(n, m, CFG).value for fn in (bound_b1, bound_b2, bound_b3))
+        best = min(fn(n, m).value for fn in (bound_b1, bound_b2, bound_b3))
         worst = max(worst, score - best)
     ok = worst <= 0.0
     verdict(10, "search scores below bounds", ok,

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import upb.bounds
 import upb.weyl
 from tensor_oracle import tensor_mass
 from upb import (
@@ -66,30 +67,30 @@ def invert_b1(n, target):
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 8, 16, 64])
-def test_solve_r0_circle_closed_forms(m, solver):
-    r0_e, err_e = solve_r0(1, m, "euclidean", solver)
-    r0_r, err_r = solve_r0(1, m, "riemannian", solver)
+def test_solve_r0_circle_closed_forms(m):
+    r0_e, err_e = solve_r0(1, m, "euclidean")
+    r0_r, err_r = solve_r0(1, m, "riemannian")
     assert r0_e == pytest.approx(r0_circle_euclidean(m), abs=2e-6)
     assert r0_r == pytest.approx(r0_circle_riemannian(m), abs=2e-6)
-    # n = 1 masses are exact arcs, so the radius error is half the root tolerance
-    assert abs(r0_e - r0_circle_euclidean(m)) <= err_e == 0.5 * solver
-    assert abs(r0_r - r0_circle_riemannian(m)) <= err_r == 0.5 * solver
+    # n = 1 masses are exact arcs, so the radius error is half the bracket width
+    assert abs(r0_e - r0_circle_euclidean(m)) <= err_e == 5e-7
+    assert abs(r0_r - r0_circle_riemannian(m)) <= err_r == 5e-7
 
 
 @pytest.mark.parametrize("m", [2, 4, 8, 32, 64])
-def test_bounds_collapse_to_sine_for_n1(m, solver):
+def test_bounds_collapse_to_sine_for_n1(m):
     expected = math.sin(math.pi / m)
     for name, fn in BOUNDERS.items():
-        result = fn(1, m, solver)
+        result = fn(1, m)
         assert result.value == pytest.approx(expected, abs=1e-6), name
         assert result.bound_id == name
         assert result.metric == BOUND_METRIC[name]
 
 
-def test_solve_r0_2_1000_matches_inverted_reference(solver):
+def test_solve_r0_2_1000_matches_inverted_reference():
     # the published bound value 0.3270 inverts to roughly r0 = 0.469
     implied = invert_b1(2, 0.3270)
-    r0, _ = solve_r0(2, 1000, "euclidean", solver)
+    r0, _ = solve_r0(2, 1000, "euclidean")
     assert implied == pytest.approx(0.469, abs=2e-3)
     assert r0 == pytest.approx(implied, abs=5e-3)
 
@@ -115,22 +116,22 @@ FROZEN = {
 }
 
 
-def test_frozen_packing_radii(solver):
+def test_frozen_packing_radii():
     for m, expected in zip(TABLE_M, FROZEN_R0):
-        r0, _ = solve_r0(2, m, "euclidean", solver)
+        r0, _ = solve_r0(2, m, "euclidean")
         assert r0 == pytest.approx(expected, abs=5e-5), f"m={m}"
 
 
-def test_frozen_bound_values(solver):
+def test_frozen_bound_values():
     for i, m in enumerate(TABLE_M):
-        r0, _ = solve_r0(2, m, "euclidean", solver)
+        r0, _ = solve_r0(2, m, "euclidean")
         assert evaluate_bound("b1", 2, r0) == pytest.approx(FROZEN["b1"][i], abs=1e-5)
         assert evaluate_bound("b2", 2, r0) == pytest.approx(FROZEN["b2"][i], abs=1e-5)
 
 
-def test_published_values_on_consistent_columns(solver):
+def test_published_values_on_consistent_columns():
     for i in CONSISTENT_COLUMNS:
-        r0, _ = solve_r0(2, TABLE_M[i], "euclidean", solver)
+        r0, _ = solve_r0(2, TABLE_M[i], "euclidean")
         assert evaluate_bound("b1", 2, r0) == pytest.approx(PUBLISHED["b1"][i], abs=5e-3)
         assert evaluate_bound("b2", 2, r0) == pytest.approx(PUBLISHED["b2"][i], abs=5e-3)
 
@@ -145,13 +146,13 @@ def test_b1_formula_spot_values():
     assert b1_of_r(3, 1e-8) == pytest.approx(1e-8 / math.sqrt(3.0), rel=1e-6)
 
 
-def test_half_volume_radius_is_sqrt_2n(solver):
+def test_half_volume_radius_is_sqrt_2n():
     # the density is symmetric under sin^2(theta/2) -> 1 - sin^2(theta/2),
     # so the m=2 packing radius is exactly sqrt(2n); B1 peaks there at 1
     for n in (1, 2, 3):
         frac = ball_volume_fraction(n, math.sqrt(2.0 * n), "euclidean")
         assert frac == pytest.approx(0.5, abs=1e-12)
-        r0, _ = solve_r0(n, 2, "euclidean", solver)
+        r0, _ = solve_r0(n, 2, "euclidean")
         assert r0 == pytest.approx(math.sqrt(2.0 * n), abs=2e-6)
         assert evaluate_bound("b1", n, r0) == pytest.approx(1.0, abs=1e-9)
 
@@ -272,120 +273,119 @@ def test_envelope_contains_real_distances():
 # --- asymptotic bound -----------------------------------------------------------------
 
 
-def test_asymptotic_bound_tau_zero_matches_radius(solver):
-    out = asymptotic_lower_bound(2, 100, 0, solver)
-    r0, _ = solve_r0(2, 100, "euclidean", solver)
+def test_asymptotic_bound_tau_zero_matches_radius():
+    out = asymptotic_lower_bound(2, 100, 0)
+    r0, _ = solve_r0(2, 100, "euclidean")
     assert out.value == pytest.approx(math.sqrt(2.0) * r0, rel=1e-9)
     assert out.heuristic is True
     assert out.tau == 0
 
 
-def test_asymptotic_bound_n1_below_exact(solver):
+def test_asymptotic_bound_n1_below_exact():
     # with the circle's actual neighbor count the heuristic stays below sin(pi/m)
     for m in (4, 8, 16):
-        out = asymptotic_lower_bound(1, m, 2, solver)
+        out = asymptotic_lower_bound(1, m, 2)
         assert out.value <= math.sin(math.pi / m) + 1e-9
-        assert out.value == pytest.approx(solve_r0(1, m, "euclidean", solver)[0] / 3.0, rel=1e-9)
+        assert out.value == pytest.approx(solve_r0(1, m, "euclidean")[0] / 3.0, rel=1e-9)
 
 
-def test_asymptotic_bound_validates_tau(solver):
+def test_asymptotic_bound_validates_tau():
     for tau in (-1, True, 2.0):
         with pytest.raises(ValidationError):
-            asymptotic_lower_bound(2, 8, tau, solver)
+            asymptotic_lower_bound(2, 8, tau)
     # numpy integers are integers, as everywhere else in the package
-    out = asymptotic_lower_bound(2, 8, np.int64(3), solver)
-    assert out == asymptotic_lower_bound(2, 8, 3, solver)
+    out = asymptotic_lower_bound(2, 8, np.int64(3))
+    assert out == asymptotic_lower_bound(2, 8, 3)
     assert type(out.tau) is int
 
 
 # --- solver plumbing --------------------------------------------------------------------
 
 
-def test_solver_key_shape_and_determinism(solver):
-    key = solver_key(2, 100, "euclidean", solver)
-    assert key == solver_key(2, 100, "euclidean", solver)
+def test_solver_key_shape_and_determinism():
+    key = solver_key(2, 100, "euclidean")
+    assert key == solver_key(2, 100, "euclidean")
     parts = key.split(":")
     assert parts[0] == "2" and parts[1] == "100" and parts[2] == "euclidean"
-    assert key != solver_key(2, 100, "euclidean", 1e-8)
 
 
-def test_solver_key_carries_every_result_field(solver):
-    keys = {
-        solver_key(4, 24, "euclidean", root_tol)
-        for root_tol in (solver, 1e-8)
-    }
-    assert len(keys) == 2
-    assert solver_key(2, 100, "euclidean", solver) == "2:100:euclidean:9.9999999999999995e-07:v3"
+def test_solver_key_carries_every_result_field():
+    # the solve has no settings: (n, m, metric) and the version fix the result
+    keys = {solver_key(n, m, metric) for n in (2, 4) for m in (24, 25) for metric in ("euclidean", "riemannian")}
+    assert len(keys) == 8
+    assert solver_key(2, 100, "euclidean") == "2:100:euclidean:v4"
 
 
-def test_cache_entry_without_version_or_radius_error_is_recomputed(solver, tmp_path):
-    (fresh,) = compute_bounds(2, 24, ("b1",), solver, tmp_path)
+def test_cache_entry_without_version_or_radius_error_is_recomputed(tmp_path):
+    (fresh,) = compute_bounds(2, 24, ("b1",), tmp_path)
     (path,) = tmp_path.glob("*.json")
     key = fresh.config_fingerprint
     old_key = ":".join(key.split(":")[:-1])  # the fields keyed before the version
     for stale_key in (old_key, key):
         path.write_text(json.dumps({"key": stale_key, "r0": 1.0, "timestamp": "2024-01-01T00:00:00+00:00"}))
-        (again,) = compute_bounds(2, 24, ("b1",), solver, tmp_path)
+        (again,) = compute_bounds(2, 24, ("b1",), tmp_path)
         assert again == fresh
         assert json.loads(path.read_text())["radius_se"] > 0.0
 
 
-def test_cached_bounds_equal_fresh_bounds(solver, tmp_path):
-    fresh = compute_bounds(2, 24, BOUND_IDS, solver)
-    assert compute_bounds(2, 24, BOUND_IDS, solver, tmp_path) == fresh
+def test_cached_bounds_equal_fresh_bounds(tmp_path):
+    fresh = compute_bounds(2, 24, BOUND_IDS)
+    assert compute_bounds(2, 24, BOUND_IDS, tmp_path) == fresh
     assert len(list(tmp_path.glob("*.json"))) == 2  # one entry per metric
-    assert compute_bounds(2, 24, BOUND_IDS, solver, tmp_path) == fresh
-    assert [b.bound_id for b in compute_bounds(2, 24, ("b3", "b1"), solver)] == ["b3", "b1"]
+    assert compute_bounds(2, 24, BOUND_IDS, tmp_path) == fresh
+    assert [b.bound_id for b in compute_bounds(2, 24, ("b3", "b1"))] == ["b3", "b1"]
     with pytest.raises(ValidationError):
-        compute_bounds(2, 24, ("b4",), solver)
+        compute_bounds(2, 24, ("b4",))
 
 
-def test_numpy_integers_accepted_and_bool_rejected(solver):
-    r0, _ = solve_r0(2, 24, "euclidean", solver)
-    r0_np, _ = solve_r0(np.int64(2), np.int64(24), "euclidean", solver)
+def test_numpy_integers_accepted_and_bool_rejected():
+    r0, _ = solve_r0(2, 24, "euclidean")
+    r0_np, _ = solve_r0(np.int64(2), np.int64(24), "euclidean")
     assert r0_np == r0
     for n, m in ((True, 24), (2, True), (2.0, 24)):
         with pytest.raises(ValidationError):
-            solve_r0(n, m, "euclidean", solver)
+            solve_r0(n, m, "euclidean")
     with pytest.raises(ValidationError):
-        compute_bounds(True, 24, root_tol=solver)
+        compute_bounds(True, 24)
 
 
 def test_real_inputs_share_one_validator():
-    # radii and root_tol all go through check_real:
+    # radii all go through check_real:
     # Python and numpy reals pass as floats; bool, strings, None and
     # non-finite values (an int beyond the float range included) do not
     assert check_real(np.float32(0.5), "x") == 0.5
     assert type(check_real(np.int64(2), "x")) is float
     f = ball_volume_fraction(2, 1, "euclidean")
     assert ball_volume_fraction(2, np.float64(1.0), "euclidean") == f
-    assert solver_key(2, 4, "euclidean", np.float64(1e-6)) == solver_key(2, 4, "euclidean")
     for bad in (True, "1", None, float("nan"), float("inf"), 10**400):
         for call in (
             lambda: check_real(bad, "x"),
             lambda: ball_volume_fraction(2, bad, "euclidean"),
             lambda: b1_of_r(2, bad),
             lambda: euclidean_riemannian_envelope(2, bad),
-            lambda: solve_r0(2, 4, "euclidean", bad),
         ):
             with pytest.raises(ValidationError):
                 call()
 
 
-def test_solve_r0_reports_bracket_on_exhaustion():
+def test_bisect_reports_bracket_on_exhaustion():
     # 1e-17 is below the float spacing near r0 = 0.39, so the bisection
     # stalls on two neighbouring floats around the root
-    with pytest.raises(NumericalError) as info:
-        solve_r0(1, 8, "euclidean", 1e-17)
+    root = r0_circle_euclidean(8)
+    with pytest.raises(NumericalError, match="float resolution") as info:
+        upb.bounds._bisect(0.0, 2.0, lambda r: ball_volume_fraction(1, r, "euclidean") >= 1.0 / 8, 1e-17)
     lo, hi = info.value.bracket
     assert 0.0 < hi - lo <= 2.0 * math.ulp(hi)
-    assert lo - 1e-15 <= r0_circle_euclidean(8) <= hi + 1e-15
+    assert lo - 1e-15 <= root <= hi + 1e-15
+    # a reachable width returns the bracket, with above(lo) false and above(hi) true
+    lo, hi = upb.bounds._bisect(0.0, 2.0, lambda r: r >= root, 1e-9)
+    assert lo < root <= hi and hi - lo <= 1e-9
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
-def test_cold_solve_evaluates_r0_once(metric, solver, monkeypatch):
-    # one kernel call per bisection step, one for the error at r0 and two
-    # for the secant slope around it
+def test_cold_solve_evaluates_r0_once(metric, monkeypatch):
+    # one kernel call per bisection step and one at r0, which gives both the
+    # error bound and the density that carries it to the radius
     radii = []
     real = upb.weyl._cdf
 
@@ -394,57 +394,77 @@ def test_cold_solve_evaluates_r0_once(metric, solver, monkeypatch):
         return real(n, r, metric)
 
     monkeypatch.setattr(upb.weyl, "_cdf", counting)
-    r0, _ = solve_r0(2, 24, metric, solver)
-    steps = math.ceil(math.log2(max_radius(2, metric) / solver))
+    r0, _ = solve_r0(2, 24, metric)
+    steps = math.ceil(math.log2(max_radius(2, metric) / 1e-6))
     assert radii.count(r0) == 1
-    assert len(radii) == steps + 3 == {"euclidean": 25, "riemannian": 26}[metric]
+    assert len(radii) == steps + 1 == {"euclidean": 23, "riemannian": 24}[metric]
 
 
-def test_solve_r0_validates_inputs(solver):
+def test_solve_r0_without_positive_density_is_numerical_failure(monkeypatch):
+    # a fraction error that no positive density carries to the radius must
+    # not be dropped from the radius error
+    real = upb.bounds._fraction_and_error
+
+    def flat(n, r, metric):
+        frac, err, _ = real(n, r, metric)
+        return frac, err, 0.0
+
+    monkeypatch.setattr(upb.bounds, "_fraction_and_error", flat)
+    with pytest.raises(NumericalError, match="no positive density") as info:
+        solve_r0(2, 24, "euclidean")
+    lo, hi = info.value.bracket
+    assert 0.0 < hi - lo <= 1e-6 and 0.5 * (lo + hi) == pytest.approx(FROZEN_R0[0], abs=5e-6)
+
+
+def test_solve_r0_validates_inputs():
     with pytest.raises(ValidationError):
-        solve_r0(2, 1, "euclidean", solver)
+        solve_r0(2, 1, "euclidean")
     with pytest.raises(ValidationError):
-        solve_r0(0, 4, "euclidean", solver)
+        solve_r0(0, 4, "euclidean")
     with pytest.raises(ValidationError):
-        solve_r0(2, 4, "chordal", solver)
+        solve_r0(2, 4, "chordal")
     # Python refuses to print an int of more than 4300 digits, so a message
     # gives the size of such an m instead of ending in a bare ValueError
     for m, got in ((-10**5000, "an integer of 5001 digits"), (-10**4300, "an integer of 4301 digits"),
                    (1 - 10**4300, "-" + "9" * 4300)):
         with pytest.raises(ValidationError, match=f"got {got}$"):
-            solve_r0(2, m, "euclidean", solver)
+            solve_r0(2, m, "euclidean")
 
 
-def test_bound_result_bookkeeping(solver, tmp_path):
-    res = bound_b1(2, 64, solver)
+def test_bound_result_bookkeeping(tmp_path):
+    res = bound_b1(2, 64)
     assert res.n == 2 and res.m == 64
     # plain floats, not numpy scalars, so a solved row and a cached one agree
     assert all(type(v) is float for v in (res.r0, res.value, res.std_error_hint))
-    assert all(type(v) is float for v in solve_r0(2, 64, "riemannian", solver))
-    cold, warm = (compute_bounds(2, 64, ("b1",), solver, tmp_path)[0] for _ in range(2))
+    assert all(type(v) is float for v in solve_r0(2, 64, "riemannian"))
+    cold, warm = (compute_bounds(2, 64, ("b1",), tmp_path)[0] for _ in range(2))
     assert repr(cold) == repr(warm) == repr(res)
-    assert res.config_fingerprint == solver_key(2, 64, "euclidean", solver)
+    assert res.config_fingerprint == solver_key(2, 64, "euclidean")
     assert res.std_error_hint >= 0.0
-    assert res.std_error_hint < 1e-4  # deterministic kernel: root_tol plus truncation
+    assert res.std_error_hint < 1e-4  # deterministic kernel: bracket width plus truncation
 
 
 def test_solve_agrees_with_tensor_oracle():
-    # r0 is within 1e-7 of the tensor-quadrature root, and within the radius
-    # error that compute_bounds reports: tensor mass brackets the target there
+    # the kernel's own root, bisected to 1e-10, is within 1e-7 of the
+    # tensor-quadrature root; and solve_r0's r0 is within the radius error
+    # that compute_bounds reports: tensor mass brackets the target there
     for n in (2, 3):
         for metric in ("euclidean", "riemannian"):
             for m in (2, 3, 24, 1000, 10**4, 10**6):
                 target = total_mass(n) / m
-                r0, radius_error = solve_r0(n, m, metric, 1e-10)
-                assert radius_error < 1e-7, (n, metric, m)
-                for step in (1e-7, radius_error):
-                    assert tensor_mass(n, r0 - step, metric) <= target, (n, metric, m, step)
-                    assert tensor_mass(n, r0 + step, metric) >= target, (n, metric, m, step)
+                lo, hi = upb.bounds._bisect(
+                    0.0, max_radius(n, metric), lambda r: ball_volume_fraction(n, r, metric) >= 1.0 / m, 1e-10
+                )
+                r0, radius_error = solve_r0(n, m, metric)
+                assert radius_error - 5e-7 < 1e-7, (n, metric, m)  # the kernel's share
+                for root, step in ((0.5 * (lo + hi), 1e-7), (r0, radius_error)):
+                    assert tensor_mass(n, root - step, metric) <= target, (n, metric, m, step)
+                    assert tensor_mass(n, root + step, metric) >= target, (n, metric, m, step)
 
 
-def test_b1_and_radius_strictly_decreasing_in_m(solver):
+def test_b1_and_radius_strictly_decreasing_in_m():
     ms = [8, 16, 32, 64, 128, 256, 512, 1024]
-    radii = [solve_r0(2, m, "euclidean", solver)[0] for m in ms]
+    radii = [solve_r0(2, m, "euclidean")[0] for m in ms]
     values = [evaluate_bound("b1", 2, r) for r in radii]
     assert all(a > b for a, b in zip(radii, radii[1:]))
     assert all(a > b for a, b in zip(values, values[1:]))

@@ -53,7 +53,7 @@ def test_json_floats_stay_floats(capsys, tmp_path):
     doc = run_json(capsys, "bound", "--n", "3", "--m", "8", "--cache-dir", str(tmp_path))
     b2 = next(row for row in doc["results"] if row["method"] == "b2")
     assert b2["value"] == 1.0 and type(b2["value"]) is float
-    assert type(doc["parameters"]["root_tol"]) is float
+    assert doc["parameters"] == {"n": 3, "m": 8, "method": "b1,b2,b3"}
 
 
 def test_nonfinite_json_value_is_numerical_failure(capsys, tmp_path, monkeypatch):
@@ -99,7 +99,7 @@ def test_samples_and_nodes_are_ignored(capsys, tmp_path):
     with pytest.raises(SystemExit):
         main(["bound", "--help"])
     help_text = capsys.readouterr().out
-    assert "--root-tol" in help_text and "--samples" not in help_text and "--nodes" not in help_text
+    assert "--seed" in help_text and "--samples" not in help_text and "--nodes" not in help_text
 
 
 def test_bound_above_float_range_is_numerical_failure(capsys, tmp_path):
@@ -122,11 +122,12 @@ def test_bound_numerical_failure_maps_to_exit_2(capsys, tmp_path, monkeypatch):
     assert code == 2 and "injected failure" in err
 
 
-def test_root_tol_below_float_resolution_is_numerical_failure(capsys, tmp_path):
-    code, out, err = run(capsys, "bound", "--n", "1", "--m", "8", "--root-tol", "1e-17",
+def test_root_tol_flag_is_a_usage_error(capsys, tmp_path):
+    # the solve has no settings, so the retired --root-tol is an unknown flag
+    code, out, err = run(capsys, "bound", "--n", "1", "--m", "8", "--root-tol", "1e-6",
                          "--cache-dir", str(tmp_path))
-    assert code == 2 and out == ""
-    assert err.startswith("numerical failure: ") and "float resolution" in err
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "--root-tol" in err and "Traceback" not in err
 
 
 def test_help_exits_zero():
@@ -144,7 +145,7 @@ def test_each_subcommand_accepts_exactly_its_flags(capsys):
         name: {opt for action in sub._actions for opt in action.option_strings or [action.dest]}
         for name, sub in subparsers.choices.items()
     }
-    common = {"-h", "--help", "--samples", "--nodes", "--seed", "--root-tol",
+    common = {"-h", "--help", "--samples", "--nodes", "--seed",
               "--format", "--out", "--no-timestamp", "--cache-dir"}
     assert flags == {
         "bound": common | {"--n", "--m", "--method"},
@@ -457,14 +458,41 @@ def test_search_validates_flags(capsys, tmp_path, monkeypatch):
 
 
 def test_search_past_kernel_limit_fails_before_searching(capsys, tmp_path, monkeypatch):
-    # the bounds are solved first, so n > 200 exits before the search and
-    # writes no constellation file
+    # the kernel's n limit is checked first, so n > 200 exits before the
+    # search and writes no constellation file
+    def no_search(*args, **kwargs):
+        raise AssertionError("the n limit is checked before the search")
+
+    monkeypatch.setattr(cli, "random_search", no_search)
     monkeypatch.chdir(tmp_path)
     start = time.monotonic()
     code, out, err = run(capsys, "search", "--n", "201", "--m", "2", "--trials", "1")
     assert code == 2 and out == ""
     assert "n <= 200" in err
     assert time.monotonic() - start < 5.0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_search_solves_after_searching_and_saves_last(capsys, tmp_path, monkeypatch):
+    # the bounds are solved after the search, so the kernel's memo does not
+    # add to its peak memory; a failed solve still writes no file
+    order = []
+    search = cli.random_search
+
+    def tracked_search(*args, **kwargs):
+        order.append("search")
+        return search(*args, **kwargs)
+
+    def failed_solve(*args):
+        order.append("solve")
+        raise NumericalError("injected failure")
+
+    monkeypatch.setattr(cli, "random_search", tracked_search)
+    monkeypatch.setattr(cli, "compute_bounds", failed_solve)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "search", "--n", "2", "--m", "3", "--trials", "10")
+    assert code == 2 and out == "" and "injected failure" in err
+    assert order == ["search", "solve"]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erf, j1, jv, spence
+from scipy.special import erf, j0, j1, jv, spence
 
 from tensor_oracle import ball_statistic_level, haar_statistics, tensor_mass
 from upb import weyl
@@ -47,6 +47,12 @@ def mass_bessel_riemannian_2(r):
     """Closed form for the n=2 riemannian ball, valid for r <= pi:
     integrate 2 - 2cos(t1 - t2) over the disk of radius r."""
     return 2.0 * math.pi * r * r - 2.0 * math.sqrt(2.0) * math.pi * r * j1(math.sqrt(2.0) * r)
+
+
+def density_bessel_riemannian_2(r):
+    """d/dr of mass_bessel_riemannian_2: the circle of radius r carries
+    2 pi r times the mean of 2 - 2cos(t1 - t2) over it, 2 - 2 J_0(sqrt(2) r)."""
+    return 4.0 * math.pi * r * (1.0 - j0(math.sqrt(2.0) * r))
 
 
 def mass_circle_1(r, metric):
@@ -132,7 +138,7 @@ def test_normalizer_estimate_agrees_with_total():
 def test_ball_mass_n1_closed_form(metric):
     total = total_mass(1)
     for r in (0.25, 0.5, 1.0, 1.5):
-        frac, _ = weyl._fraction_and_error(1, r, metric)
+        frac, _, _ = weyl._fraction_and_error(1, r, metric)
         assert frac == pytest.approx(mass_circle_1(r, metric) / total, abs=1e-12 / total)
 
 
@@ -146,14 +152,15 @@ def test_ball_mass_n1_examples():
 def test_ball_mass_saturates_exactly(metric):
     for n in (1, 2, 3):
         rmax = max_radius(n, metric)
-        assert weyl._fraction_and_error(n, rmax, metric) == (1.0, 0.0)
-        assert weyl._fraction_and_error(n, rmax + 5.0, metric) == (1.0, 0.0)
-        assert weyl._fraction_and_error(n, 0.0, metric) == (0.0, 0.0)
+        assert weyl._fraction_and_error(n, rmax, metric) == (1.0, 0.0, 0.0)
+        assert weyl._fraction_and_error(n, rmax + 5.0, metric) == (1.0, 0.0, 0.0)
+        # the density at r = 0 is 1/pi on the circle and 0 from n = 2 on
+        assert weyl._fraction_and_error(n, 0.0, metric) == (0.0, 0.0, 1.0 / math.pi if n == 1 else 0.0)
 
 
 def test_ball_mass_riemannian_2_matches_bessel():
     for r in (0.3, 0.8, 1.5, 2.4, 3.0):
-        frac, err = weyl._fraction_and_error(2, r, "riemannian")
+        frac, err, _ = weyl._fraction_and_error(2, r, "riemannian")
         exact = mass_bessel_riemannian_2(r) / total_mass(2)
         assert abs(frac - exact) <= err
         assert frac == pytest.approx(exact, rel=1e-7)
@@ -162,8 +169,30 @@ def test_ball_mass_riemannian_2_matches_bessel():
 @pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
 def test_ball_mass_2_matches_riemann_sum(metric):
     for r in (0.8, 1.6, 2.4):
-        frac, _ = weyl._fraction_and_error(2, r, metric)
+        frac, _, _ = weyl._fraction_and_error(2, r, metric)
         assert frac == pytest.approx(mass_riemann_2d(r, metric) / total_mass(2), rel=2e-3)
+
+
+def test_density_riemannian_2_matches_bessel():
+    # below r = pi; at pi the ball touches the angle box, where the density
+    # has a square-root kink and the differentiated series converges slowly
+    for r in np.linspace(0.05, 3.1, 40):
+        slope = weyl._fraction_and_error(2, float(r), "riemannian")[2]
+        assert slope == pytest.approx(density_bessel_riemannian_2(float(r)) / total_mass(2), rel=1e-4), r
+
+
+@pytest.mark.parametrize("n, metric", [(2, "euclidean"), (3, "euclidean"), (3, "riemannian")])
+def test_density_matches_central_difference(n, metric):
+    # n = 2 euclidean carries the Clausen share's derivative; its density
+    # has a log singularity at r = 2 (s = 1), which the grid steps around
+    h = 1e-4
+    for r in np.linspace(0.6, max_radius(n, metric) - 0.1, 17):
+        r = float(r)
+        if n == 2 and metric == "euclidean" and abs(r - 2.0) < 0.1:
+            continue
+        slope = weyl._fraction_and_error(n, r, metric)[2]
+        lo, hi = (ball_volume_fraction(n, x, metric) for x in (r - h, r + h))
+        assert slope == pytest.approx((hi - lo) / (2.0 * h), rel=1e-5, abs=1e-9), r
 
 
 def test_ball_volume_fraction_range():
@@ -181,7 +210,7 @@ def test_kernel_matches_tensor_oracle_on_radius_grid(metric):
     for n in (2, 3):
         for r in np.linspace(0.05, max_radius(n, metric) - 0.05, 25):
             r = float(r)
-            frac, err = weyl._fraction_and_error(n, r, metric)
+            frac, err, _ = weyl._fraction_and_error(n, r, metric)
             assert abs(frac - tensor_mass(n, r, metric) / total_mass(n)) <= err, (n, r)
 
 
@@ -333,9 +362,6 @@ def test_mc_seed_changes_estimate():
 
 
 def test_config_validation():
-    for root_tol in (0.0, 1.0, float("nan")):
-        with pytest.raises(ValidationError):
-            solve_r0(2, 4, "euclidean", root_tol)
     with pytest.raises(ValidationError):
         normalizer_estimate(2, 1, 0)
     with pytest.raises(ValidationError):
