@@ -57,9 +57,11 @@ _CROSSOVER_GRID = 4096
 _CROSSOVER_TOL = 1e-12
 # Last field of solver_key; bump it whenever solve_r0 or the radius error
 # model changes, so that no cache entry of the old algorithm is served.
-_CACHE_VERSION = "v4"
+_CACHE_VERSION = "v5"
 # solve_r0 bisects the radius to a bracket of this width
 _ROOT_WIDTH = 1e-6
+# solve_r0 refuses a radius whose error exceeds this fraction of it
+_MAX_RADIUS_ERROR = 0.1
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,9 @@ def solve_r0(n, m, metric):
     radius error is half that width plus the kernel's error bound at r0 over
     the density dF/dr there, both from the one kernel call at r0. Raises
     NumericalError with the bracket where the kernel has an error but no
-    positive density at r0, and RangeError above the kernel's n = 200.
+    positive density at r0 or where the radius error exceeds r0/10 (at huge
+    m, where the kernel's error bound or the bisection width swamps r0),
+    and RangeError above the kernel's n = 200.
     """
     n = check_int(n, "n", 1)
     m = check_int(m, "m", 2)
@@ -134,7 +138,14 @@ def solve_r0(n, m, metric):
             f"fraction's error {frac_err:.3g} cannot be carried to the radius",
             bracket=(lo, hi),
         )
-    return r0, 0.5 * _ROOT_WIDTH + frac_err / slope
+    se_r = 0.5 * _ROOT_WIDTH + frac_err / slope
+    if se_r > _MAX_RADIUS_ERROR * r0:
+        raise NumericalError(
+            f"{metric} radius r0 = {r0:.6g} has error σ_r = {se_r:.3g} > r0/10: "
+            f"m is too large for the solve to resolve F = 1/m at n={n}",
+            bracket=(lo, hi),
+        )
+    return r0, se_r
 
 
 def _floor_frac(q):

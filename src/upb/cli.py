@@ -17,8 +17,7 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
+from . import _lazy_numpy
 from .bounds import BOUND_IDS, compute_bounds, euclidean_riemannian_envelope
 from .constellation import (
     Constellation,
@@ -32,6 +31,8 @@ from .constellation import (
 from .errors import NumericalError, ParseError, RangeError, ValidationError, check_int
 from .matrices import haar_sample
 from .weyl import _check_kernel_n, ball_volume_fraction, normalizer_estimate, total_mass
+
+np = _lazy_numpy()
 
 __all__ = ["main", "console_main"]
 

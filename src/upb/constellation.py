@@ -13,10 +13,11 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from . import _lazy_numpy
 from .errors import DimensionError, ParseError, ValidationError, check_int
 from .matrices import UnitaryMatrix, as_complex_matrix, haar_sample, stacked_logabsdet, unitary_eigenangles
+
+np = _lazy_numpy()
 
 __all__ = [
     "Constellation",

@@ -5,12 +5,15 @@ thin validated wrapper used where unitarity is a contract rather than a hope;
 every function below also accepts raw arrays.
 """
 
+from __future__ import annotations  # so that `array: np.ndarray` does not load numpy
+
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _lazy_numpy
 from .errors import DimensionError, NumericalError, ValidationError, check_int
+
+np = _lazy_numpy()
 
 __all__ = [
     "UnitaryMatrix",

@@ -52,9 +52,10 @@ form (see _terms).
 import math
 from functools import lru_cache
 
-import numpy as np
-
+from . import _lazy_numpy
 from .errors import RangeError, ValidationError, check_int, check_real
+
+np = _lazy_numpy()
 
 __all__ = [
     "METRICS",
@@ -80,12 +81,12 @@ _RADIUS_TOL = 3e-8
 _CHUNK_BYTES = 1 << 21
 # Toeplitz coefficients (see the module docstring). Each series is cut
 # where its first omitted term, relative to the leading term 1, is below
-# 1e-16 at the edge of its region; all three still decrease there.
+# 1e-16 at the edge of its region; both, and the Clausen series of
+# _CLAUSEN_COEFFICIENTS cut at |x| = pi, still decrease there.
 _BESSEL_X0 = 30.0  # trapezoid rule below max(_BESSEL_X0, 2(n-1)), Hankel above
 _HANKEL_TERMS = 15  # at x = 30
 _FRESNEL_V2 = 40.0  # tail series from v^2 = _FRESNEL_V2 on, quadrature below
 _FRESNEL_TERMS = 26  # at v^2 = 40
-_CLAUSEN_TERMS = 22  # at |x| = pi
 _CHUNK = 1 << 17  # uniform draws per chunk in normalizer_estimate
 
 
@@ -204,17 +205,19 @@ def normalizer_estimate(n, samples, seed):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _clausen_coefficients():
-    """|B_2k| / (2k (2k+1)!) for k = 1.._CLAUSEN_TERMS, from the exact
-    Bernoulli numbers of sum_{j<=m} C(m+1, j) B_j = 0."""
-    from fractions import Fraction  # not at module load: only n = 2 euclidean needs it
-
-    b = [Fraction(1)]
-    for m in range(1, 2 * _CLAUSEN_TERMS + 1):
-        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
-    return [float(abs(b[2 * k]) / (2 * k * math.factorial(2 * k + 1)))
-            for k in range(1, _CLAUSEN_TERMS + 1)]
+# |B_2k| / (2k (2k+1)!) for k = 1..22, the series of _clausen2, in shortest
+# round-trip form; tests/test_weyl.py derives them from the exact Bernoulli
+# numbers.
+_CLAUSEN_COEFFICIENTS = (
+    0.013888888888888888, 6.944444444444444e-05, 7.873519778281683e-07,
+    1.1482216343327455e-08, 1.8978869988971e-10, 3.387301370953521e-12,
+    6.372636443183181e-14, 1.2462059912950672e-15, 2.5105444608999545e-17,
+    5.178258806090623e-19, 1.0887357368300849e-20, 2.325744114302087e-22,
+    5.03519521314739e-24, 1.1026499294381215e-25, 2.4386585509007344e-27,
+    5.440142678856253e-29, 1.2228340131217352e-30, 2.767263468967951e-32,
+    6.3000905918320136e-34, 1.4420868388418476e-35, 3.3170939991595428e-37,
+    7.663913557920658e-39,
+)
 
 
 def _clausen2(x):
@@ -224,7 +227,7 @@ def _clausen2(x):
     if x == 0.0:
         return 0.0
     x2, acc = x * x, 0.0
-    for c in reversed(_clausen_coefficients()):
+    for c in reversed(_CLAUSEN_COEFFICIENTS):
         acc = (acc + c) * x2
     return x * (1.0 - math.log(abs(x)) + acc)
 

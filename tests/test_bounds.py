@@ -313,7 +313,7 @@ def test_solver_key_carries_every_result_field():
     # the solve has no settings: (n, m, metric) and the version fix the result
     keys = {solver_key(n, m, metric) for n in (2, 4) for m in (24, 25) for metric in ("euclidean", "riemannian")}
     assert len(keys) == 8
-    assert solver_key(2, 100, "euclidean") == "2:100:euclidean:v4"
+    assert solver_key(2, 100, "euclidean") == "2:100:euclidean:v5"
 
 
 def test_cache_entry_without_version_or_radius_error_is_recomputed(tmp_path):

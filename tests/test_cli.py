@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -120,6 +121,26 @@ def test_bound_numerical_failure_maps_to_exit_2(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(upb.bounds, "solve_r0", explode)
     code, _, err = run(capsys, "bound", "--n", "1", "--m", "4", "--cache-dir", str(tmp_path))
     assert code == 2 and "injected failure" in err
+
+
+@pytest.mark.parametrize("n, m, method", [
+    (4, 2**64, "all"),
+    (8, 10**20, "b1"),
+    (8, 10**20, "b3"),
+    (2, 10**21, "all"),
+])
+def test_bound_refuses_a_radius_below_its_error(capsys, tmp_path, n, m, method):
+    # at these m the kernel's error bound at F = 1/m, or at (2, 10^21) the
+    # bisection width, swamps r0, which would be noise: exit 2 names r0 and
+    # sigma_r, and nothing is cached
+    code, out, err = run(capsys, "bound", "--n", str(n), "--m", str(m), "--method", method,
+                         "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    found = re.search(r"radius r0 = (\S+) has error σ_r = (\S+) > r0/10", err)
+    assert err.startswith("numerical failure: ") and found, err
+    r0, se_r = float(found[1]), float(found[2])
+    assert 0.0 < 0.1 * r0 < se_r
+    assert not list(tmp_path.iterdir())
 
 
 def test_root_tol_flag_is_a_usage_error(capsys, tmp_path):
@@ -380,41 +401,65 @@ def test_eval_malformed_file_is_usage_error(capsys, tmp_path, content):
 SCIPY_MODULES = "sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.'))"
 # OpenSSL's hash module, which `import hashlib` loads (~17 ms per process)
 OPENSSL_MODULES = "sorted(k for k in sys.modules if k == '_hashlib')"
+# numpy's compiled core, which its __init__ loads; the lazy module that
+# upb registers under "numpy" loads nothing until its first attribute access
+NUMPY_LOADED = "'numpy._core' in sys.modules"
+LOADED = f"{SCIPY_MODULES}, {OPENSSL_MODULES}, {NUMPY_LOADED}"
 
 
 def test_import_and_eval_load_no_scipy(tmp_path):
     # a count of loaded modules, not a timing: the package depends on numpy
     # alone, so neither `import upb` nor a cold solve may load scipy, and
-    # nothing but search (numpy.random loads it) may load OpenSSL
+    # nothing but search (numpy.random loads it) may load OpenSSL. numpy
+    # loads on the first numeric operation: not at `import upb`, for --help,
+    # a usage error or rows served from the cache, but for a cold solve,
+    # eval and search.
     path = write_constellation(tmp_path, [np.eye(2), -np.eye(2)])
-    # each command with a word its output must contain, and whether it may
-    # load OpenSSL
+    # each command with its cache, a word its output must contain, its exit
+    # code, whether it may load OpenSSL and whether it loads numpy; a
+    # command run a second time on the same cache is served from it
+    sweep = ["sweep", "--n", "3", "--m-start", "8", "--m-end", "32", "--m-factor", "2"]
     commands = [
-        (["eval", str(path)], "diversity_sum", False),
-        (["eval", str(path), "--bounds"], "bound_b3", False),
-        (["bound", "--n", "3", "--m", "16"], "riemannian", False),
-        (["table"], "max abs deviation", False),
+        (["eval", str(path)], "eval", "diversity_sum", 0, False, True),
+        (["eval", str(path), "--bounds"], "eval-bounds", "bound_b3", 0, False, True),
+        (["bound", "--n", "3", "--m", "16"], "bound", "riemannian", 0, False, True),
+        (["bound", "--n", "3", "--m", "16"], "bound", "riemannian", 0, False, False),
+        (["table"], "table", "max abs deviation", 0, False, True),
+        (["table"], "table", "max abs deviation", 0, False, False),
+        (sweep, "sweep", "riemannian", 0, False, True),
+        (sweep, "sweep", "riemannian", 0, False, False),
         (["search", "--n", "2", "--m", "4", "--trials", "20", "--seed", "3",
-          "--out", str(tmp_path / "best.json")], "bound_b3", True),
+          "--out", str(tmp_path / "best.json")], "search", "bound_b3", 0, True, True),
+        (["--help"], "help", "usage: upb", 0, False, False),
+        (["bound", "--n", "3", "--m", "x"], "usage", "invalid int value", 1, False, False),
+        (["bound", "--n", "3", "--m", "1"], "usage", "m must be", 1, False, False),
     ]
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    for i, (argv, word, openssl) in enumerate(commands):
-        argv = argv + ["--no-timestamp", "--cache-dir", str(tmp_path / f"cache-{i}")]
+    for argv, cache, word, expected, openssl, numpy in commands:
+        if argv != ["--help"]:
+            argv = argv + ["--no-timestamp", "--cache-dir", str(tmp_path / f"cache-{cache}")]
         code = (
-            "import sys, upb, upb.cli\n"
-            f"print({SCIPY_MODULES}, {OPENSSL_MODULES})\n"
-            f"code = upb.cli.main({argv!r})\n"
-            f"print(code, {SCIPY_MODULES}, {OPENSSL_MODULES})\n"
+            "import sys, upb\n"
+            f"print({LOADED})\n"
+            "from upb import *\n"
+            "import upb.cli\n"
+            f"print({LOADED})\n"
+            "try:\n"
+            f"    code = upb.cli.main({argv!r})\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            f"print(code, {LOADED})\n"
         )
         res = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
         lines = res.stdout.splitlines()
-        assert lines[0] == "[] []", argv
-        assert word in res.stdout, argv
-        assert lines[-1].startswith("0 []"), argv
-        assert openssl or lines[-1] == "0 [] []", argv
+        assert lines[0] == lines[1] == "[] [] False", argv
+        assert word in res.stdout + res.stderr, argv
+        assert lines[-1].startswith(f"{expected} [] "), argv
+        assert lines[-1].endswith(str(numpy)), argv
+        assert openssl or lines[-1] == f"{expected} [] [] {numpy}", argv
 
 
 # --- search ----------------------------------------------------------------------------

@@ -50,8 +50,9 @@ def test_readme_cli_examples(capsys, tmp_path, monkeypatch):
 def test_public_names_agree_with_submodules_and_readme():
     exported = [bounds, constellation, errors, matrices, weyl]
     assert sorted(upb.__all__) == sorted({"__version__"}.union(*(mod.__all__ for mod in exported)))
-    # upb star-imports each submodule, so a name in two lists would silently
-    # bind to the later module's object
+    # upb resolves each name on first access to the first submodule whose
+    # list has it, so a name in two lists would silently bind to whichever
+    # submodule the lookup tries first
     assert len(set(upb.__all__)) == len(upb.__all__)
     for i, a in enumerate(exported):
         for b in exported[i + 1:]:

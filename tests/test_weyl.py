@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -293,6 +294,18 @@ def test_clausen_matches_scipy_spence():
     assert np.max(np.abs(ours - ref)) <= 1e-14
     # Cl_2(pi/2) is Catalan's constant
     assert weyl._clausen2(math.pi / 2.0) == pytest.approx(0.915965594177219015, abs=1e-15)
+
+
+def test_clausen_coefficients_are_the_exact_bernoulli_values():
+    # the Bernoulli numbers from sum_{j<=m} C(m+1, j) B_j = 0, in exact
+    # rationals, each |B_2k| / (2k (2k+1)!) rounded once to the nearest float
+    terms = len(weyl._CLAUSEN_COEFFICIENTS)
+    b = [Fraction(1)]
+    for m in range(1, 2 * terms + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    exact = tuple(float(abs(b[2 * k]) / (2 * k * math.factorial(2 * k + 1))) for k in range(1, terms + 1))
+    assert terms == 22
+    assert weyl._CLAUSEN_COEFFICIENTS == exact
 
 
 # --- memoized series terms -------------------------------------------------------
