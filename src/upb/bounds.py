@@ -5,16 +5,16 @@ packing equality F(r0) = 1/m for the Haar fraction F of the ball: m
 disjoint balls cover at most all of U(n).
 
   B1  sqrt(r0^2/n - r0^4/(4 n^2))            r0 euclidean
-  B2  sin sqrt(pi^2 k/n + 4 arcsin^2(sqrt(a))/n)  r0 euclidean,
-      k = floor(r0^2/4), a = r0^2/4 - k
+  B2  B3 at U, the upper riemannian radius   r0 euclidean
+      of the distance envelope at r0
   B3  sin(r0 / sqrt(n))                      r0 riemannian
 
 solve_r0 is the one solve: it returns r0 with its deterministic radius
 error. compute_bounds is the one path from (n, m) to bound rows: it solves
 each metric once and optionally caches r0 and its error. Alongside
 sit the exact small-case values, the euclidean/riemannian distance envelope
-the B2 derivation rests on, a crossover-radius finder for the B1/B2
-comparison, and an asymptotic (heuristic, m -> infinity) lower bound.
+B2 is read from, the B1/B2 crossover radius, and an asymptotic (heuristic,
+m -> infinity) lower bound.
 """
 
 import json
@@ -51,9 +51,7 @@ BOUND_IDS = ("b1", "b2", "b3")
 BOUND_METRIC = {"b1": "euclidean", "b2": "euclidean", "b3": "riemannian"}
 
 _FLOOR_SNAP = 1e-12
-# crossover_radius scans the raw B2 - B1 curve on this many radii, then
-# bisects the first sign change to this relative width.
-_CROSSOVER_GRID = 4096
+# crossover_radius bisects to this width relative to its bracket's top
 _CROSSOVER_TOL = 1e-12
 # Last field of solver_key; bump it whenever solve_r0 or the radius error
 # model changes, so that no cache entry of the old algorithm is served.
@@ -148,12 +146,6 @@ def solve_r0(n, m, metric):
     return r0, se_r
 
 
-def _floor_frac(q):
-    """(k, alpha) with k = floor(q) under a 1e-12 snap and alpha = q - k >= 0."""
-    k = math.floor(q + _FLOOR_SNAP)
-    return k, min(max(q - k, 0.0), 1.0)
-
-
 def _check_radius(n, r, metric="euclidean"):
     check_int(n, "n", 1)
     r = check_real(r, "radius")
@@ -171,21 +163,15 @@ def b1_of_r(n, r):
 
 
 def b2_of_r(n, r, clamp=True):
-    """Second upper-bound curve sin sqrt(pi^2 k/n + 4 arcsin^2(sqrt(a))/n).
+    """Second upper-bound curve: B3 at the upper riemannian radius U of the
+    distance envelope at euclidean radius r.
 
-    k = floor(r^2/4) with a 1e-12 snap, a the fractional remainder. With
-    clamp=True (the bound) the sine argument is capped at pi/2 so the value
-    is the valid packing bound; clamp=False exposes the raw curve, which is
-    what the B1/B2 crossover is defined on.
+    With clamp=True (the bound) that is b3_of_r(n, U), whose sine argument is
+    capped at pi/2; clamp=False gives the raw curve sin(U / sqrt(n)), on which
+    the B1/B2 crossover is defined.
     """
-    r = _check_radius(n, r)
-    k, alpha = _floor_frac(r * r / 4.0)
-    arg = math.sqrt(
-        (math.pi**2 * k + 4.0 * math.asin(math.sqrt(alpha)) ** 2) / n
-    )
-    if clamp:
-        arg = min(arg, 0.5 * math.pi)
-    return math.sin(arg)
+    upper = euclidean_riemannian_envelope(n, r)[1]
+    return b3_of_r(n, upper) if clamp else math.sin(upper / math.sqrt(n))
 
 
 def b3_of_r(n, r):
@@ -209,8 +195,6 @@ def _curve_derivative(bound_id, n, r0, metric):
     h = 1e-6 * max(1.0, r0)
     rmax = max_radius(n, metric)
     lo, hi = max(0.0, r0 - h), min(rmax, r0 + h)
-    if hi <= lo:
-        return 0.0
     return (evaluate_bound(bound_id, n, hi) - evaluate_bound(bound_id, n, lo)) / (hi - lo)
 
 
@@ -302,28 +286,19 @@ def bound_b3(n, m):
 
 def exact_delta(n, m):
     """Exactly known diversity-sum optimum, or None where no exact value is
-    published: all n at m in {2, 3}, all m for n = 1, and n = 2 up to m = 16."""
+    published: all n at m in {2, 3}, all m for n = 1, and n = 2 up to m = 16.
+
+    At m <= 3 and at n = 2, m <= 9 it is the simplex value
+    sqrt(m / (2 (m - 1))) (Rankin 1955, Proc. Glasgow Math. Assoc. 2).
+    """
     n = check_int(n, "n", 1)
     m = check_int(m, "m", 2)
     if n == 1:
         return math.sin(math.pi / m)
-    if m == 2:
-        return 1.0
-    if m == 3:
-        return math.sqrt(3.0) / 2.0
-    if n == 2:
-        small = {
-            4: math.sqrt(6.0) / 3.0,
-            5: math.sqrt(10.0) / 4.0,
-            6: math.sqrt(15.0) / 5.0,
-            7: math.sqrt(21.0) / 6.0,
-            8: math.sqrt(28.0) / 7.0,
-            9: math.sqrt(36.0) / 8.0,
-        }
-        if m in small:
-            return small[m]
-        if 10 <= m <= 16:
-            return math.sqrt(2.0) / 2.0
+    if m <= 3 or (n == 2 and m <= 9):
+        return math.sqrt(m / (2.0 * (m - 1)))
+    if n == 2 and m <= 16:
+        return math.sqrt(2.0) / 2.0
     return None
 
 
@@ -344,32 +319,31 @@ def euclidean_riemannian_envelope(n, d):
     d = _check_radius(n, d)
     x = min(d / (2.0 * math.sqrt(n)), 1.0)
     lower = 2.0 * math.sqrt(n) * math.asin(x)
-    k, alpha = _floor_frac(d * d / 4.0)
+    q = d * d / 4.0
+    k = math.floor(q + _FLOOR_SNAP)
+    alpha = min(max(q - k, 0.0), 1.0)
     upper = 2.0 * math.sqrt(k * math.pi**2 / 4.0 + math.asin(math.sqrt(alpha)) ** 2)
     return lower, upper
 
 
 def crossover_radius(n):
-    """Radius where the raw B2 curve crosses B1, for a given dimension n >= 2.
+    """Radius r* where the raw B2 curve crosses B1, for n >= 2.
 
-    On (0, sqrt(2n)) the raw curve starts above B1 and ends below it; the
-    returned radius is the first sign change of b2 - b1, refined by
-    bisection. Returns None if no sign change is found.
+    With L <= U the envelope's radii at r, B1 = sin(L / sqrt(n)) and raw
+    B2 = sin(U / sqrt(n)), so
+
+      B2 - B1 = 2 cos((U + L) / (2 sqrt(n))) sin((U - L) / (2 sqrt(n)))
+
+    has the sign of pi sqrt(n) - (U + L). U + L strictly increases in r, so
+    r* is the single root of U + L = pi sqrt(n): raw B2 lies above B1 below
+    r* and below it above. At r = sqrt(2n), L = pi sqrt(n) / 2 < U, so one
+    bisection of (0, sqrt(2n)) finds it.
     """
     n = check_int(n, "n", 2)
     hi = math.sqrt(2.0 * n) * (1.0 - 1e-12)
     lo = hi * 1e-6
-
-    def h(r):
-        return b2_of_r(n, r, clamp=False) - b1_of_r(n, r)
-
-    rs = [lo + (hi - lo) * i / (_CROSSOVER_GRID - 1) for i in range(_CROSSOVER_GRID)]
-    hs = [h(r) for r in rs]
-    for i in range(_CROSSOVER_GRID - 1):
-        if hs[i] > 0.0 >= hs[i + 1]:
-            a, b = _bisect(rs[i], rs[i + 1], lambda r: h(r) <= 0.0, _CROSSOVER_TOL * max(1.0, rs[i + 1]))
-            return 0.5 * (a + b)
-    return None
+    lo, hi = _bisect(lo, hi, lambda r: b2_of_r(n, r, clamp=False) <= b1_of_r(n, r), _CROSSOVER_TOL * hi)
+    return 0.5 * (lo + hi)
 
 
 def asymptotic_lower_bound(n, m, tau):

@@ -158,10 +158,12 @@ def chordal_packing_radius(v):
 
 
 def _chordal_radius(n, dsum):
-    """chordal_packing_radius of an n x n constellation with diversity sum dsum."""
-    d = 2.0 * math.sqrt(n) * dsum
-    inner = max(0.0, 1.0 - d * d / (4.0 * n))
-    return math.sqrt(2.0 * n * max(0.0, 1.0 - math.sqrt(inner)))
+    """chordal_packing_radius of an n x n constellation with diversity sum dsum.
+
+    The root sqrt(2n (1 - sqrt(1 - dsum^2))) in half-angle form, which does
+    not cancel at small dsum: 1 - cos(t) = 2 sin^2(t/2) with sin(t) = dsum.
+    """
+    return 2.0 * math.sqrt(n) * math.sin(0.5 * math.asin(min(dsum, 1.0)))
 
 
 def random_search(n, m, trials, seed, objective="sum"):

@@ -118,7 +118,7 @@ def haar_sample(n, rng, size=None):
     dims = () if size is None else size if isinstance(size, tuple) else (size,)
     shape = tuple(check_int(k, "size", 0) for k in dims)
     if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+        rng = np.random.default_rng(check_int(rng, "seed", 0))
     g = rng.standard_normal((*shape, n, n, 2))
     z = (g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)

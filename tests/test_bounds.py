@@ -203,8 +203,8 @@ def test_crossover_reference_values():
     assert crossover_radius(10**6) / 1e3 == pytest.approx(1.189223, abs=1e-4)
 
 
-def test_crossover_orientation():
-    n = 3
+@pytest.mark.parametrize("n", [2, 3, 7, 100, 10**6])
+def test_crossover_orientation(n):
     r_star = crossover_radius(n)
     for r in np.linspace(0.2, r_star - 0.05, 8):
         assert b2_of_r(n, float(r), clamp=False) > b1_of_r(n, float(r))

@@ -1,5 +1,7 @@
 import argparse
 import csv
+import importlib.util
+import inspect
 import io
 import json
 import math
@@ -564,3 +566,42 @@ def test_selftest_detects_injected_normalizer_bias(capsys, monkeypatch):
     code, out, _ = run(capsys, "selftest")
     assert code == 2
     assert "FAIL normalizer" in out
+
+
+# --- the benchmark's use of the CLI ------------------------------------------------------
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def bench_run(monkeypatch):
+    """bench/run.py as a module, loaded without writing bytecode under bench/."""
+    # set before loading, so run.py itself leaves no bytecode, and restored
+    # afterwards, since the module sets it for the whole interpreter
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_argv_parses(bench_run, tmp_path):
+    parsed = 0
+    for index, plan in enumerate(bench_run.WORKLOADS.values()):
+        for toy in (True, False):
+            for seed in range(3):
+                for call in plan(np.random.default_rng([seed, index]), toy)["calls"]:
+                    args = cli._build_parser().parse_args(call.argv(tmp_path))
+                    assert args.command == call.kind
+                    parsed += 1
+    assert parsed > 0
+
+
+def test_bound_rows_carry_every_key_the_benchmark_reads(bench_run, tmp_path):
+    read = set(re.findall(r"row\[[\"'](\w+)[\"']\]", inspect.getsource(bench_run.Checker.check_rows)))
+    assert {"n", "m", "method", "r0", "value"} <= read
+    args = cli._build_parser().parse_args(["bound", "--n", "2", "--m", "8", "--cache-dir", str(tmp_path)])
+    for row in cli._bound_rows(args, 2, 8, ("b1", "b2", "b3")):
+        assert read <= row.keys()

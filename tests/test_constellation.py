@@ -11,6 +11,7 @@ from upb import (
     DimensionError,
     ParseError,
     ValidationError,
+    b1_of_r,
     chordal_packing_radius,
     diversity_product,
     diversity_sum,
@@ -125,6 +126,15 @@ def test_packing_radius_small_distance_limit():
     v = pair([[1.0]], [[np.exp(2j * np.arcsin(d / 2.0))]])
     r = chordal_packing_radius(v)
     assert r / d == pytest.approx(0.5, rel=0.01)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_packing_radius_round_trips_through_b1(n):
+    # B1 is the diversity sum at the chordal radius, so it inverts the
+    # radius; the root in its sqrt(1 - sqrt(1 - d^2)) form cancels at small d
+    for dsum in (1e-8, 1e-6, 1e-3, 0.3, 0.99, 1.0):
+        r = upb.constellation._chordal_radius(n, dsum)
+        assert b1_of_r(n, r) == pytest.approx(dsum, rel=1e-14, abs=0.0)
 
 
 # --- constellation construction ------------------------------------------------------

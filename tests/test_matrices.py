@@ -150,6 +150,12 @@ def test_haar_sample_accepts_generator_and_advances_it():
     assert np.abs(a.array - b.array).max() > 1e-6
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_haar_sample_rejects_seeds_that_are_not_nonnegative_integers(seed):
+    with pytest.raises(ValidationError):
+        haar_sample(2, seed)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_haar_batch_equals_successive_single_draws(n):
     rng = np.random.default_rng(5)

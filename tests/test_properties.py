@@ -190,6 +190,21 @@ def test_envelope_brackets_riemannian_distance(case):
         assert math.isclose(dist, math.sqrt(sum(t * t for t in angles)), abs_tol=1e-9)
 
 
+@PROPERTY
+@given(n=st.integers(2, 10**6), t=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(n=2, t=0.5**0.5)  # r = sqrt(2n), where L = pi sqrt(n)/2 < U
+@example(n=10**6, t=0.5)
+def test_b2_minus_b1_has_the_sign_of_the_envelope_gap(n, t):
+    # with L <= U the envelope at r, raw B2 - B1 = 2 cos((U + L)/(2 sqrt(n)))
+    # sin((U - L)/(2 sqrt(n))), whose sign is that of pi sqrt(n) - (U + L);
+    # B1 here is the independent square-root form
+    r = 2.0 * math.sqrt(n) * t
+    lower, upper = euclidean_riemannian_envelope(n, r)
+    diff = bounds.b2_of_r(n, r, clamp=False) - bounds.b1_of_r(n, r)
+    if abs(diff) > 1e-12:
+        assert (diff > 0.0) == (math.pi * math.sqrt(n) > upper + lower), (diff, lower, upper)
+
+
 def _load_outcome(load, path):
     """(label, member arrays) of a loaded file, or (exception type, message)."""
     try:
