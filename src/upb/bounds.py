@@ -20,6 +20,7 @@ m -> infinity) lower bound.
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,7 +56,7 @@ _FLOOR_SNAP = 1e-12
 _CROSSOVER_TOL = 1e-12
 # Last field of solver_key; bump it whenever solve_r0 or the radius error
 # model changes, so that no cache entry of the old algorithm is served.
-_CACHE_VERSION = "v5"
+_CACHE_VERSION = "v6"
 # solve_r0 bisects the radius to a bracket of this width
 _ROOT_WIDTH = 1e-6
 # solve_r0 refuses a radius whose error exceeds this fraction of it
@@ -116,21 +117,33 @@ def _bisect(lo, hi, above, width):
 def solve_r0(n, m, metric):
     """(r0, radius error) with ball_volume_fraction(n, r0, metric) = 1/m.
 
-    r0 is the midpoint of a bisection bracket of width _ROOT_WIDTH. The
-    radius error is half that width plus the kernel's error bound at r0 over
-    the density dF/dr there, both from the one kernel call at r0. Raises
-    NumericalError with the bracket where the kernel has an error but no
-    positive density at r0 or where the radius error exceeds r0/10 (at huge
-    m, where the kernel's error bound or the bisection width swamps r0),
-    and RangeError above the kernel's n = 200.
+    At n = 1, F is the arc length and r0 its exact inverse 2 sin(pi/(2m))
+    resp. pi/m, with a radius error of 4 ulp. Otherwise r0 is the midpoint
+    of a bisection bracket of width _ROOT_WIDTH; the radius error is half
+    that width plus the kernel's error bound at r0 over the density dF/dr
+    there, both from the one kernel call at r0. Raises NumericalError with
+    the bracket where the kernel has an error but no positive density at r0,
+    where the radius error exceeds r0/10 or the kernel's error exceeds
+    1/(2m) (at huge m, where r0 would be noise); without one where 1/m, or
+    at n = 1 the euclidean r0^2, leaves the float range; and RangeError
+    above the kernel's n = 200.
     """
     n = check_int(n, "n", 1)
     m = check_int(m, "m", 2)
     rmax = max_radius(n, metric)  # F(0) = 0 < 1/m, F(rmax) = 1 > 1/m
-    lo, hi = _bisect(0.0, rmax, lambda r: ball_volume_fraction(n, r, metric) >= 1.0 / m, _ROOT_WIDTH)
+    try:
+        target = 1.0 / m
+    except OverflowError:
+        raise NumericalError(f"m ≥ 2^{m.bit_length() - 1} is beyond the float range: F = 1/m cannot be formed") from None
+    if n == 1:
+        r0 = 2.0 * math.sin(0.5 * math.pi / m) if metric == "euclidean" else math.pi / m
+        if metric == "euclidean" and r0 * r0 < sys.float_info.min:  # B1 and B2 square it
+            raise NumericalError(f"euclidean radius r0 = {r0:.3g} squares below the float range")
+        return r0, 4.0 * math.ulp(r0)
+    lo, hi = _bisect(0.0, rmax, lambda r: ball_volume_fraction(n, r, metric) >= target, _ROOT_WIDTH)
     r0 = 0.5 * (lo + hi)
     _, frac_err, slope = _fraction_and_error(n, r0, metric)
-    if not slope > 0.0:  # frac_err is 0 only at n = 1, where the slope is positive
+    if not slope > 0.0:  # r0 lies inside (0, rmax), where frac_err is positive
         raise NumericalError(
             f"no positive density dF/dr at r0 = {r0!r} (got {slope!r}), so the "
             f"fraction's error {frac_err:.3g} cannot be carried to the radius",
@@ -141,6 +154,12 @@ def solve_r0(n, m, metric):
         raise NumericalError(
             f"{metric} radius r0 = {r0:.6g} has error σ_r = {se_r:.3g} > r0/10: "
             f"m is too large for the solve to resolve F = 1/m at n={n}",
+            bracket=(lo, hi),
+        )
+    if frac_err > 0.5 * target:
+        raise NumericalError(
+            f"{metric} fraction F(r0) at r0 = {r0:.6g} has error {frac_err:.3g} > 1/(2m): "
+            f"the target F = 1/m = {target:.3g} is below what the kernel resolves at n={n}",
             bracket=(lo, hi),
         )
     return r0, se_r
@@ -162,16 +181,10 @@ def b1_of_r(n, r):
     return min(1.0, math.sqrt(max(q, 0.0)))
 
 
-def b2_of_r(n, r, clamp=True):
+def b2_of_r(n, r):
     """Second upper-bound curve: B3 at the upper riemannian radius U of the
-    distance envelope at euclidean radius r.
-
-    With clamp=True (the bound) that is b3_of_r(n, U), whose sine argument is
-    capped at pi/2; clamp=False gives the raw curve sin(U / sqrt(n)), on which
-    the B1/B2 crossover is defined.
-    """
-    upper = euclidean_riemannian_envelope(n, r)[1]
-    return b3_of_r(n, upper) if clamp else math.sin(upper / math.sqrt(n))
+    distance envelope at euclidean radius r."""
+    return b3_of_r(n, euclidean_riemannian_envelope(n, r)[1])
 
 
 def b3_of_r(n, r):
@@ -189,13 +202,6 @@ def evaluate_bound(bound_id, n, r0):
     if bound_id == "b3":
         return b3_of_r(n, r0)
     raise ValidationError(f"unknown bound id {bound_id!r}; expected one of {BOUND_IDS}")
-
-
-def _curve_derivative(bound_id, n, r0, metric):
-    h = 1e-6 * max(1.0, r0)
-    rmax = max_radius(n, metric)
-    lo, hi = max(0.0, r0 - h), min(rmax, r0 + h)
-    return (evaluate_bound(bound_id, n, hi) - evaluate_bound(bound_id, n, lo)) / (hi - lo)
 
 
 def _cache_path(cache_dir, key):
@@ -230,8 +236,9 @@ def _cache_store(path, key, r0, se_r):
 def compute_bounds(n, m, methods=BOUND_IDS, cache_dir=None):
     """One BoundResult per id in methods, in that order.
 
-    Each metric's r0 is solved once, with its radius error (see
-    solve_r0); a row's std_error_hint is that error times |dB/dr| at r0.
+    Each metric's r0 is solved once, with its radius error σ_r (see
+    solve_r0). A row's value is B(r0); value + std_error_hint, B at r0 + σ_r
+    plus 4 ulp and at most 1, bounds B over the radius interval.
     With cache_dir, r0 and its error are kept in one JSON file per
     solver_key there, and a cached metric costs no mass evaluation.
     """
@@ -254,6 +261,10 @@ def compute_bounds(n, m, methods=BOUND_IDS, cache_dir=None):
     for bound_id in methods:
         metric = BOUND_METRIC[bound_id]
         key, r0, se_r = radii[metric]
+        value = evaluate_bound(bound_id, n, r0)
+        # B1 rises up to sqrt(2n), above every euclidean r0; B2 and B3 up to saturation
+        cap = math.sqrt(2.0 * n) if bound_id == "b1" else max_radius(n, metric)
+        top = evaluate_bound(bound_id, n, min(r0 + se_r, cap))
         results.append(
             BoundResult(
                 n=n,
@@ -261,8 +272,8 @@ def compute_bounds(n, m, methods=BOUND_IDS, cache_dir=None):
                 bound_id=bound_id,
                 metric=metric,
                 r0=r0,
-                value=evaluate_bound(bound_id, n, r0),
-                std_error_hint=abs(_curve_derivative(bound_id, n, r0, metric)) * se_r,
+                value=value,
+                std_error_hint=min(1.0, top + 4.0 * math.ulp(top)) - value,
                 config_fingerprint=key,
             )
         )
@@ -342,7 +353,8 @@ def crossover_radius(n):
     n = check_int(n, "n", 2)
     hi = math.sqrt(2.0 * n) * (1.0 - 1e-12)
     lo = hi * 1e-6
-    lo, hi = _bisect(lo, hi, lambda r: b2_of_r(n, r, clamp=False) <= b1_of_r(n, r), _CROSSOVER_TOL * hi)
+    lo, hi = _bisect(lo, hi, lambda r: sum(euclidean_riemannian_envelope(n, r)) >= math.pi * math.sqrt(n),
+                     _CROSSOVER_TOL * hi)
     return 0.5 * (lo + hi)
 
 

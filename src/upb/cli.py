@@ -222,8 +222,11 @@ def _sweep_sizes(args) -> list:
     if args.m_factor is not None:
         if not (math.isfinite(args.m_factor) and args.m_factor > 1.0):
             raise _UsageError("--m-factor must be > 1")
+        try:
+            value = float(args.m_start)
+        except OverflowError:  # no m this large solves; its solve says why
+            return [args.m_start]
         sizes = []
-        value = float(args.m_start)
         while value <= args.m_end + 1:  # also stops at an overflow to inf
             m = int(round(value))
             if m > args.m_end:
@@ -392,7 +395,7 @@ def _selftest_closed_forms() -> str:
     for m in (2, 3, 4, 8, 16, 64):
         expected = math.sin(math.pi / m)
         for res in compute_bounds(1, m):
-            if abs(res.value - expected) > 1e-6:
+            if abs(res.value - expected) > 1e-15:
                 return f"{res.bound_id}(1, {m}) = {res.value:.9g}, expected sin(pi/{m}) = {expected:.9g}"
     return ""
 

@@ -50,6 +50,24 @@ def r0_circle_riemannian(m):
     return math.pi / m
 
 
+def raw_b2(n, r):
+    """B2 without its saturation: the sine of the envelope's upper radius."""
+    return math.sin(euclidean_riemannian_envelope(n, r)[1] / math.sqrt(n))
+
+
+def bound_slope(bound_id, n, r):
+    """|dB/dr| in closed form: B1 and B3 directly, B2 through the envelope's
+    upper radius U = 2 sqrt(k pi^2/4 + asin(sqrt(a))^2), a = r^2/4 - k."""
+    if bound_id == "b1":
+        return abs(2.0 * r / n - r**3 / (n * n)) / (2.0 * b1_of_r(n, r))
+    if bound_id == "b3":
+        return math.cos(r / math.sqrt(n)) / math.sqrt(n)
+    upper = euclidean_riemannian_envelope(n, r)[1]
+    alpha = r * r / 4.0 - math.floor(r * r / 4.0)
+    du_dr = math.asin(math.sqrt(alpha)) * r / (upper * math.sqrt(alpha * (1.0 - alpha)))
+    return math.cos(upper / math.sqrt(n)) / math.sqrt(n) * du_dr
+
+
 def invert_b1(n, target):
     """Solve sqrt(r^2/n - r^4/(4 n^2)) = target for the small root by
     bisection; independent check of published bound values."""
@@ -66,23 +84,24 @@ def invert_b1(n, target):
 # --- closed-form solves -------------------------------------------------------
 
 
-@pytest.mark.parametrize("m", [2, 3, 5, 8, 16, 64])
-def test_solve_r0_circle_closed_forms(m):
-    r0_e, err_e = solve_r0(1, m, "euclidean")
-    r0_r, err_r = solve_r0(1, m, "riemannian")
-    assert r0_e == pytest.approx(r0_circle_euclidean(m), abs=2e-6)
-    assert r0_r == pytest.approx(r0_circle_riemannian(m), abs=2e-6)
-    # n = 1 masses are exact arcs, so the radius error is half the bracket width
-    assert abs(r0_e - r0_circle_euclidean(m)) <= err_e == 5e-7
-    assert abs(r0_r - r0_circle_riemannian(m)) <= err_r == 5e-7
+@pytest.mark.parametrize("m", [2, 3, 5, 8, 16, 64, 628_000, 10**9, 2**64, 10**150])
+def test_solve_r0_circle_closed_forms(m, monkeypatch):
+    # n = 1 masses are exact arcs, so the solve inverts them without a
+    # kernel call, and the radius error is the closed form's rounding
+    monkeypatch.setattr(upb.bounds, "ball_volume_fraction", None)
+    monkeypatch.setattr(upb.bounds, "_fraction_and_error", None)
+    for metric, closed_form in (("euclidean", r0_circle_euclidean), ("riemannian", r0_circle_riemannian)):
+        r0, err = solve_r0(1, m, metric)
+        assert abs(r0 - closed_form(m)) <= err <= 4.0 * math.ulp(r0), (metric, r0, err)
 
 
-@pytest.mark.parametrize("m", [2, 4, 8, 32, 64])
+@pytest.mark.parametrize("m", [2, 3, 4, 8, 32, 64, 1000, 628_000, 10**9])
 def test_bounds_collapse_to_sine_for_n1(m):
     expected = math.sin(math.pi / m)
     for name, fn in BOUNDERS.items():
         result = fn(1, m)
-        assert result.value == pytest.approx(expected, abs=1e-6), name
+        assert abs(result.value - expected) <= 4.0 * math.ulp(expected), name
+        assert result.value + result.std_error_hint >= expected, name
         assert result.bound_id == name
         assert result.metric == BOUND_METRIC[name]
 
@@ -161,9 +180,9 @@ def test_b2_continuous_across_k_steps():
     # r^2/4 crossing an integer changes (k, alpha) but not the value; the
     # approach from below is sqrt-type, so the step over +-1e-9 is ~1e-5
     for r_star in (2.0, 2.0 * math.sqrt(2.0)):
-        below = b2_of_r(3, r_star - 1e-9, clamp=False)
-        at = b2_of_r(3, r_star, clamp=False)
-        above = b2_of_r(3, r_star + 1e-9, clamp=False)
+        below = raw_b2(3, r_star - 1e-9)
+        at = raw_b2(3, r_star)
+        above = raw_b2(3, r_star + 1e-9)
         assert at == pytest.approx(above, abs=1e-7)
         assert at == pytest.approx(below, abs=5e-5)
 
@@ -175,7 +194,7 @@ def test_b2_floor_snap_handles_roundoff():
 def test_b2_clamped_dominates_raw():
     for r in np.linspace(0.1, math.sqrt(6.0) - 1e-9, 25):
         clamped = b2_of_r(3, float(r))
-        raw = b2_of_r(3, float(r), clamp=False)
+        raw = raw_b2(3, float(r))
         assert clamped >= raw - 1e-12
         assert clamped <= 1.0
 
@@ -203,13 +222,20 @@ def test_crossover_reference_values():
     assert crossover_radius(10**6) / 1e3 == pytest.approx(1.189223, abs=1e-4)
 
 
+def test_crossover_frozen_bits():
+    # the bisection on U + L >= pi sqrt(n) ends on the same floats as the
+    # earlier one on raw B2 <= B1, which these values were taken from
+    frozen = {2: 1.8659493097560595, 3: 2.088102164373974, 7: 3.2489669213163754, 100: 11.915510715683599}
+    assert {n: crossover_radius(n) for n in frozen} == frozen
+
+
 @pytest.mark.parametrize("n", [2, 3, 7, 100, 10**6])
 def test_crossover_orientation(n):
     r_star = crossover_radius(n)
     for r in np.linspace(0.2, r_star - 0.05, 8):
-        assert b2_of_r(n, float(r), clamp=False) > b1_of_r(n, float(r))
+        assert raw_b2(n, float(r)) > b1_of_r(n, float(r))
     for r in np.linspace(r_star + 0.05, math.sqrt(2.0 * n) - 1e-6, 8):
-        assert b2_of_r(n, float(r), clamp=False) < b1_of_r(n, float(r))
+        assert raw_b2(n, float(r)) < b1_of_r(n, float(r))
 
 
 def test_crossover_rejects_n1():
@@ -313,7 +339,7 @@ def test_solver_key_carries_every_result_field():
     # the solve has no settings: (n, m, metric) and the version fix the result
     keys = {solver_key(n, m, metric) for n in (2, 4) for m in (24, 25) for metric in ("euclidean", "riemannian")}
     assert len(keys) == 8
-    assert solver_key(2, 100, "euclidean") == "2:100:euclidean:v5"
+    assert solver_key(2, 100, "euclidean") == "2:100:euclidean:v6"
 
 
 def test_cache_entry_without_version_or_radius_error_is_recomputed(tmp_path):
@@ -460,6 +486,23 @@ def test_solve_agrees_with_tensor_oracle():
                 for root, step in ((0.5 * (lo + hi), 1e-7), (r0, radius_error)):
                     assert tensor_mass(n, root - step, metric) <= target, (n, metric, m, step)
                     assert tensor_mass(n, root + step, metric) >= target, (n, metric, m, step)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_std_error_is_the_slope_times_the_radius_error(n):
+    # for rows below saturation, value + std_error is B at r0 + sigma_r, so
+    # std_error is |dB/dr| sigma_r up to the curvature over sigma_r
+    checked = 0
+    for m in (4, 8, 24, 100, 1000, 10**4, 10**6):
+        radii = {metric: solve_r0(n, m, metric) for metric in ("euclidean", "riemannian")}
+        for res in compute_bounds(n, m):
+            r0, se_r = radii[res.metric]
+            if res.value + res.std_error_hint >= 1.0:
+                continue  # capped at 1
+            expected = bound_slope(res.bound_id, n, r0) * se_r
+            assert res.std_error_hint == pytest.approx(expected, rel=1e-3), (m, res)
+            checked += 1
+    assert checked >= 11  # of 21 rows; more of them saturate as n grows
 
 
 def test_b1_and_radius_strictly_decreasing_in_m():

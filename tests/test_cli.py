@@ -145,6 +145,50 @@ def test_bound_refuses_a_radius_below_its_error(capsys, tmp_path, n, m, method):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("n, m, method", [
+    (7, 10**30, "b1"),
+    (16, 10**30, "b3"),
+    (24, 10**30, "all"),
+])
+def test_bound_refuses_a_target_below_the_kernel_error(capsys, tmp_path, n, m, method):
+    # here r0 passes the r0/10 check, but the kernel's error bound at r0 is
+    # above 1/(2m), so the sign of F - 1/m is unknown there: exit 2 names
+    # that error and 1/m, and nothing is cached
+    code, out, err = run(capsys, "bound", "--n", str(n), "--m", str(m), "--method", method,
+                         "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    found = re.search(r"has error (\S+) > 1/\(2m\): the target F = 1/m = (\S+) ", err)
+    assert err.startswith("numerical failure: ") and found, err
+    assert float(found[2]) == pytest.approx(1.0 / m, rel=1e-3)
+    assert float(found[1]) > 0.5 / m
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--n", "2", "--m", str(2**1024)),
+    ("bound", "--n", "1", "--m", str(10**400)),
+    ("bound", "--n", "1", "--m", str(10**200), "--method", "b1"),
+    ("sweep", "--n", "2", "--m-start", str(2**1024), "--m-end", str(2**1030), "--m-factor", "2"),
+])
+def test_m_beyond_the_float_range_is_one_line(capsys, tmp_path, argv):
+    # 1/m, or at n = 1 the square of r0 = 2 sin(pi/(2m)), is beyond the
+    # float range: exit 2 with one line on stderr, not a traceback
+    code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+    assert "beyond the float range" in err or "below the float range" in err
+
+
+@pytest.mark.parametrize("m", [628_000, 10**9])
+def test_bound_n1_solves_the_closed_form_at_large_m(capsys, tmp_path, m):
+    # n = 1 inverts the arc length exactly, so no m is refused for its radius error
+    doc = run_json(capsys, "bound", "--n", "1", "--m", str(m), "--cache-dir", str(tmp_path))
+    closed = {"euclidean": 2.0 * math.sin(0.5 * math.pi / m), "riemannian": math.pi / m}
+    for row in doc["results"]:
+        assert row["r0"] == closed[row["metric"]], row
+        assert row["value"] + row["std_error"] >= math.sin(math.pi / m), row
+
+
 def test_root_tol_flag_is_a_usage_error(capsys, tmp_path):
     # the solve has no settings, so the retired --root-tol is an unknown flag
     code, out, err = run(capsys, "bound", "--n", "1", "--m", "8", "--root-tol", "1e-6",

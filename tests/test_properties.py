@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from upb import (
     Constellation,
+    NumericalError,
     UpbError,
     ValidationError,
     compute_bounds,
@@ -58,8 +59,8 @@ def test_r0_strictly_decreasing_in_m(n, metric, m1, m2):
     if m1 == m2:
         return
     small, large = sorted((m1, m2))
-    # solve_r0's 1e-6 bracket cannot part neighbouring m at n = 1, so the
-    # strict order is checked on the kernel's own root bisected to 1e-10
+    # solve_r0's 1e-6 bracket cannot part neighbouring m where r0 is small,
+    # so the strict order is checked on the kernel's own root bisected to 1e-10
     assert kernel_root(n, small, metric) > kernel_root(n, large, metric)
     assert solve_r0(n, small, metric)[0] >= solve_r0(n, large, metric)[0]
 
@@ -90,12 +91,31 @@ exact_cases = st.one_of(
 
 @PROPERTY
 @given(case=exact_cases)
-@example(case=(1, 3))  # the closest case: B2 falls short by 0.95 of its std_error
+@example(case=(1, 2))  # the closest case: B1 = 1 - 1.1e-16 at its peak, where the top is exactly 1
+@example(case=(1, 3))  # exact r0: each value is within an ulp of sin(pi/3), and its top 7 ulp above
 def test_bounds_dominate_exact_optima(case):
     n, m = case
     exact = exact_delta(n, m)
     for res in compute_bounds(n, m):
         assert res.value + res.std_error_hint >= exact, res
+
+
+@PROPERTY
+@given(n=st.integers(1, 24), m=st.integers(2, 10**40), metric=metrics)
+# without this guard the first three pass the r0/10 check at eps_F(r0) m of
+# 4.5e14, 669 and 8.9e14; the last passes both checks, at 0.41
+@example(n=7, m=10**30, metric="euclidean")
+@example(n=16, m=10**18, metric="riemannian")
+@example(n=24, m=10**30, metric="euclidean")
+@example(n=5, m=10**16, metric="riemannian")
+def test_solve_refuses_a_target_below_the_kernel_error(n, m, metric):
+    # a radius is reported only where the kernel resolves F = 1/m: its error
+    # bound at r0 is at most half the target, so the sign of F - 1/m is known
+    try:
+        r0, _ = solve_r0(n, m, metric)
+    except NumericalError:
+        return
+    assert weyl._fraction_and_error(n, r0, metric)[1] * m <= 0.5, r0
 
 
 def _oracle_minimum(values):
@@ -200,7 +220,7 @@ def test_b2_minus_b1_has_the_sign_of_the_envelope_gap(n, t):
     # B1 here is the independent square-root form
     r = 2.0 * math.sqrt(n) * t
     lower, upper = euclidean_riemannian_envelope(n, r)
-    diff = bounds.b2_of_r(n, r, clamp=False) - bounds.b1_of_r(n, r)
+    diff = math.sin(upper / math.sqrt(n)) - bounds.b1_of_r(n, r)
     if abs(diff) > 1e-12:
         assert (diff > 0.0) == (math.pi * math.sqrt(n) > upper + lower), (diff, lower, upper)
 
