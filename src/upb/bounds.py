@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import NumericalError, ValidationError, check_int, check_real
-from .weyl import _fraction_and_error, ball_volume_fraction, max_radius
+from .weyl import _check_kernel_n, _fraction_and_error, ball_volume_fraction, max_radius
 
 __all__ = [
     "AsymptoticBound",
@@ -87,6 +87,17 @@ class AsymptoticBound:
     heuristic: bool = True
 
 
+def _check_size(n, m):
+    """(n, m, 1/m) for a bound on m signals in U(n), checked before any work:
+    RangeError above the kernel's n = 200, NumericalError where 1/m is no float."""
+    n = _check_kernel_n(n)
+    m = check_int(m, "m", 2)
+    try:
+        return n, m, 1.0 / m
+    except OverflowError:
+        raise NumericalError(f"m ≥ 2^{m.bit_length() - 1} is beyond the float range: F = 1/m cannot be formed") from None
+
+
 def solver_key(n, m, metric):
     """Cache key: n:m:metric:version."""
     return ":".join([str(n), str(m), metric, _CACHE_VERSION])
@@ -128,13 +139,8 @@ def solve_r0(n, m, metric):
     at n = 1 the euclidean r0^2, leaves the float range; and RangeError
     above the kernel's n = 200.
     """
-    n = check_int(n, "n", 1)
-    m = check_int(m, "m", 2)
+    n, m, target = _check_size(n, m)
     rmax = max_radius(n, metric)  # F(0) = 0 < 1/m, F(rmax) = 1 > 1/m
-    try:
-        target = 1.0 / m
-    except OverflowError:
-        raise NumericalError(f"m ≥ 2^{m.bit_length() - 1} is beyond the float range: F = 1/m cannot be formed") from None
     if n == 1:
         r0 = 2.0 * math.sin(0.5 * math.pi / m) if metric == "euclidean" else math.pi / m
         if metric == "euclidean" and r0 * r0 < sys.float_info.min:  # B1 and B2 square it
@@ -242,8 +248,7 @@ def compute_bounds(n, m, methods=BOUND_IDS, cache_dir=None):
     With cache_dir, r0 and its error are kept in one JSON file per
     solver_key there, and a cached metric costs no mass evaluation.
     """
-    n = check_int(n, "n", 1)
-    m = check_int(m, "m", 2)
+    n, m, _ = _check_size(n, m)
     for bound_id in methods:
         if bound_id not in BOUND_METRIC:
             raise ValidationError(f"unknown bound id {bound_id!r}; expected one of {BOUND_IDS}")

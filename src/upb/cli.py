@@ -9,6 +9,7 @@ along with the timestamp since wall time is never reproducible.
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import _lazy_numpy
-from .bounds import BOUND_IDS, compute_bounds, euclidean_riemannian_envelope
+from .bounds import BOUND_IDS, _check_size, compute_bounds, euclidean_riemannian_envelope
 from .constellation import (
     Constellation,
     _chordal_radius,
@@ -28,9 +29,9 @@ from .constellation import (
     riemannian_distance,
     save_constellation,
 )
-from .errors import NumericalError, ParseError, RangeError, ValidationError, check_int
+from .errors import NumericalError, UpbError, ValidationError
 from .matrices import haar_sample
-from .weyl import _check_kernel_n, ball_volume_fraction, normalizer_estimate, total_mass
+from .weyl import ball_volume_fraction, normalizer_estimate, total_mass
 
 np = _lazy_numpy()
 
@@ -49,13 +50,9 @@ _TABLE_REF = {
 }
 
 
-class _UsageError(Exception):
-    """Bad flags or flag combinations; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures through exit code 1
-        raise _UsageError(message)
+        raise ValidationError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +103,7 @@ def _emit(args, command: str, parameters: dict, columns, rows, notes=(), t0: flo
         try:
             Path(out_path).write_text(text)
         except OSError as exc:
-            raise _UsageError(f"cannot write --out file: {exc}") from exc
+            raise ValidationError(f"cannot write --out file: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -152,6 +149,10 @@ def _gap_rows(results, achieved: float) -> list:
 
 
 _SWEEP_COLUMNS = ("n", "m", "method", "metric", "r0", "value", "std_error", "strategy", "samples", "seed")
+# A sweep solves each size once, at 8-19 ms a size (500 sizes took 4.2 s at
+# n = 4 and 9.5 s at n = 2 from an empty cache on 2 cores), so this many
+# sizes is already minutes; a longer grid is refused before the first solve.
+_MAX_SWEEP_SIZES = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +162,12 @@ _SWEEP_COLUMNS = ("n", "m", "method", "metric", "r0", "value", "std_error", "str
 def _parse_methods(spec: str):
     names = [tok.strip() for tok in spec.split(",") if tok.strip()]
     if not names:
-        raise _UsageError("--method needs at least one of b1, b2, b3, all")
+        raise ValidationError("--method needs at least one of b1, b2, b3, all")
     if "all" in names:
         return list(BOUND_IDS)
     for name in names:
         if name not in BOUND_IDS:
-            raise _UsageError(f"unknown method {name!r}; choose from b1, b2, b3, all")
+            raise ValidationError(f"unknown method {name!r}; choose from b1, b2, b3, all")
     seen = []
     for name in names:
         if name not in seen:
@@ -178,17 +179,17 @@ def _parse_methods(spec: str):
 # subcommands
 
 
-def cmd_bound(args) -> int:
+def _bound_command(args, command: str, params: dict, sizes) -> int:
+    """The body of bound and sweep: bound rows at n for each m of sizes(args)."""
     t0 = time.perf_counter()
     methods = _parse_methods(args.method)
-    rows = _bound_rows(args, args.n, args.m, methods)
-    params = {
-        "n": args.n,
-        "m": args.m,
-        "method": ",".join(methods),
-    }
-    _emit(args, "bound", params, _SWEEP_COLUMNS, rows, t0=t0)
+    rows = [row for m in sizes(args) for row in _bound_rows(args, args.n, m, methods)]
+    _emit(args, command, {**params, "method": ",".join(methods)}, _SWEEP_COLUMNS, rows, t0=t0)
     return 0
+
+
+def cmd_bound(args) -> int:
+    return _bound_command(args, "bound", {"n": args.n, "m": args.m}, lambda a: [a.m])
 
 
 def cmd_table(args) -> int:
@@ -215,50 +216,53 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _geometric_sizes(start: int, end: int, factor: float):
+    """The distinct roundings of start · factor^k up to end, in order."""
+    value = float(start)
+    last = 0  # below every size
+    while value <= end + 1:  # also stops at an overflow to inf
+        m = int(round(value))
+        if m > end:
+            break
+        if m > last:
+            last = m
+            yield m
+        # skip the factors that would round to the last size again, so a
+        # factor just above 1 takes one step per size, not millions
+        skip = math.ceil(math.log((last + 0.5) / value, factor))
+        value *= factor ** max(1, skip)
+
+
 def _sweep_sizes(args) -> list:
-    check_int(args.m_start, "m", 2)
+    """The sweep's sizes m, after the size check at --m-start; ValidationError
+    for a grid of more than _MAX_SWEEP_SIZES, read lazily up to one past it."""
+    _check_size(args.n, args.m_start)
     if args.m_end < args.m_start:
-        raise _UsageError("--m-end must be ≥ --m-start")
+        raise ValidationError("--m-end must be ≥ --m-start")
     if args.m_factor is not None:
         if not (math.isfinite(args.m_factor) and args.m_factor > 1.0):
-            raise _UsageError("--m-factor must be > 1")
-        try:
-            value = float(args.m_start)
-        except OverflowError:  # no m this large solves; its solve says why
-            return [args.m_start]
-        sizes = []
-        while value <= args.m_end + 1:  # also stops at an overflow to inf
-            m = int(round(value))
-            if m > args.m_end:
-                break
-            if not sizes or m > sizes[-1]:
-                sizes.append(m)
-            # skip the factors that would round to the last size again, so a
-            # factor just above 1 takes one step per size, not millions
-            skip = math.ceil(math.log((sizes[-1] + 0.5) / value, args.m_factor))
-            value *= args.m_factor ** max(1, skip)
-        return sizes
-    if args.m_step < 1:
-        raise _UsageError("--m-step must be ≥ 1")
-    return list(range(args.m_start, args.m_end + 1, args.m_step))
+            raise ValidationError("--m-factor must be > 1")
+        grid = _geometric_sizes(args.m_start, args.m_end, args.m_factor)
+    elif args.m_step < 1:
+        raise ValidationError("--m-step must be ≥ 1")
+    else:
+        grid = range(args.m_start, args.m_end + 1, args.m_step)
+    sizes = list(itertools.islice(grid, _MAX_SWEEP_SIZES + 1))
+    if len(sizes) > _MAX_SWEEP_SIZES:
+        raise ValidationError(f"the sweep has more than {_MAX_SWEEP_SIZES} sizes m; "
+                              "raise --m-step or --m-factor, or narrow --m-start..--m-end")
+    return sizes
 
 
 def cmd_sweep(args) -> int:
-    t0 = time.perf_counter()
-    methods = _parse_methods(args.method)
-    rows = []
-    for m in _sweep_sizes(args):
-        rows.extend(_bound_rows(args, args.n, m, methods))
     params = {
         "n": args.n,
         "m_start": args.m_start,
         "m_end": args.m_end,
         "m_step": args.m_step,
         "m_factor": args.m_factor,
-        "method": ",".join(methods),
     }
-    _emit(args, "sweep", params, _SWEEP_COLUMNS, rows, t0=t0)
-    return 0
+    return _bound_command(args, "sweep", params, _sweep_sizes)
 
 
 def cmd_eval(args) -> int:
@@ -299,18 +303,18 @@ def cmd_eval(args) -> int:
 
 def cmd_search(args) -> int:
     t0 = time.perf_counter()
-    # flags and the kernel's n limit, then the search, then the bounds: a bad
-    # --trials or n > 200 fails before any work, a failed solve writes no
-    # file, and the kernel's memo is not yet held while the search runs
-    check_int(args.trials, "trials", 1)
-    _check_kernel_n(args.n)
+    # the size check, then the search, then the bounds: n > 200 or an m
+    # beyond the float range fails before any work, a bad --trials before the
+    # search's first trial, a failed solve writes no file, and the kernel's
+    # memo is not yet held while the search runs
+    _check_size(args.n, args.m)
     best, score = random_search(args.n, args.m, args.trials, args.seed, objective=args.objective)
     results = compute_bounds(args.n, args.m, BOUND_IDS, _cache_dir(args))
     out_path = args.out if args.out is not None else f"constellation-n{args.n}-m{args.m}-{args.objective}.json"
     try:
         save_constellation(best, out_path)
     except OSError as exc:
-        raise _UsageError(f"cannot write constellation file: {exc}") from exc
+        raise ValidationError(f"cannot write constellation file: {exc}") from exc
     rows = [{"name": f"best_{args.objective}", "value": score, "detail": f"saved {out_path}"}]
     rows.extend(_gap_rows(results, score))
     params = {
@@ -458,8 +462,11 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--n", type=int, required=True)
     p_sweep.add_argument("--m-start", type=int, required=True)
     p_sweep.add_argument("--m-end", type=int, required=True)
-    p_sweep.add_argument("--m-step", type=int, default=1)
-    p_sweep.add_argument("--m-factor", type=float, default=None)
+    spacing = p_sweep.add_mutually_exclusive_group()
+    # a string default, which argparse converts, so that an explicit
+    # --m-step 1 still counts as given next to --m-factor
+    spacing.add_argument("--m-step", type=int, default="1")
+    spacing.add_argument("--m-factor", type=float, default=None)
     p_sweep.add_argument("--method", default="all")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -487,12 +494,12 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (_UsageError, ValidationError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (NumericalError, RangeError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except UpbError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def console_main() -> None:

@@ -247,7 +247,7 @@ def load_constellation(path):
             )
         try:
             members.append(UnitaryMatrix(arr))
-        except (ValidationError, DimensionError) as exc:
+        except ValidationError as exc:
             raise ValidationError(f"matrix {idx}: {exc}") from exc
     try:
         return Constellation(tuple(members), label=label)

@@ -18,7 +18,7 @@ class UpbError(Exception):
 
 
 class ValidationError(UpbError):
-    """Input data violates a structural invariant (unitarity, duplicates, ranges)."""
+    """Input violates a structural invariant (unitarity, duplicates, ranges), or a flag is bad."""
 
 
 class DimensionError(ValidationError):
@@ -26,7 +26,7 @@ class DimensionError(ValidationError):
 
 
 class NumericalError(UpbError):
-    """An iterative numerical procedure failed to converge.
+    """A solve cannot resolve its target, or a value or size is out of range (RangeError).
 
     Carries the last bisection bracket in ``bracket`` when raised by the
     radius solver, so callers can inspect how far the solve got.
@@ -37,8 +37,8 @@ class NumericalError(UpbError):
         self.bracket = bracket
 
 
-class RangeError(UpbError):
-    """A closed-form value exceeds the representable floating-point range."""
+class RangeError(NumericalError):
+    """A closed-form value exceeds the float range, or n the mass kernel's limit."""
 
 
 class ParseError(UpbError):

@@ -53,7 +53,7 @@ import math
 from functools import lru_cache
 
 from . import _lazy_numpy
-from .errors import RangeError, ValidationError, check_int, check_real
+from .errors import RangeError, ValidationError, _describe_int, check_int, check_real
 
 np = _lazy_numpy()
 
@@ -142,7 +142,7 @@ def _check_kernel_n(n):
     """n as an int in [1, _MAX_N], the mass kernel's range; RangeError above."""
     n = check_int(n, "n", 1)
     if n > _MAX_N:
-        raise RangeError(f"n={n} exceeds the mass kernel's limit n <= {_MAX_N}")
+        raise RangeError(f"n={_describe_int(n)} exceeds the mass kernel's limit n <= {_MAX_N}")
     return n
 
 

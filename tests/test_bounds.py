@@ -11,6 +11,7 @@ from upb import (
     BOUND_IDS,
     BOUND_METRIC,
     NumericalError,
+    RangeError,
     ValidationError,
     asymptotic_lower_bound,
     b1_of_r,
@@ -455,6 +456,19 @@ def test_solve_r0_validates_inputs():
                    (1 - 10**4300, "-" + "9" * 4300)):
         with pytest.raises(ValidationError, match=f"got {got}$"):
             solve_r0(2, m, "euclidean")
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+def test_sizes_beyond_the_float_range_are_refused_before_any_work(tmp_path, cached):
+    # the size check runs before the cache key is formed, whose str(m) and
+    # str(n) Python refuses past 4300 digits, so both fail with one numerical
+    # error, and no cache file is written
+    cache_dir = tmp_path if cached else None
+    with pytest.raises(NumericalError, match="^m ≥ 2\\^16609 is beyond the float range"):
+        compute_bounds(2, 10**5000, cache_dir=cache_dir)
+    with pytest.raises(RangeError, match="^n=an integer of 5001 digits exceeds the mass kernel's limit"):
+        compute_bounds(10**5000, 4, cache_dir=cache_dir)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bound_result_bookkeeping(tmp_path):

@@ -19,7 +19,11 @@ import upb.bounds
 import upb.cli as cli
 from upb import (
     Constellation,
+    DimensionError,
     NumericalError,
+    ParseError,
+    RangeError,
+    ValidationError,
     compute_bounds,
     save_constellation,
 )
@@ -123,6 +127,25 @@ def test_bound_numerical_failure_maps_to_exit_2(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(upb.bounds, "solve_r0", explode)
     code, _, err = run(capsys, "bound", "--n", "1", "--m", "4", "--cache-dir", str(tmp_path))
     assert code == 2 and "injected failure" in err
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ValidationError, 1, "error: "),
+    (DimensionError, 1, "error: "),
+    (ParseError, 1, "error: "),
+    (NumericalError, 2, "numerical failure: "),
+    (RangeError, 2, "numerical failure: "),
+])
+def test_each_exception_root_has_one_exit_code(capsys, tmp_path, monkeypatch, error, code, prefix):
+    # NumericalError and its subclass RangeError exit 2, every other UpbError 1
+    assert issubclass(error, NumericalError) == (code == 2)
+
+    def fail(*args, **kwargs):
+        raise error("injected failure")
+
+    monkeypatch.setattr(cli, "compute_bounds", fail)
+    got, out, err = run(capsys, "bound", "--n", "2", "--m", "4", "--cache-dir", str(tmp_path))
+    assert (got, out, err) == (code, "", f"{prefix}injected failure\n")
 
 
 @pytest.mark.parametrize("n, m, method", [
@@ -364,6 +387,55 @@ def test_sweep_range_validation(capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--n", "1", "--m-start", "2", "--m-end", "8",
                            "--m-factor", factor, "--cache-dir", str(tmp_path))
         assert code == 1 and "--m-factor must be > 1" in err, factor
+
+
+@pytest.mark.parametrize("argv", [
+    ("--m-start", "2", "--m-end", str(10**11)),
+    ("--m-start", "2", "--m-end", str(10**30)),
+    ("--m-start", "2", "--m-end", str(10**12), "--m-factor", "1.0000001"),
+], ids=["step-1e11", "step-1e30", "factor"])
+def test_sweep_longer_than_the_limit_is_refused_before_any_solve(capsys, tmp_path, argv):
+    # the grid is read lazily to one size past the limit, so neither a huge
+    # --m-end nor a factor just above 1 builds it, and nothing is solved
+    start = time.monotonic()
+    code, out, err = run(capsys, "sweep", "--n", "2", *argv, "--cache-dir", str(tmp_path))
+    assert time.monotonic() - start < 5.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "more than 10000 sizes" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spacing", [(), ("--m-factor", "1.0000001")], ids=["step", "factor"])
+def test_sweep_grid_at_the_limit_is_read_whole(spacing):
+    # sizes 2 .. 10001 by both spacings, without a solve; one more is refused
+    def sweep(m_end):
+        args = cli._build_parser().parse_args(["sweep", "--n", "2", "--m-start", "2",
+                                               "--m-end", str(m_end), *spacing])
+        return cli._sweep_sizes(args)
+
+    assert cli._MAX_SWEEP_SIZES == 10**4
+    assert sweep(10**4 + 1) == list(range(2, 10**4 + 2))
+    with pytest.raises(ValidationError, match="more than 10000 sizes"):
+        sweep(10**4 + 2)
+
+
+@pytest.mark.parametrize("flags", [
+    ("--m-step", "3", "--m-factor", "2"),
+    ("--m-step", "1", "--m-factor", "2"),
+    ("--m-factor", "2", "--m-step", "1"),
+])
+def test_sweep_spacing_flags_are_exclusive(capsys, tmp_path, flags):
+    # a step next to a factor would be ignored, so giving both is a usage
+    # error, also when the step is the default 1
+    code, out, err = run(capsys, "sweep", "--n", "2", "--m-start", "2", "--m-end", "10", *flags,
+                         "--cache-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: argument --m-") and "not allowed with argument" in err
+    assert list(tmp_path.iterdir()) == []
+    for spacing in ((), ("--m-factor", "2")):
+        doc = run_json(capsys, "sweep", "--n", "1", "--m-start", "2", "--m-end", "4", *spacing,
+                       "--cache-dir", str(tmp_path))
+        assert doc["parameters"]["m_step"] == 1 and type(doc["parameters"]["m_step"]) is int
 
 
 # --- table -----------------------------------------------------------------------------
@@ -649,3 +721,24 @@ def test_bound_rows_carry_every_key_the_benchmark_reads(bench_run, tmp_path):
     args = cli._build_parser().parse_args(["bound", "--n", "2", "--m", "8", "--cache-dir", str(tmp_path)])
     for row in cli._bound_rows(args, 2, 8, ("b1", "b2", "b3")):
         assert read <= row.keys()
+
+
+def test_benchmark_toy_plans_pass_its_output_checks(bench_run, capsys, tmp_path, monkeypatch):
+    # each workload's toy calls at seed 0, run in-process from a work
+    # directory holding the plan's constellation files (eval names its file
+    # relative to it), pass the benchmark's own checks, and a rerun on the
+    # filled cache prints the same bytes
+    checker = bench_run.Checker(bench_run.load_oracle())
+    for index, (name, plan_of) in enumerate(bench_run.WORKLOADS.items()):
+        plan = plan_of(np.random.default_rng([0, index]), True)
+        workdir = tmp_path / name
+        workdir.mkdir()
+        for file, mats in plan["files"]:
+            bench_run.write_constellation(workdir / file, mats)
+        monkeypatch.chdir(workdir)
+        cold = []
+        for call in plan["calls"]:
+            code, out, err = run(capsys, *call.argv(workdir))
+            assert checker.check(call, {"rc": code, "stdout": out, "stderr": err}, workdir) == [], call.args
+            cold.append(out)
+        assert [run(capsys, *call.argv(workdir))[1] for call in plan["calls"]] == cold, name

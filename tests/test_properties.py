@@ -332,7 +332,7 @@ def test_loader_matches_per_entry_oracle(text):
 # values that are malformed, non-finite or out of range for some flag
 ODD = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1", "1e400", "", "x",
-                     "1.0000000000000002", "5e-324", "1e308"]),
+                     "1.0000000000000002", "5e-324", "1e308", str(10**400), str(2**1024)]),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
 )
 
@@ -368,6 +368,9 @@ def cli_argv(draw):
 @example(argv=["sweep", "--n", "1", "--m-start", "2", "--m-end", "4", "--m-factor", "nan"])
 @example(argv=["sweep", "--n", "1", "--m-start", "2", "--m-end", "4", "--m-factor", "inf"])
 @example(argv=["sweep", "--n", "1", "--m-start", "2", "--m-end", "4", "--m-factor", "1e308"])
+@example(argv=["bound", "--n", str(10**400), "--m", "4"])
+@example(argv=["sweep", "--n", str(10**400), "--m-start", "2", "--m-end", "3"])
+@example(argv=["sweep", "--n", "2", "--m-start", "2", "--m-end", str(10**30)])
 def test_cli_exits_0_1_or_2_without_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as cache, \
