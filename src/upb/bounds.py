@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import NumericalError, ValidationError, check_int, check_real
+from .errors import NumericalError, ValidationError, _as_float, check_int, check_real
 from .weyl import _check_kernel_n, _fraction_and_error, ball_volume_fraction, max_radius
 
 __all__ = [
@@ -92,14 +92,12 @@ def _check_size(n, m):
     RangeError above the kernel's n = 200, NumericalError where 1/m is no float."""
     n = _check_kernel_n(n)
     m = check_int(m, "m", 2)
-    try:
-        return n, m, 1.0 / m
-    except OverflowError:
-        raise NumericalError(f"m ≥ 2^{m.bit_length() - 1} is beyond the float range: F = 1/m cannot be formed") from None
+    return n, m, 1.0 / _as_float(m, "m")
 
 
 def solver_key(n, m, metric):
-    """Cache key: n:m:metric:version."""
+    """Cache key: n:m:metric:version, for a size that _check_size accepts."""
+    n, m, _ = _check_size(n, m)
     return ":".join([str(n), str(m), metric, _CACHE_VERSION])
 
 
@@ -172,9 +170,8 @@ def solve_r0(n, m, metric):
 
 
 def _check_radius(n, r, metric="euclidean"):
-    check_int(n, "n", 1)
-    r = check_real(r, "radius")
     rmax = max_radius(n, metric)
+    r = check_real(r, "radius")
     if not -1e-9 <= r <= rmax * (1.0 + 1e-9):
         raise ValidationError(f"radius must lie in [0, {rmax:.6g}], got {r!r}")
     return min(max(r, 0.0), rmax)
@@ -200,14 +197,16 @@ def b3_of_r(n, r):
     return math.sin(min(0.5 * math.pi, r / math.sqrt(n)))
 
 
+def _curve(bound_id):
+    """The curve B(r) of a bound id; ValidationError for any other value."""
+    try:
+        return {"b1": b1_of_r, "b2": b2_of_r, "b3": b3_of_r}[bound_id]
+    except (KeyError, TypeError):  # TypeError: an unhashable id
+        raise ValidationError(f"unknown bound id {bound_id!r}; expected one of {', '.join(BOUND_IDS)}") from None
+
+
 def evaluate_bound(bound_id, n, r0):
-    if bound_id == "b1":
-        return b1_of_r(n, r0)
-    if bound_id == "b2":
-        return b2_of_r(n, r0)
-    if bound_id == "b3":
-        return b3_of_r(n, r0)
-    raise ValidationError(f"unknown bound id {bound_id!r}; expected one of {BOUND_IDS}")
+    return _curve(bound_id)(n, r0)
 
 
 def _cache_path(cache_dir, key):
@@ -249,9 +248,7 @@ def compute_bounds(n, m, methods=BOUND_IDS, cache_dir=None):
     solver_key there, and a cached metric costs no mass evaluation.
     """
     n, m, _ = _check_size(n, m)
-    for bound_id in methods:
-        if bound_id not in BOUND_METRIC:
-            raise ValidationError(f"unknown bound id {bound_id!r}; expected one of {BOUND_IDS}")
+    curves = [_curve(bound_id) for bound_id in methods]
     radii = {}
     for metric in sorted({BOUND_METRIC[b] for b in methods}):
         key = solver_key(n, m, metric)
@@ -263,13 +260,13 @@ def compute_bounds(n, m, methods=BOUND_IDS, cache_dir=None):
                 _cache_store(path, key, *radius)
         radii[metric] = (key, *radius)
     results = []
-    for bound_id in methods:
+    for bound_id, curve in zip(methods, curves):
         metric = BOUND_METRIC[bound_id]
         key, r0, se_r = radii[metric]
-        value = evaluate_bound(bound_id, n, r0)
+        value = curve(n, r0)
         # B1 rises up to sqrt(2n), above every euclidean r0; B2 and B3 up to saturation
         cap = math.sqrt(2.0 * n) if bound_id == "b1" else max_radius(n, metric)
-        top = evaluate_bound(bound_id, n, min(r0 + se_r, cap))
+        top = curve(n, min(r0 + se_r, cap))
         results.append(
             BoundResult(
                 n=n,
@@ -310,7 +307,7 @@ def exact_delta(n, m):
     n = check_int(n, "n", 1)
     m = check_int(m, "m", 2)
     if n == 1:
-        return math.sin(math.pi / m)
+        return math.sin(math.pi / _as_float(m, "m"))
     if m <= 3 or (n == 2 and m <= 9):
         return math.sqrt(m / (2.0 * (m - 1)))
     if n == 2 and m <= 16:
@@ -356,7 +353,7 @@ def crossover_radius(n):
     bisection of (0, sqrt(2n)) finds it.
     """
     n = check_int(n, "n", 2)
-    hi = math.sqrt(2.0 * n) * (1.0 - 1e-12)
+    hi = math.sqrt(2.0 * _as_float(n, "n")) * (1.0 - 1e-12)
     lo = hi * 1e-6
     lo, hi = _bisect(lo, hi, lambda r: sum(euclidean_riemannian_envelope(n, r)) >= math.pi * math.sqrt(n),
                      _CROSSOVER_TOL * hi)
@@ -371,9 +368,9 @@ def asymptotic_lower_bound(n, m, tau):
     heuristic: the derivation holds only as m -> infinity and the value is
     not a certified bound at finite m.
     """
-    n = check_int(n, "n", 1)
-    m = check_int(m, "m", 2)
+    n, m, _ = _check_size(n, m)
     tau = check_int(tau, "tau", 0)
+    shrink = (_as_float(tau, "tau") + 1.0) ** (-1.0 / n**2)
     r0, _ = solve_r0(n, m, "euclidean")
-    value = math.sqrt(n) * r0 * (tau + 1.0) ** (-1.0 / n**2)
+    value = math.sqrt(n) * r0 * shrink
     return AsymptoticBound(n=n, m=m, tau=tau, r0=r0, value=value)

@@ -160,19 +160,11 @@ _MAX_SWEEP_SIZES = 10_000
 
 
 def _parse_methods(spec: str):
+    """The ids of a --method list, in order without repeats; compute_bounds checks them."""
     names = [tok.strip() for tok in spec.split(",") if tok.strip()]
     if not names:
         raise ValidationError("--method needs at least one of b1, b2, b3, all")
-    if "all" in names:
-        return list(BOUND_IDS)
-    for name in names:
-        if name not in BOUND_IDS:
-            raise ValidationError(f"unknown method {name!r}; choose from b1, b2, b3, all")
-    seen = []
-    for name in names:
-        if name not in seen:
-            seen.append(name)
-    return seen
+    return list(BOUND_IDS) if "all" in names else list(dict.fromkeys(names))
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +424,6 @@ def cmd_selftest(args) -> int:
 
 
 def _build_parser() -> _Parser:
-    numeric = _Parser(add_help=False)
-    # --samples and --nodes are accepted and ignored: the mass kernel has no
-    # settings, and scripts that still pass them keep running.
-    numeric.add_argument("--samples", type=int, help=argparse.SUPPRESS)
-    numeric.add_argument("--nodes", type=int, help=argparse.SUPPRESS)
-    numeric.add_argument("--seed", type=int, default=0)
-
     output = _Parser(add_help=False)
     output.add_argument("--format", default="table", choices=["table", "csv", "json"])
     output.add_argument("--out", default=None)
@@ -448,17 +433,20 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="upb", description="Upper bounds on unitary constellation diversity.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_bound = sub.add_parser("bound", parents=[numeric, output], help="bounds for one (n, m)")
+    p_bound = sub.add_parser("bound", parents=[output], help="bounds for one (n, m)")
     p_bound.add_argument("--n", type=int, required=True)
     p_bound.add_argument("--m", type=int, required=True)
     p_bound.add_argument("--method", default="all")
+    # accepted and ignored, since bench/run.py passes them; ROADMAP item 6 removes them
+    p_bound.add_argument("--samples", type=int, help=argparse.SUPPRESS)
+    p_bound.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p_bound.set_defaults(func=cmd_bound)
 
-    p_table = sub.add_parser("table", parents=[numeric, output],
+    p_table = sub.add_parser("table", parents=[output],
                              help="n = 2 reference table with deviations")
     p_table.set_defaults(func=cmd_table)
 
-    p_sweep = sub.add_parser("sweep", parents=[numeric, output], help="bounds over a range of m")
+    p_sweep = sub.add_parser("sweep", parents=[output], help="bounds over a range of m")
     p_sweep.add_argument("--n", type=int, required=True)
     p_sweep.add_argument("--m-start", type=int, required=True)
     p_sweep.add_argument("--m-end", type=int, required=True)
@@ -468,20 +456,23 @@ def _build_parser() -> _Parser:
     spacing.add_argument("--m-step", type=int, default="1")
     spacing.add_argument("--m-factor", type=float, default=None)
     p_sweep.add_argument("--method", default="all")
+    # accepted and ignored, since bench/run.py passes it; ROADMAP item 6 removes it
+    p_sweep.add_argument("--nodes", type=int, help=argparse.SUPPRESS)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_eval = sub.add_parser("eval", parents=[numeric, output],
+    p_eval = sub.add_parser("eval", parents=[output],
                             help="diversity figures for a constellation file")
     p_eval.add_argument("file")
     p_eval.add_argument("--bounds", action="store_true")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_search = sub.add_parser("search", parents=[numeric, output],
+    p_search = sub.add_parser("search", parents=[output],
                               help="random search for a good constellation")
     p_search.add_argument("--n", type=int, required=True)
     p_search.add_argument("--m", type=int, required=True)
     p_search.add_argument("--trials", type=int, default=10_000)
     p_search.add_argument("--objective", default="sum", choices=["sum", "product"])
+    p_search.add_argument("--seed", type=int, default=0)
     p_search.set_defaults(func=cmd_search)
 
     p_self = sub.add_parser("selftest", help="fast internal consistency checks")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import _lazy_numpy
 from .errors import DimensionError, ParseError, ValidationError, check_int
-from .matrices import UnitaryMatrix, as_complex_matrix, haar_sample, stacked_logabsdet, unitary_eigenangles
+from .matrices import UnitaryMatrix, _generator, as_complex_matrix, haar_sample, stacked_logabsdet, unitary_eigenangles
 
 np = _lazy_numpy()
 
@@ -32,7 +32,6 @@ __all__ = [
     "save_constellation",
 ]
 
-_SEED_MASK = (1 << 64) - 1
 # Bytes random_search holds at once: at its peak a chunk of trials takes
 # about 6 arrays the size of its Haar draw (the draw, QR temporaries, one
 # row of pair differences). Results do not depend on it.
@@ -180,9 +179,7 @@ def random_search(n, m, trials, seed, objective="sum"):
     trials = check_int(trials, "trials", 1)
     if objective not in ("sum", "product"):
         raise ValidationError(f"objective must be 'sum' or 'product', got {objective!r}")
-    if not isinstance(seed, np.random.Generator):
-        seed = check_int(seed, "seed", -math.inf) & _SEED_MASK
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     values = _sum_values if objective == "sum" else _product_values
     chunk = max(1, _SEARCH_BYTES // (6 * m * n * n * 16))
     best_score = -1.0

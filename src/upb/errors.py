@@ -69,6 +69,14 @@ def _describe_int(value):
         return f"an integer of {digits} digits"
 
 
+def _as_float(value, name):
+    """float(value) for an int value, or NumericalError where it is beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise NumericalError(f"{name} ≥ 2^{value.bit_length() - 1} is beyond the float range") from None
+
+
 def check_real(value, name):
     """value as a Python float if it is a finite real number, else ValidationError.
 

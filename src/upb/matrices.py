@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from . import _lazy_numpy
-from .errors import DimensionError, NumericalError, ValidationError, check_int
+from .errors import DimensionError, NumericalError, RangeError, ValidationError, _describe_int, check_int
 
 np = _lazy_numpy()
 
@@ -26,6 +26,11 @@ __all__ = [
 
 _VALIDATION_TOL = 1e-9  # bound on a UnitaryMatrix's residual ||M*M - I||
 _EIGENANGLE_TOL = 1e-6  # bound on that of unitary_eigenangles' argument
+# Bytes one random draw may take. The largest draw the package makes is
+# selftest's 100 000 Haar matrices of order 3 (14 MB), and random_search
+# draws in 4 MiB chunks; a draw past this would end in numpy's
+# "array is too big" or in a MemoryError instead of one line.
+_MAX_DRAW_BYTES = 1 << 30
 
 
 def as_complex_matrix(m):
@@ -103,23 +108,40 @@ def unitary_eigenangles(u):
     return np.sort(theta)
 
 
+def _generator(seed):
+    """seed if it is a numpy Generator, else a Generator seeded with the
+    integer seed mod 2^64 (any sign and size; ValidationError otherwise)."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(check_int(seed, "seed", -math.inf) % 2**64)
+
+
+def _check_draw(nbytes, what):
+    """RangeError if a draw of nbytes exceeds _MAX_DRAW_BYTES; what names the draw."""
+    if nbytes > _MAX_DRAW_BYTES:
+        raise RangeError(f"{what} needs more than {_MAX_DRAW_BYTES >> 20} MiB, the limit for one random draw")
+
+
 def haar_sample(n, rng, size=None):
     """Draw Haar-distributed elements of U(n).
 
-    ``rng`` is a numpy Generator or an integer seed. ``size=None`` returns
-    one UnitaryMatrix; an int or a tuple of ints returns an array of shape
-    (*size, n, n) whose matrices are, in C order, those that as many single
-    draws from the same stream would give. Complex Ginibre matrix (real and
+    ``rng`` is a numpy Generator or an integer seed of any sign and size,
+    taken mod 2^64. ``size=None`` returns one UnitaryMatrix; an int or a
+    tuple of ints returns an array of shape (*size, n, n) whose matrices
+    are, in C order, those that as many single draws from the same stream
+    would give. Complex Ginibre matrix (real and
     imaginary parts interleaved), QR, then the Q columns are rephased by the
     R diagonal so the distribution is exactly Haar rather than
-    QR-convention dependent (Mezzadri 2007, Notices AMS 54).
+    QR-convention dependent (Mezzadri 2007, Notices AMS 54). RangeError
+    where the Gaussian draw would exceed 2^30 bytes.
     """
     n = check_int(n, "n", 1)
     dims = () if size is None else size if isinstance(size, tuple) else (size,)
     shape = tuple(check_int(k, "size", 0) for k in dims)
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(check_int(rng, "seed", 0))
-    g = rng.standard_normal((*shape, n, n, 2))
+    count = math.prod(shape)
+    _check_draw(count * n * n * 16,
+                f"haar_sample's Gaussian draw ({_describe_int(count)} × {_describe_int(n)}² complex entries)")
+    g = _generator(rng).standard_normal((*shape, n, n, 2))
     z = (g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)

@@ -53,7 +53,8 @@ import math
 from functools import lru_cache
 
 from . import _lazy_numpy
-from .errors import RangeError, ValidationError, _describe_int, check_int, check_real
+from .errors import RangeError, ValidationError, _as_float, _describe_int, check_int, check_real
+from .matrices import _check_draw, _generator
 
 np = _lazy_numpy()
 
@@ -126,7 +127,7 @@ def total_mass(n):
     Raises RangeError once the value exceeds float range (n >= 125).
     """
     n = check_int(n, "n", 1)
-    if n * math.log(2.0 * math.pi) + math.lgamma(n + 1) > 709.0:
+    if _as_float(n, "n") * math.log(2.0 * math.pi) + math.lgamma(n + 1) > 709.0:
         raise RangeError(f"total mass overflows float64 for n={n}")
     return (2.0 * math.pi) ** n * float(math.factorial(n))
 
@@ -135,7 +136,8 @@ def max_radius(n, metric):
     """Saturation radius: the ball covers D1 from here on."""
     n = check_int(n, "n", 1)
     _check_metric(metric)
-    return 2.0 * math.sqrt(n) if metric == "euclidean" else math.pi * math.sqrt(n)
+    root = math.sqrt(_as_float(n, "n"))
+    return 2.0 * root if metric == "euclidean" else math.pi * root
 
 
 def _check_kernel_n(n):
@@ -183,12 +185,14 @@ def normalizer_estimate(n, samples, seed):
     density integral from `samples` uniform draws on D1.
 
     No early-outs and no shared code with the mass kernel, so this is an
-    honest stochastic cross-check of total_mass(n).
+    honest stochastic cross-check of total_mass(n). seed is taken as by
+    haar_sample. RangeError above n = 1024, where a chunk of draws would
+    exceed 2^30 bytes.
     """
     n = check_int(n, "n", 1)
     samples = check_int(samples, "samples", 2)
-    seed = check_int(seed, "seed", 0)
-    rng = np.random.default_rng(seed)
+    _check_draw(_CHUNK * n * 8, f"normalizer_estimate's chunk ({_CHUNK} × {_describe_int(n)} uniform angles)")
+    rng = _generator(seed)
     total = total_sq = 0.0
     for start in range(0, samples, _CHUNK):
         w = _density_rows(rng.uniform(-math.pi, math.pi, (min(_CHUNK, samples - start), n)))

@@ -28,6 +28,7 @@ from upb import (
     exact_delta,
     haar_sample,
     max_radius,
+    normalizer_estimate,
     riemannian_distance,
     solve_r0,
     solver_key,
@@ -456,6 +457,29 @@ def test_solve_r0_validates_inputs():
                    (1 - 10**4300, "-" + "9" * 4300)):
         with pytest.raises(ValidationError, match=f"got {got}$"):
             solve_r0(2, m, "euclidean")
+
+
+BEYOND_FLOAT_RANGE = [
+    (max_radius, (10**400, "euclidean")),
+    (total_mass, (10**400,)),
+    (crossover_radius, (10**400,)),
+    (exact_delta, (1, 10**400)),
+    (b1_of_r, (10**400, 1.0)),
+    (b3_of_r, (10**400, 1.0)),
+    (euclidean_riemannian_envelope, (10**400, 1.0)),
+    (asymptotic_lower_bound, (2, 8, 10**400)),
+    (solver_key, (2, 10**5000, "euclidean")),
+    (normalizer_estimate, (10**400, 10, 0)),
+]
+
+
+@pytest.mark.parametrize("call, args", BEYOND_FLOAT_RANGE, ids=[call.__name__ for call, _ in BEYOND_FLOAT_RANGE])
+def test_public_calls_beyond_the_float_range_fail_with_one_line(call, args):
+    # an integer float() cannot take, or a draw it cannot allocate, is a
+    # numerical failure with a one-line message, never a bare Python error
+    with pytest.raises(NumericalError) as info:
+        call(*args)
+    assert "\n" not in str(info.value)
 
 
 @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])

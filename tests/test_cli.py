@@ -79,7 +79,7 @@ def test_nonfinite_json_value_is_numerical_failure(capsys, tmp_path, monkeypatch
 def test_bound_reproduces_published_m128(capsys, tmp_path):
     doc = run_json(
         capsys, "bound", "--n", "2", "--m", "128", "--method", "b1",
-        "--nodes", "64", "--cache-dir", str(tmp_path),
+        "--cache-dir", str(tmp_path),
     )
     (row,) = doc["results"]
     assert row["value"] == pytest.approx(0.5347, abs=5e-3)
@@ -96,17 +96,44 @@ def test_bound_usage_errors(capsys, tmp_path):
     assert code == 1
 
 
+def test_bound_ids_have_one_check(capsys, tmp_path, monkeypatch):
+    # the library and the CLI refuse an unknown id with one message, and
+    # compute_bounds looks up every id before its first solve
+    def no_solve(*args):
+        raise AssertionError("bound ids are checked before any solve")
+
+    monkeypatch.setattr(upb.bounds, "solve_r0", no_solve)
+    message = "unknown bound id 'b9'; expected one of b1, b2, b3"
+    for call in (lambda: compute_bounds(2, 8, ("b9",)), lambda: compute_bounds(2, 8, ("b1", "b9")),
+                 lambda: upb.bounds.evaluate_bound("b9", 2, 1.0)):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == message
+    code, out, err = run(capsys, "bound", "--n", "2", "--m", "8", "--method", "b1,b9",
+                         "--cache-dir", str(tmp_path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_samples_and_nodes_are_ignored(capsys, tmp_path):
-    args = ("bound", "--n", "2", "--m", "24", "--format", "json", "--no-timestamp",
-            "--cache-dir", str(tmp_path))
-    _, plain, _ = run(capsys, *args)
-    code, flagged, _ = run(capsys, *args, "--samples", "10", "--nodes", "5")
-    assert code == 0 and flagged == plain
-    assert len(list(tmp_path.glob("*.json"))) == 2  # same cache keys, no new entries
+    # the hidden flags bound --samples/--seed and sweep --nodes change no
+    # output and no cache key, and no help text names them
+    for args, hidden in (
+        (("bound", "--n", "2", "--m", "24"), ("--samples", "10", "--seed", "5")),
+        (("sweep", "--n", "2", "--m-start", "24", "--m-end", "24"), ("--nodes", "5")),
+    ):
+        args += ("--format", "json", "--no-timestamp", "--cache-dir", str(tmp_path))
+        _, plain, _ = run(capsys, *args)
+        code, flagged, _ = run(capsys, *args, *hidden)
+        assert code == 0 and flagged == plain
+        assert len(list(tmp_path.glob("*.json"))) == 2  # same cache keys, no new entries
+        with pytest.raises(SystemExit):
+            main([args[0], "--help"])
+        help_text = capsys.readouterr().out
+        assert not any(flag in help_text for flag in ("--samples", "--nodes", "--seed"))
     with pytest.raises(SystemExit):
-        main(["bound", "--help"])
-    help_text = capsys.readouterr().out
-    assert "--seed" in help_text and "--samples" not in help_text and "--nodes" not in help_text
+        main(["search", "--help"])
+    assert "--seed" in capsys.readouterr().out
 
 
 def test_bound_above_float_range_is_numerical_failure(capsys, tmp_path):
@@ -227,22 +254,21 @@ def test_help_exits_zero():
 
 
 def test_each_subcommand_accepts_exactly_its_flags(capsys):
-    # every flag must select something; --samples and --nodes are the
-    # ignored kernel settings that scripts still pass (see README)
+    # every flag must select something; bound's --samples and --seed and
+    # sweep's --nodes are ignored, kept for the benchmark that passes them
     (subparsers,) = [a for a in cli._build_parser()._actions
                      if isinstance(a, argparse._SubParsersAction)]
     flags = {
         name: {opt for action in sub._actions for opt in action.option_strings or [action.dest]}
         for name, sub in subparsers.choices.items()
     }
-    common = {"-h", "--help", "--samples", "--nodes", "--seed",
-              "--format", "--out", "--no-timestamp", "--cache-dir"}
+    common = {"-h", "--help", "--format", "--out", "--no-timestamp", "--cache-dir"}
     assert flags == {
-        "bound": common | {"--n", "--m", "--method"},
+        "bound": common | {"--n", "--m", "--method", "--samples", "--seed"},
         "table": common,
-        "sweep": common | {"--n", "--m-start", "--m-end", "--m-step", "--m-factor", "--method"},
+        "sweep": common | {"--n", "--m-start", "--m-end", "--m-step", "--m-factor", "--method", "--nodes"},
         "eval": common | {"file", "--bounds"},
-        "search": common | {"--n", "--m", "--trials", "--objective"},
+        "search": common | {"--n", "--m", "--trials", "--objective", "--seed"},
         "selftest": {"-h", "--help"},
     }
     code, out, err = run(capsys, "selftest", "--format", "json")
@@ -253,7 +279,7 @@ def test_each_subcommand_accepts_exactly_its_flags(capsys):
 
 
 def test_output_byte_identical_across_cache_states(capsys, tmp_path):
-    args = ("bound", "--n", "2", "--m", "24", "--nodes", "48",
+    args = ("bound", "--n", "2", "--m", "24",
             "--format", "json", "--no-timestamp", "--cache-dir", str(tmp_path))
     code, cold, _ = run(capsys, *args)
     assert code == 0
@@ -442,7 +468,7 @@ def test_sweep_spacing_flags_are_exclusive(capsys, tmp_path, flags):
 
 
 def test_table_consistent_columns_within_tolerance(capsys, tmp_path):
-    code, out, _ = run(capsys, "table", "--nodes", "48", "--format", "csv",
+    code, out, _ = run(capsys, "table", "--format", "csv",
                        "--no-timestamp", "--cache-dir", str(tmp_path))
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
@@ -469,7 +495,7 @@ def write_constellation(tmp_path, members, name="v.json", label=""):
 
 def test_eval_antipodal_pair(capsys, tmp_path):
     path = write_constellation(tmp_path, [np.eye(2), -np.eye(2)])
-    doc = run_json(capsys, "eval", str(path), "--bounds", "--nodes", "48",
+    doc = run_json(capsys, "eval", str(path), "--bounds",
                    "--cache-dir", str(tmp_path))
     rows = {r["name"]: r for r in doc["results"]}
     assert rows["diversity_sum"]["value"] == pytest.approx(1.0)
@@ -636,6 +662,18 @@ def test_search_past_kernel_limit_fails_before_searching(capsys, tmp_path, monke
     assert list(tmp_path.iterdir()) == []
 
 
+def test_search_refuses_a_draw_above_the_limit(capsys, tmp_path):
+    # m = 10^18 passes the size check, since 1/m is a float, but one trial's
+    # Haar draw would take 64 EB: exit 2 with one line, before any allocation
+    start = time.monotonic()
+    code, out, err = run(capsys, "search", "--n", "2", "--m", str(10**18), "--trials", "1",
+                         "--out", str(tmp_path / "best.json"), "--cache-dir", str(tmp_path / "cache"))
+    assert time.monotonic() - start < 5.0
+    assert code == 2 and out == ""
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1 and "1024 MiB" in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_search_solves_after_searching_and_saves_last(capsys, tmp_path, monkeypatch):
     # the bounds are solved after the search, so the kernel's memo does not
     # add to its peak memory; a failed solve still writes no file
@@ -703,16 +741,34 @@ def bench_run(monkeypatch):
     return module
 
 
-def test_every_benchmark_argv_parses(bench_run, tmp_path):
-    parsed = 0
+def benchmark_calls(bench_run):
+    """Every call of every workload's plan, toy and full, at seeds 0-2."""
     for index, plan in enumerate(bench_run.WORKLOADS.values()):
         for toy in (True, False):
             for seed in range(3):
-                for call in plan(np.random.default_rng([seed, index]), toy)["calls"]:
-                    args = cli._build_parser().parse_args(call.argv(tmp_path))
-                    assert args.command == call.kind
-                    parsed += 1
+                yield from plan(np.random.default_rng([seed, index]), toy)["calls"]
+
+
+def test_every_benchmark_argv_parses(bench_run, tmp_path):
+    parsed = 0
+    for call in benchmark_calls(bench_run):
+        args = cli._build_parser().parse_args(call.argv(tmp_path))
+        assert args.command == call.kind
+        parsed += 1
     assert parsed > 0
+
+
+def test_every_hidden_flag_has_a_benchmark_caller(bench_run, tmp_path):
+    # a flag hidden from --help is kept only while the benchmark passes it;
+    # once it no longer does, the flag must go too
+    (subparsers,) = [a for a in cli._build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    hidden = {(name, opt) for name, sub in subparsers.choices.items()
+              for action in sub._actions if action.help == argparse.SUPPRESS
+              for opt in action.option_strings}
+    passed = {(call.kind, arg) for call in benchmark_calls(bench_run)
+              for arg in call.argv(tmp_path) if arg.startswith("--")}
+    assert hidden <= passed
 
 
 def test_bound_rows_carry_every_key_the_benchmark_reads(bench_run, tmp_path):

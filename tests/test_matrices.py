@@ -7,6 +7,7 @@ from determinant_oracle import determinant
 from upb import (
     DimensionError,
     NumericalError,
+    RangeError,
     UnitaryMatrix,
     ValidationError,
     as_complex_matrix,
@@ -152,8 +153,19 @@ def test_haar_sample_accepts_generator_and_advances_it():
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
 def test_haar_sample_rejects_seeds_that_are_not_nonnegative_integers(seed):
+    # a negative integer seed is taken mod 2^64; a non-integer is refused
+    if type(seed) is int:
+        assert np.array_equal(haar_sample(2, seed).array, haar_sample(2, 2**64 + seed).array)
+        return
     with pytest.raises(ValidationError):
         haar_sample(2, seed)
+
+
+@pytest.mark.parametrize("n, size", [(2, 10**18), (10**6, None)])
+def test_haar_sample_refuses_a_draw_above_the_limit(n, size):
+    # both are far above the 2^30-byte limit, so the refusal allocates nothing
+    with pytest.raises(RangeError, match=r"needs more than 1024 MiB, the limit for one random draw$"):
+        haar_sample(n, 0, size)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])

@@ -31,6 +31,8 @@ from upb import (
     haar_sample,
     load_constellation,
     max_radius,
+    normalizer_estimate,
+    random_search,
     riemannian_distance,
     solve_r0,
     unitarity_residual,
@@ -327,6 +329,38 @@ def test_loader_matches_per_entry_oracle(text):
         assert isinstance(want[0], str) or want[1].startswith(f"matrix {idx}: determinant modulus")
         return
     assert got == want
+
+
+def seeded_draws(seed):
+    """What haar_sample, random_search and normalizer_estimate draw from seed."""
+    best, score = random_search(1, 4, 10, seed)
+    return (haar_sample(2, seed).array.tolist(), [u.array.tolist() for u in best.members], score,
+            normalizer_estimate(2, 1000, seed))
+
+
+NOT_INTEGERS = [1.5, "3", True, None]
+
+
+@PROPERTY
+@given(seed=st.one_of(
+    st.integers(),
+    st.integers(-2**200, 2**200),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.sampled_from(NOT_INTEGERS),
+))
+@example(seed=-1)
+@example(seed=2**64)
+@example(seed=np.int64(-5))
+def test_every_seed_follows_one_rule(seed):
+    # any integer seed draws the stream of seed mod 2^64; anything else is refused
+    if any(seed is bad for bad in NOT_INTEGERS):
+        for call in (lambda: haar_sample(2, seed), lambda: random_search(1, 4, 10, seed),
+                     lambda: normalizer_estimate(2, 1000, seed)):
+            with pytest.raises(ValidationError, match="^seed must be an integer"):
+                call()
+    else:
+        assert seeded_draws(seed) == seeded_draws(int(seed) % 2**64)
 
 
 # values that are malformed, non-finite or out of range for some flag

@@ -377,8 +377,8 @@ def test_mc_seed_changes_estimate():
 def test_config_validation():
     with pytest.raises(ValidationError):
         normalizer_estimate(2, 1, 0)
-    with pytest.raises(ValidationError):
-        normalizer_estimate(2, 1000, -1)
+    # a negative seed is taken mod 2^64
+    assert normalizer_estimate(2, 1000, -1) == normalizer_estimate(2, 1000, 2**64 - 1)
 
 
 def test_ball_mass_validates_arguments():
