@@ -353,7 +353,7 @@ def crossover_radius(n):
     bisection of (0, sqrt(2n)) finds it.
     """
     n = check_int(n, "n", 2)
-    hi = math.sqrt(2.0 * _as_float(n, "n")) * (1.0 - 1e-12)
+    hi = math.sqrt(_as_float(2 * n, "2n")) * (1.0 - 1e-12)
     lo = hi * 1e-6
     lo, hi = _bisect(lo, hi, lambda r: sum(euclidean_riemannian_envelope(n, r)) >= math.pi * math.sqrt(n),
                      _CROSSOVER_TOL * hi)

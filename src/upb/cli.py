@@ -37,9 +37,6 @@ np = _lazy_numpy()
 
 __all__ = ["main", "console_main"]
 
-_DEFAULT_CACHE_DIR = ".upb-cache"
-_ENV_CACHE_DIR = "UPB_CACHE_DIR"
-
 # Published reference values for the n = 2 upper-bound table.  Rows are
 # constellation sizes; columns give the first and second Euclidean bounds
 # as printed in the source table (4 significant digits).
@@ -64,14 +61,14 @@ def _cell(value, digits: int) -> str:
     return format(value, f".{digits}g") if isinstance(value, float) else str(value)
 
 
-def _emit(args, command: str, parameters: dict, columns, rows, notes=(), t0: float = 0.0) -> None:
-    """Write one invocation's rows as a table, CSV or JSON, to stdout or to
-    --out (for search, --out names the constellation file instead)."""
+def _emit(args, t0: float, parameters: dict, columns, rows, notes=()) -> None:
+    """Write one invocation's rows, timed from t0, as a table, CSV or JSON, to
+    stdout or to --out (for search, --out names the constellation file instead)."""
     wall_time_s = time.perf_counter() - t0
     timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     if args.format == "json":
         doc = {
-            "command": command,
+            "command": args.command,
             "parameters": parameters,
             "results": [{c: row[c] for c in columns} for row in rows],
         }
@@ -98,10 +95,9 @@ def _emit(args, command: str, parameters: dict, columns, rows, notes=(), t0: flo
         if not args.no_timestamp:
             lines.append(f"wall_time_s {wall_time_s:.3f}  timestamp {timestamp}")
         text = "\n".join(lines) + "\n"
-    out_path = getattr(args, "out", None)
-    if out_path is not None and command != "search":
+    if args.out is not None and args.command != "search":
         try:
-            Path(out_path).write_text(text)
+            Path(args.out).write_text(text)
         except OSError as exc:
             raise ValidationError(f"cannot write --out file: {exc}") from exc
     else:
@@ -112,17 +108,8 @@ def _emit(args, command: str, parameters: dict, columns, rows, notes=(), t0: flo
 # bound rows: the library computes and caches, the CLI lays out
 
 
-def _cache_dir(args) -> Path:
-    if args.cache_dir is not None:
-        return Path(args.cache_dir)
-    env = os.environ.get(_ENV_CACHE_DIR)
-    if env:
-        return Path(env)
-    return Path(_DEFAULT_CACHE_DIR)
-
-
 def _bound_rows(args, n: int, m: int, methods) -> list:
-    results = compute_bounds(n, m, methods, _cache_dir(args))
+    results = compute_bounds(n, m, methods, args.cache_dir)
     return [
         {
             "n": n,
@@ -168,28 +155,26 @@ def _parse_methods(spec: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its record (parameters, columns, rows[, notes]),
+# which main times and writes through _emit
 
 
-def _bound_command(args, command: str, params: dict, sizes) -> int:
-    """The body of bound and sweep: bound rows at n for each m of sizes(args)."""
-    t0 = time.perf_counter()
+def _bound_record(args, params: dict, sizes):
+    """The record of bound and sweep: bound rows at n for each m of sizes(args)."""
     methods = _parse_methods(args.method)
     rows = [row for m in sizes(args) for row in _bound_rows(args, args.n, m, methods)]
-    _emit(args, command, {**params, "method": ",".join(methods)}, _SWEEP_COLUMNS, rows, t0=t0)
-    return 0
+    return {**params, "method": ",".join(methods)}, _SWEEP_COLUMNS, rows
 
 
-def cmd_bound(args) -> int:
-    return _bound_command(args, "bound", {"n": args.n, "m": args.m}, lambda a: [a.m])
+def cmd_bound(args):
+    return _bound_record(args, {"n": args.n, "m": args.m}, lambda a: [a.m])
 
 
-def cmd_table(args) -> int:
-    t0 = time.perf_counter()
+def cmd_table(args):
     rows = []
     worst = 0.0
     for i, m in enumerate(_TABLE_M):
-        for res in compute_bounds(2, m, ("b1", "b2"), _cache_dir(args)):
+        for res in compute_bounds(2, m, ("b1", "b2"), args.cache_dir):
             reference = _TABLE_REF[res.bound_id][i]
             dev = abs(res.value - reference)
             worst = max(worst, dev)
@@ -202,10 +187,8 @@ def cmd_table(args) -> int:
                     "abs_dev": dev,
                 }
             )
-    params = {"n": 2}
     notes = (f"max abs deviation {worst:.6g} over {len(rows)} entries",)
-    _emit(args, "table", params, ("m", "method", "computed", "reference", "abs_dev"), rows, notes, t0)
-    return 0
+    return {"n": 2}, ("m", "method", "computed", "reference", "abs_dev"), rows, notes
 
 
 def _geometric_sizes(start: int, end: int, factor: float):
@@ -246,7 +229,7 @@ def _sweep_sizes(args) -> list:
     return sizes
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     params = {
         "n": args.n,
         "m_start": args.m_start,
@@ -254,16 +237,15 @@ def cmd_sweep(args) -> int:
         "m_step": args.m_step,
         "m_factor": args.m_factor,
     }
-    return _bound_command(args, "sweep", params, _sweep_sizes)
+    return _bound_record(args, params, _sweep_sizes)
 
 
-def cmd_eval(args) -> int:
-    t0 = time.perf_counter()
+def cmd_eval(args):
     constellation = load_constellation(args.file)
     # bounds first: n > 200 fails here, before the pair scan
     results = []
     if args.bounds:
-        results = compute_bounds(constellation.n, constellation.m, BOUND_IDS, _cache_dir(args))
+        results = compute_bounds(constellation.n, constellation.m, BOUND_IDS, args.cache_dir)
     summary = diversity_summary(constellation)
     rows = [
         {
@@ -289,19 +271,17 @@ def cmd_eval(args) -> int:
     params = {"file": str(args.file), "n": summary.n, "m": summary.m}
     if constellation.label:
         params["label"] = constellation.label
-    _emit(args, "eval", params, ("name", "value", "detail"), rows, notes, t0)
-    return 0
+    return params, ("name", "value", "detail"), rows, notes
 
 
-def cmd_search(args) -> int:
-    t0 = time.perf_counter()
+def cmd_search(args):
     # the size check, then the search, then the bounds: n > 200 or an m
     # beyond the float range fails before any work, a bad --trials before the
     # search's first trial, a failed solve writes no file, and the kernel's
     # memo is not yet held while the search runs
     _check_size(args.n, args.m)
     best, score = random_search(args.n, args.m, args.trials, args.seed, objective=args.objective)
-    results = compute_bounds(args.n, args.m, BOUND_IDS, _cache_dir(args))
+    results = compute_bounds(args.n, args.m, BOUND_IDS, args.cache_dir)
     out_path = args.out if args.out is not None else f"constellation-n{args.n}-m{args.m}-{args.objective}.json"
     try:
         save_constellation(best, out_path)
@@ -316,8 +296,7 @@ def cmd_search(args) -> int:
         "objective": args.objective,
         "seed": args.seed,
     }
-    _emit(args, "search", params, ("name", "value", "detail"), rows, t0=t0)
-    return 0
+    return params, ("name", "value", "detail"), rows
 
 
 # ---------------------------------------------------------------------------
@@ -335,19 +314,19 @@ def _selftest_normalizer() -> str:
 
 
 def _selftest_kernel_vs_haar() -> str:
-    """The mass kernel's ball fraction against the empirical CDF of the ball
-    statistic S over batched Haar draws, within 5 binomial standard errors."""
+    """The mass kernel's ball fraction F(r) against the share of Haar draws
+    within distance r of I, within 5 binomial standard errors: the Frobenius
+    norm of U - I, or the 2-norm of U's eigenangles."""
     n, draws = 3, 100_000
     u = haar_sample(n, 20_240_719, draws)
-    stats = {
-        "euclidean": 0.5 * (n - np.trace(u, axis1=1, axis2=2).real),
-        "riemannian": np.sum(np.angle(np.linalg.eigvals(u)) ** 2, axis=1),
+    distances = {
+        "euclidean": np.linalg.norm(u - np.eye(n), axis=(1, 2)),
+        "riemannian": np.linalg.norm(np.angle(np.linalg.eigvals(u)), axis=1),
     }
     radii = {"euclidean": (2.0, 2.3, 2.6), "riemannian": (2.0, 2.5, 3.0)}
-    for metric, sample in stats.items():
+    for metric, distance in distances.items():
         for radius in radii[metric]:
-            s = (0.5 * radius) ** 2 if metric == "euclidean" else radius * radius
-            empirical = float(np.mean(sample <= s))
+            empirical = float(np.mean(distance <= radius))
             exact = ball_volume_fraction(n, radius, metric)
             se = math.sqrt(max(exact * (1.0 - exact), 1e-12) / draws)
             if abs(empirical - exact) > 5.0 * se:
@@ -396,7 +375,7 @@ def _selftest_closed_forms() -> str:
     return ""
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest() -> int:
     checks = (
         ("normalizer", _selftest_normalizer),
         ("kernel-vs-haar", _selftest_kernel_vs_haar),
@@ -428,7 +407,7 @@ def _build_parser() -> _Parser:
     output.add_argument("--format", default="table", choices=["table", "csv", "json"])
     output.add_argument("--out", default=None)
     output.add_argument("--no-timestamp", action="store_true")
-    output.add_argument("--cache-dir", default=None)
+    output.add_argument("--cache-dir", default=os.environ.get("UPB_CACHE_DIR") or ".upb-cache")
 
     parser = _Parser(prog="upb", description="Upper bounds on unitary constellation diversity.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -475,8 +454,7 @@ def _build_parser() -> _Parser:
     p_search.add_argument("--seed", type=int, default=0)
     p_search.set_defaults(func=cmd_search)
 
-    p_self = sub.add_parser("selftest", help="fast internal consistency checks")
-    p_self.set_defaults(func=cmd_selftest)
+    sub.add_parser("selftest", help="fast internal consistency checks")
 
     return parser
 
@@ -484,7 +462,11 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        if args.command == "selftest":
+            return cmd_selftest()
+        t0 = time.perf_counter()
+        _emit(args, t0, *args.func(args))
+        return 0
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

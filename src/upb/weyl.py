@@ -54,7 +54,7 @@ from functools import lru_cache
 
 from . import _lazy_numpy
 from .errors import RangeError, ValidationError, _as_float, _describe_int, check_int, check_real
-from .matrices import _check_draw, _generator
+from .matrices import _generator
 
 np = _lazy_numpy()
 
@@ -121,14 +121,22 @@ def _density_rows(thetas):
     return w
 
 
+def _check_mass_n(n):
+    """n as an int in [1, 124], where the total mass fits a float; RangeError above."""
+    n = check_int(n, "n", 1)
+    log_scale = _as_float(n, "n") * math.log(2.0 * math.pi)
+    # the first test alone refuses n >= 386, before lgamma could overflow
+    if log_scale > 709.0 or log_scale + math.lgamma(n + 1) > 709.0:
+        raise RangeError(f"total mass overflows float64 for n={_describe_int(n)}")
+    return n
+
+
 def total_mass(n):
     """Full-domain density integral (2 pi)^n n!.
 
     Raises RangeError once the value exceeds float range (n >= 125).
     """
-    n = check_int(n, "n", 1)
-    if _as_float(n, "n") * math.log(2.0 * math.pi) + math.lgamma(n + 1) > 709.0:
-        raise RangeError(f"total mass overflows float64 for n={n}")
+    n = _check_mass_n(n)
     return (2.0 * math.pi) ** n * float(math.factorial(n))
 
 
@@ -186,12 +194,11 @@ def normalizer_estimate(n, samples, seed):
 
     No early-outs and no shared code with the mass kernel, so this is an
     honest stochastic cross-check of total_mass(n). seed is taken as by
-    haar_sample. RangeError above n = 1024, where a chunk of draws would
-    exceed 2^30 bytes.
+    haar_sample. RangeError where total_mass refuses n (n >= 125), which
+    this cross-checks; at n = 124, 1000 samples already give ~1e-87 of it.
     """
-    n = check_int(n, "n", 1)
+    n = _check_mass_n(n)
     samples = check_int(samples, "samples", 2)
-    _check_draw(_CHUNK * n * 8, f"normalizer_estimate's chunk ({_CHUNK} × {_describe_int(n)} uniform angles)")
     rng = _generator(seed)
     total = total_sq = 0.0
     for start in range(0, samples, _CHUNK):

@@ -459,21 +459,23 @@ def test_solve_r0_validates_inputs():
             solve_r0(2, m, "euclidean")
 
 
-BEYOND_FLOAT_RANGE = [
-    (max_radius, (10**400, "euclidean")),
-    (total_mass, (10**400,)),
-    (crossover_radius, (10**400,)),
-    (exact_delta, (1, 10**400)),
-    (b1_of_r, (10**400, 1.0)),
-    (b3_of_r, (10**400, 1.0)),
-    (euclidean_riemannian_envelope, (10**400, 1.0)),
-    (asymptotic_lower_bound, (2, 8, 10**400)),
-    (solver_key, (2, 10**5000, "euclidean")),
-    (normalizer_estimate, (10**400, 10, 0)),
-]
+BEYOND_FLOAT_RANGE = {
+    "max_radius": (max_radius, (10**400, "euclidean")),
+    "total_mass": (total_mass, (10**400,)),
+    "crossover_radius": (crossover_radius, (10**400,)),
+    "crossover_radius-2n": (crossover_radius, (2**1023,)),
+    "exact_delta": (exact_delta, (1, 10**400)),
+    "b1_of_r": (b1_of_r, (10**400, 1.0)),
+    "b3_of_r": (b3_of_r, (10**400, 1.0)),
+    "euclidean_riemannian_envelope": (euclidean_riemannian_envelope, (10**400, 1.0)),
+    "asymptotic_lower_bound": (asymptotic_lower_bound, (2, 8, 10**400)),
+    "solver_key": (solver_key, (2, 10**5000, "euclidean")),
+    "normalizer_estimate": (normalizer_estimate, (10**400, 10, 0)),
+    "normalizer_estimate-total-mass": (normalizer_estimate, (400, 2, 0)),
+}
 
 
-@pytest.mark.parametrize("call, args", BEYOND_FLOAT_RANGE, ids=[call.__name__ for call, _ in BEYOND_FLOAT_RANGE])
+@pytest.mark.parametrize("call, args", BEYOND_FLOAT_RANGE.values(), ids=BEYOND_FLOAT_RANGE.keys())
 def test_public_calls_beyond_the_float_range_fail_with_one_line(call, args):
     # an integer float() cannot take, or a draw it cannot allocate, is a
     # numerical failure with a one-line message, never a bare Python error

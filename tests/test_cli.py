@@ -344,6 +344,19 @@ def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):
                      "--no-timestamp")
     assert code == 0
     assert list((tmp_path / "envcache").glob("*.json"))
+    # the flag wins over a set variable
+    code, _, _ = run(capsys, "bound", "--n", "1", "--m", "5", "--format", "json",
+                     "--no-timestamp", "--cache-dir", str(tmp_path / "flagcache"))
+    assert code == 0
+    assert list((tmp_path / "flagcache").glob("*.json"))
+    assert not list((tmp_path / "envcache").glob("1_5_*.json"))
+    # an empty variable falls back to ./.upb-cache
+    monkeypatch.setenv("UPB_CACHE_DIR", "")
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, "bound", "--n", "1", "--m", "6", "--format", "json",
+                     "--no-timestamp")
+    assert code == 0
+    assert list((tmp_path / ".upb-cache").glob("*.json"))
 
 
 def test_timestamp_present_without_flag(capsys, tmp_path):
@@ -352,6 +365,21 @@ def test_timestamp_present_without_flag(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert "timestamp" in doc and "wall_time_s" in doc
+
+
+def test_wall_time_covers_the_subcommand(capsys, tmp_path, monkeypatch):
+    # main starts the one timer before the subcommand does its work
+    real = cli.compute_bounds
+
+    def slow_compute_bounds(*args, **kwargs):
+        time.sleep(0.2)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_bounds", slow_compute_bounds)
+    code, out, _ = run(capsys, "bound", "--n", "1", "--m", "4", "--format", "json",
+                       "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["wall_time_s"] >= 0.2
 
 
 # --- sweep ----------------------------------------------------------------------------

@@ -371,6 +371,17 @@ def test_mc_seed_changes_estimate():
     assert normalizer_estimate(3, 50_000, 1)[0] != normalizer_estimate(3, 50_000, 2)[0]
 
 
+def test_mc_refuses_n_where_total_mass_does():
+    # one check for both: where the total mass overflows, the cross-check
+    # means nothing (at n = 124, 1000 samples give ~1e-87 of it)
+    assert all(math.isfinite(v) for v in normalizer_estimate(124, 2, 0))
+    for n in (125, 400, 2**1022):
+        for call, args in ((normalizer_estimate, (n, 2, 0)), (total_mass, (n,))):
+            with pytest.raises(RangeError, match="^total mass overflows float64 for n=") as info:
+                call(*args)
+            assert "\n" not in str(info.value)
+
+
 # --- validation ---------------------------------------------------------------------
 
 
