@@ -13,8 +13,8 @@ solve_r0 is the one solve: it returns r0 with its deterministic radius
 error. compute_bounds is the one path from (n, m) to bound rows: it solves
 each metric once and optionally caches r0 and its error. Alongside
 sit the exact small-case values, the euclidean/riemannian distance envelope
-B2 is read from, the B1/B2 crossover radius, and an asymptotic (heuristic,
-m -> infinity) lower bound.
+B2 is read from, the B1/B2 crossover radius, and the certified
+Gilbert-Varshamov lower bound from one more solve.
 """
 
 import json
@@ -28,11 +28,9 @@ from .errors import NumericalError, ValidationError, _as_float, check_int, check
 from .weyl import _check_kernel_n, _fraction_and_error, ball_volume_fraction, max_radius
 
 __all__ = [
-    "AsymptoticBound",
     "BoundResult",
     "BOUND_IDS",
     "BOUND_METRIC",
-    "asymptotic_lower_bound",
     "b1_of_r",
     "b2_of_r",
     "b3_of_r",
@@ -44,6 +42,7 @@ __all__ = [
     "euclidean_riemannian_envelope",
     "evaluate_bound",
     "exact_delta",
+    "gv_lower_bound",
     "solve_r0",
     "solver_key",
 ]
@@ -73,18 +72,6 @@ class BoundResult:
     value: float
     std_error_hint: float
     config_fingerprint: str
-
-
-@dataclass(frozen=True)
-class AsymptoticBound:
-    """Heuristic asymptotic lower bound; valid only as m -> infinity."""
-
-    n: int
-    m: int
-    tau: int
-    r0: float
-    value: float
-    heuristic: bool = True
 
 
 def _check_size(n, m):
@@ -360,17 +347,20 @@ def crossover_radius(n):
     return 0.5 * (lo + hi)
 
 
-def asymptotic_lower_bound(n, m, tau):
-    """Heuristic asymptotic lower bound sqrt(n) r0 (tau+1)^(-1/n^2).
+def gv_lower_bound(n, m):
+    """Certified lower bound on the best diversity sum of m signals in U(n).
 
-    tau is the caller-supplied simultaneous-tangency count (asymptotically
-    the kissing number in dimension 2n^2 - 1). The result is marked
-    heuristic: the derivation holds only as m -> infinity and the value is
-    not a certified bound at finite m.
+    Gilbert-Varshamov, with F(r) = 1/(m - 1) for the euclidean Haar fraction
+    F: while (m - 1) F(d) < 1, the chordal d-balls around any m - 1 points
+    leave part of U(n) uncovered. So a greedy m-th point exists at distance
+    > d from all of them, for every d < r, and the best diversity sum is at
+    least r / (2 sqrt(n)). With (r, radius error) from
+    solve_r0(n, m - 1, "euclidean"), r - error is below the root, and the
+    value is max(0, (r - error) / (2 sqrt(n))). At m = 2 it is exactly 1,
+    from the pair I, -I.
     """
     n, m, _ = _check_size(n, m)
-    tau = check_int(tau, "tau", 0)
-    shrink = (_as_float(tau, "tau") + 1.0) ** (-1.0 / n**2)
-    r0, _ = solve_r0(n, m, "euclidean")
-    value = math.sqrt(n) * r0 * shrink
-    return AsymptoticBound(n=n, m=m, tau=tau, r0=r0, value=value)
+    if m == 2:
+        return 1.0
+    r, se_r = solve_r0(n, m - 1, "euclidean")
+    return max(0.0, (r - se_r) / (2.0 * math.sqrt(n)))

@@ -114,22 +114,25 @@ def _product_values(diffs, n):
     return vals
 
 
-def diversity_summary(v):
-    """Both diversity metrics of a Constellation with their minimizing pairs.
-
-    One pass over the pairs; ties go to the first pair in
-    itertools.combinations order.
-    """
-    sum_min = prod_min = (math.inf, None)
+def _pair_minima(v, *value_fns):
+    """(value, pair) of each value function's first minimum over the member
+    pairs of a Constellation, in one pass; ties go to the first pair in
+    itertools.combinations order."""
+    best = [(math.inf, None)] * len(value_fns)
     for i, d in _pair_rows(np.stack([u.array for u in v.members])):
-        sum_min = _first_min(sum_min, _sum_values(d, v.n), i)
-        prod_min = _first_min(prod_min, _product_values(d, v.n), i)
+        best = [_first_min(b, values(d, v.n), i) for b, values in zip(best, value_fns)]
+    return best
+
+
+def diversity_summary(v):
+    """Both diversity metrics of a Constellation with their minimizing pairs."""
+    sum_min, prod_min = _pair_minima(v, _sum_values, _product_values)
     return DiversitySummary(v.n, v.m, *sum_min, *prod_min)
 
 
 def diversity_sum(v):
     """min ||A - B|| / (2 sqrt(n)) over member pairs, in [0, 1]."""
-    return diversity_summary(v).diversity_sum
+    return _pair_minima(v, _sum_values)[0][0]
 
 
 def diversity_product(v):
@@ -138,7 +141,7 @@ def diversity_product(v):
     Zero exactly when some pair difference is singular; the constellation is
     fully diverse iff the value is positive.
     """
-    return diversity_summary(v).diversity_product
+    return _pair_minima(v, _product_values)[0][0]
 
 
 def riemannian_distance(a, b):

@@ -25,7 +25,7 @@ with coefficients (Jacobi-Anger resp. a completed square u = th - k/(2t)):
 Both are evaluated with numpy alone, each to about 1e-15 absolute:
 
   J_0..J_{n-1}(x), x < x0 = max(30, 2(n-1)): the trapezoid rule on
-      e^{ix sin tau} = sum_k J_k(x) e^{ik tau}, one FFT per x, which is
+      e^{ix sin psi} = sum_k J_k(x) e^{ik psi}, one FFT per x, which is
       exponentially accurate for a periodic analytic integrand (Trefethen and
       Weideman 2014, SIAM Rev. 56);
   J_0..J_{n-1}(x), x >= x0: J_0 and J_1 from the Hankel expansion (DLMF
@@ -253,8 +253,8 @@ def _bessel_j(x, n):
         # falls off within a few x^(1/3) of l = x, so the nearest alias
         # J_{size - k}(x), k < n, is negligible for this size.
         size = 1 << math.ceil(math.log2(x0 + (n - 1) + 10.0 * x0 ** (1.0 / 3.0) + 40.0))
-        tau = (2.0 * math.pi / size) * np.arange(size)
-        out[small] = np.fft.fft(np.exp(1j * x[small, None] * np.sin(tau)))[:, :n].real / size
+        psi = (2.0 * math.pi / size) * np.arange(size)
+        out[small] = np.fft.fft(np.exp(1j * x[small, None] * np.sin(psi)))[:, :n].real / size
     if not small.all():
         xb = x[~small]
         rows = np.empty((xb.size, n))

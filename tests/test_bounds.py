@@ -13,7 +13,6 @@ from upb import (
     NumericalError,
     RangeError,
     ValidationError,
-    asymptotic_lower_bound,
     b1_of_r,
     b2_of_r,
     b3_of_r,
@@ -26,6 +25,7 @@ from upb import (
     euclidean_riemannian_envelope,
     evaluate_bound,
     exact_delta,
+    gv_lower_bound,
     haar_sample,
     max_radius,
     normalizer_estimate,
@@ -298,33 +298,36 @@ def test_envelope_contains_real_distances():
         assert lo - 1e-9 <= dist <= hi + 1e-9
 
 
-# --- asymptotic bound -----------------------------------------------------------------
+# --- Gilbert-Varshamov lower bound ------------------------------------------------------
 
 
-def test_asymptotic_bound_tau_zero_matches_radius():
-    out = asymptotic_lower_bound(2, 100, 0)
-    r0, _ = solve_r0(2, 100, "euclidean")
-    assert out.value == pytest.approx(math.sqrt(2.0) * r0, rel=1e-9)
-    assert out.heuristic is True
-    assert out.tau == 0
+def test_gv_lower_bound_values():
+    # (r - σ_r) / (2 sqrt(n)) at r = solve_r0(n, m - 1, "euclidean")
+    pinned = {(2, 8): 0.5571, (2, 64): 0.3308, (2, 256): 0.2344, (3, 128): 0.4589,
+              (4, 10**9): 0.2021, (8, 64): 0.6365, (16, 10**6): 0.6285, (64, 1000): 0.6949}
+    for (n, m), value in pinned.items():
+        assert gv_lower_bound(n, m) == pytest.approx(value, abs=1e-4), (n, m)
 
 
-def test_asymptotic_bound_n1_below_exact():
-    # with the circle's actual neighbor count the heuristic stays below sin(pi/m)
-    for m in (4, 8, 16):
-        out = asymptotic_lower_bound(1, m, 2)
-        assert out.value <= math.sin(math.pi / m) + 1e-9
-        assert out.value == pytest.approx(solve_r0(1, m, "euclidean")[0] / 3.0, rel=1e-9)
+def test_gv_lower_bound_closed_forms():
+    for n in (1, 2, 5):
+        assert gv_lower_bound(n, 2) == 1.0
+    # n = 1: m - 1 points on the circle leave room at chord 2 sin(pi/(2(m - 1)))
+    for m in (3, 4, 8, 1000):
+        assert gv_lower_bound(1, m) == pytest.approx(math.sin(math.pi / (2 * (m - 1))), abs=1e-15)
 
 
-def test_asymptotic_bound_validates_tau():
-    for tau in (-1, True, 2.0):
+def test_gv_lower_bound_validates_size(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved before the size check")
+
+    monkeypatch.setattr(upb.bounds, "solve_r0", no_solve)
+    for n, m in ((2, 1), (True, 8)):
         with pytest.raises(ValidationError):
-            asymptotic_lower_bound(2, 8, tau)
-    # numpy integers are integers, as everywhere else in the package
-    out = asymptotic_lower_bound(2, 8, np.int64(3))
-    assert out == asymptotic_lower_bound(2, 8, 3)
-    assert type(out.tau) is int
+            gv_lower_bound(n, m)
+    for n in (201, 10**400):
+        with pytest.raises(RangeError):
+            gv_lower_bound(n, 8)
 
 
 # --- solver plumbing --------------------------------------------------------------------
@@ -468,7 +471,8 @@ BEYOND_FLOAT_RANGE = {
     "b1_of_r": (b1_of_r, (10**400, 1.0)),
     "b3_of_r": (b3_of_r, (10**400, 1.0)),
     "euclidean_riemannian_envelope": (euclidean_riemannian_envelope, (10**400, 1.0)),
-    "asymptotic_lower_bound": (asymptotic_lower_bound, (2, 8, 10**400)),
+    "gv_lower_bound": (gv_lower_bound, (2, 10**400)),
+    "gv_lower_bound-n": (gv_lower_bound, (10**400, 8)),
     "solver_key": (solver_key, (2, 10**5000, "euclidean")),
     "normalizer_estimate": (normalizer_estimate, (10**400, 10, 0)),
     "normalizer_estimate-total-mass": (normalizer_estimate, (400, 2, 0)),

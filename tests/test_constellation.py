@@ -111,6 +111,20 @@ def test_riemannian_distance_rejects_mixed_shapes():
         riemannian_distance(np.eye(2), [["a", 0], [0, 1]])
 
 
+def test_each_metric_computes_only_its_own_values(monkeypatch):
+    v = Constellation([haar_sample(3, seed) for seed in range(30)])
+    summary = diversity_summary(v)
+    assert diversity_product(v) == summary.diversity_product  # bit for bit
+    radius = upb.constellation._chordal_radius(v.n, summary.diversity_sum)
+
+    def no_determinant(diffs):
+        raise AssertionError("the diversity sum took a determinant")
+
+    monkeypatch.setattr(upb.constellation, "stacked_logabsdet", no_determinant)
+    assert diversity_sum(v) == summary.diversity_sum
+    assert chordal_packing_radius(v) == radius
+
+
 # --- packing radius ---------------------------------------------------------------
 
 

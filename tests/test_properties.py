@@ -28,6 +28,7 @@ from upb import (
     diversity_summary,
     euclidean_riemannian_envelope,
     exact_delta,
+    gv_lower_bound,
     haar_sample,
     load_constellation,
     max_radius,
@@ -78,8 +79,11 @@ def kernel_root(n, m, metric):
 @PROPERTY
 @given(n=st.integers(1, 8), m=st.integers(2, 10**5))
 def test_bounds_lie_in_unit_interval(n, m):
+    low = gv_lower_bound(n, m)
     for res in compute_bounds(n, m):
         assert 0.0 <= res.value <= 1.0, res
+        # a row's top, not its value: at m = 2 GV is exactly 1 and B1 may round below
+        assert 0.0 <= low <= res.value + res.std_error_hint, (low, res)
 
 
 # every (n, m) where exact_delta knows the optimum: n = 1, m in {2, 3}, and
@@ -98,6 +102,7 @@ exact_cases = st.one_of(
 def test_bounds_dominate_exact_optima(case):
     n, m = case
     exact = exact_delta(n, m)
+    assert gv_lower_bound(n, m) <= exact
     for res in compute_bounds(n, m):
         assert res.value + res.std_error_hint >= exact, res
 
