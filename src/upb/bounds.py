@@ -71,7 +71,6 @@ class BoundResult:
     r0: float
     value: float
     std_error_hint: float
-    config_fingerprint: str
 
 
 def _check_size(n, m):
@@ -245,11 +244,11 @@ def compute_bounds(n, m, methods=BOUND_IDS, cache_dir=None):
             radius = solve_r0(n, m, metric)
             if path is not None:
                 _cache_store(path, key, *radius)
-        radii[metric] = (key, *radius)
+        radii[metric] = radius
     results = []
     for bound_id, curve in zip(methods, curves):
         metric = BOUND_METRIC[bound_id]
-        key, r0, se_r = radii[metric]
+        r0, se_r = radii[metric]
         value = curve(n, r0)
         # B1 rises up to sqrt(2n), above every euclidean r0; B2 and B3 up to saturation
         cap = math.sqrt(2.0 * n) if bound_id == "b1" else max_radius(n, metric)
@@ -263,7 +262,6 @@ def compute_bounds(n, m, methods=BOUND_IDS, cache_dir=None):
                 r0=r0,
                 value=value,
                 std_error_hint=min(1.0, top + 4.0 * math.ulp(top)) - value,
-                config_fingerprint=key,
             )
         )
     return results

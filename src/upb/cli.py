@@ -260,7 +260,7 @@ def cmd_eval(args):
         },
         {
             "name": "chordal_packing_radius",
-            "value": _chordal_radius(summary.n, summary.diversity_sum),
+            "value": _chordal_radius(constellation.n, summary.diversity_sum),
             "detail": "",
         },
     ]
@@ -268,7 +268,7 @@ def cmd_eval(args):
     if summary.diversity_product <= 0.0:
         notes.append("constellation is not fully diverse (diversity product is 0)")
     rows.extend(_gap_rows(results, summary.diversity_sum))
-    params = {"file": str(args.file), "n": summary.n, "m": summary.m}
+    params = {"file": str(args.file), "n": constellation.n, "m": constellation.m}
     if constellation.label:
         params["label"] = constellation.label
     return params, ("name", "value", "detail"), rows, notes

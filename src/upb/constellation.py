@@ -14,8 +14,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import _lazy_numpy
-from .errors import DimensionError, ParseError, ValidationError, check_int
-from .matrices import UnitaryMatrix, _generator, as_complex_matrix, haar_sample, stacked_logabsdet, unitary_eigenangles
+from .errors import DimensionError, ParseError, ValidationError, _describe_int, check_int
+from .matrices import (
+    UnitaryMatrix,
+    _check_draw,
+    _generator,
+    as_complex_matrix,
+    haar_sample,
+    stacked_logabsdet,
+    unitary_eigenangles,
+)
 
 np = _lazy_numpy()
 
@@ -36,30 +44,38 @@ __all__ = [
 # about 6 arrays the size of its Haar draw (the draw, QR temporaries, one
 # row of pair differences). Results do not depend on it.
 _SEARCH_BYTES = 4 << 20
+# Bytes of pair differences one run may compute: trials · m(m − 1)/2 · n² ·
+# 16 for a search, m(m − 1)/2 · n² · 16 for a constellation's scan. At n = 2
+# that is 2.7e8 pairs: on 2 cores, one trial at m = 23 170 took 35 s to
+# search by sum, 101 s by product and 96 s to eval. A larger run is refused
+# before its first draw or scan instead of seeming to hang.
+_MAX_PAIR_BYTES = 1 << 34
 
 
 @dataclass(frozen=True, eq=False)
 class Constellation:
     """m >= 2 pairwise-distinct unitaries of a common dimension n.
 
-    ``members`` may be given as UnitaryMatrix instances or raw arrays; raw
-    arrays are validated on construction.
+    ``members`` may be given as UnitaryMatrix instances, raw arrays, or one
+    (m, n, n) array; raw arrays are validated on construction. It is kept
+    as one read-only (m, n, n) complex array.
     """
 
-    members: tuple
+    members: "np.ndarray"
     label: str = ""
 
     def __post_init__(self):
-        members = tuple(
-            u if isinstance(u, UnitaryMatrix) else UnitaryMatrix(u) for u in self.members
-        )
-        if len(members) < 2:
-            raise ValidationError(f"constellation needs at least 2 members, got {len(members)}")
-        n = members[0].n
-        for i, u in enumerate(members):
-            if u.n != n:
-                raise ValidationError(f"matrix {i} has dimension {u.n}, expected {n}")
-        for i, d in _pair_rows(np.stack([u.array for u in members])):
+        arrays = [(u if isinstance(u, UnitaryMatrix) else UnitaryMatrix(u)).array for u in self.members]
+        if len(arrays) < 2:
+            raise ValidationError(f"constellation needs at least 2 members, got {len(arrays)}")
+        n = arrays[0].shape[0]
+        for i, a in enumerate(arrays):
+            if a.shape[0] != n:
+                raise ValidationError(f"matrix {i} has dimension {a.shape[0]}, expected {n}")
+        _check_pair_work(1, len(arrays), n, f"a constellation with n = {n}, m = {len(arrays)}")
+        members = np.stack(arrays)
+        members.setflags(write=False)
+        for i, d in _pair_rows(members):
             equal = np.flatnonzero(np.max(np.abs(d), axis=(-2, -1)) <= 1e-12)
             if equal.size:
                 raise ValidationError(f"matrices {i} and {i + 1 + equal[0]} are equal within 1e-12")
@@ -67,21 +83,27 @@ class Constellation:
 
     @property
     def n(self):
-        return self.members[0].n
+        return self.members.shape[1]
 
     @property
     def m(self):
-        return len(self.members)
+        return self.members.shape[0]
 
 
 @dataclass(frozen=True)
 class DiversitySummary:
-    n: int
-    m: int
     diversity_sum: float
     sum_pair: tuple
     diversity_product: float
     product_pair: tuple
+
+
+def _check_pair_work(trials, m, n, what):
+    """ValidationError where trials constellations of m members of order n
+    compute more than _MAX_PAIR_BYTES of pair differences; what names the run."""
+    if trials * (m * (m - 1) // 2) * n * n * 16 > _MAX_PAIR_BYTES:
+        raise ValidationError(f"{what} computes more than 2^{_MAX_PAIR_BYTES.bit_length() - 1} bytes "
+                              "of pair differences, the limit for one run")
 
 
 def _pair_rows(stack):
@@ -119,7 +141,7 @@ def _pair_minima(v, *value_fns):
     pairs of a Constellation, in one pass; ties go to the first pair in
     itertools.combinations order."""
     best = [(math.inf, None)] * len(value_fns)
-    for i, d in _pair_rows(np.stack([u.array for u in v.members])):
+    for i, d in _pair_rows(v.members):
         best = [_first_min(b, values(d, v.n), i) for b, values in zip(best, value_fns)]
     return best
 
@@ -127,7 +149,7 @@ def _pair_minima(v, *value_fns):
 def diversity_summary(v):
     """Both diversity metrics of a Constellation with their minimizing pairs."""
     sum_min, prod_min = _pair_minima(v, _sum_values, _product_values)
-    return DiversitySummary(v.n, v.m, *sum_min, *prod_min)
+    return DiversitySummary(*sum_min, *prod_min)
 
 
 def diversity_sum(v):
@@ -182,6 +204,8 @@ def random_search(n, m, trials, seed, objective="sum"):
     trials = check_int(trials, "trials", 1)
     if objective not in ("sum", "product"):
         raise ValidationError(f"objective must be 'sum' or 'product', got {objective!r}")
+    _check_draw(m, n)  # one trial too large to draw is haar_sample's RangeError
+    _check_pair_work(trials, m, n, f"a search with n = {n}, m = {m}, trials = {_describe_int(trials)}")
     rng = _generator(seed)
     values = _sum_values if objective == "sum" else _product_values
     chunk = max(1, _SEARCH_BYTES // (6 * m * n * n * 16))
@@ -199,8 +223,7 @@ def random_search(n, m, trials, seed, objective="sum"):
             best_score = float(scores[k])
             best = q[k].copy()
         done += take
-    members = tuple(UnitaryMatrix(best[i]) for i in range(m))
-    return Constellation(members, label=f"random-search-{objective}"), best_score
+    return Constellation(best, label=f"random-search-{objective}"), best_score
 
 
 def save_constellation(v, path):
@@ -210,7 +233,7 @@ def save_constellation(v, path):
     doc = {"n": v.n}
     if v.label:
         doc["label"] = v.label
-    pairs = np.stack([u.array for u in v.members]).view(float).reshape(v.m, v.n, v.n, 2)
+    pairs = v.members.view(float).reshape(v.m, v.n, v.n, 2)
     doc["matrices"] = pairs.tolist()
     Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 

@@ -116,10 +116,11 @@ def _generator(seed):
     return np.random.default_rng(check_int(seed, "seed", -math.inf) % 2**64)
 
 
-def _check_draw(nbytes, what):
-    """RangeError if a draw of nbytes exceeds _MAX_DRAW_BYTES; what names the draw."""
-    if nbytes > _MAX_DRAW_BYTES:
-        raise RangeError(f"{what} needs more than {_MAX_DRAW_BYTES >> 20} MiB, the limit for one random draw")
+def _check_draw(count, n):
+    """RangeError where haar_sample's draw of count matrices of order n exceeds _MAX_DRAW_BYTES."""
+    if count * n * n * 16 > _MAX_DRAW_BYTES:
+        raise RangeError(f"haar_sample's Gaussian draw ({_describe_int(count)} × {_describe_int(n)}² "
+                         f"complex entries) needs more than {_MAX_DRAW_BYTES >> 20} MiB, the limit for one random draw")
 
 
 def haar_sample(n, rng, size=None):
@@ -139,8 +140,7 @@ def haar_sample(n, rng, size=None):
     dims = () if size is None else size if isinstance(size, tuple) else (size,)
     shape = tuple(check_int(k, "size", 0) for k in dims)
     count = math.prod(shape)
-    _check_draw(count * n * n * 16,
-                f"haar_sample's Gaussian draw ({_describe_int(count)} × {_describe_int(n)}² complex entries)")
+    _check_draw(count, n)
     g = _generator(rng).standard_normal((*shape, n, n, 2))
     z = (g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)

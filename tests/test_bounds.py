@@ -350,7 +350,7 @@ def test_solver_key_carries_every_result_field():
 def test_cache_entry_without_version_or_radius_error_is_recomputed(tmp_path):
     (fresh,) = compute_bounds(2, 24, ("b1",), tmp_path)
     (path,) = tmp_path.glob("*.json")
-    key = fresh.config_fingerprint
+    key = solver_key(2, 24, "euclidean")
     old_key = ":".join(key.split(":")[:-1])  # the fields keyed before the version
     for stale_key in (old_key, key):
         path.write_text(json.dumps({"key": stale_key, "r0": 1.0, "timestamp": "2024-01-01T00:00:00+00:00"}))
@@ -509,7 +509,6 @@ def test_bound_result_bookkeeping(tmp_path):
     assert all(type(v) is float for v in solve_r0(2, 64, "riemannian"))
     cold, warm = (compute_bounds(2, 64, ("b1",), tmp_path)[0] for _ in range(2))
     assert repr(cold) == repr(warm) == repr(res)
-    assert res.config_fingerprint == solver_key(2, 64, "euclidean")
     assert res.std_error_hint >= 0.0
     assert res.std_error_hint < 1e-4  # deterministic kernel: bracket width plus truncation
 

@@ -702,6 +702,20 @@ def test_search_refuses_a_draw_above_the_limit(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("m, trials", [("3", str(10**20)), ("100000", "1")], ids=["trials", "m"])
+def test_search_refuses_unbounded_pair_work(capsys, tmp_path, m, trials):
+    # 10^20 trials at m = 3, or one trial at m = 10^5 (5e9 pairs), would run
+    # for hours: exit 1 with one line before the first draw
+    start = time.monotonic()
+    code, out, err = run(capsys, "search", "--n", "2", "--m", m, "--trials", trials,
+                         "--out", str(tmp_path / "best.json"), "--cache-dir", str(tmp_path / "cache"))
+    assert time.monotonic() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: a search with n = 2") and err.count("\n") == 1
+    assert "more than 2^34 bytes of pair differences" in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_search_solves_after_searching_and_saves_last(capsys, tmp_path, monkeypatch):
     # the bounds are solved after the search, so the kernel's memo does not
     # add to its peak memory; a failed solve still writes no file

@@ -195,6 +195,31 @@ def test_constellation_accepts_wrappers_and_arrays():
     assert v.n == 2 and v.m == 2
 
 
+def test_members_are_one_read_only_stack():
+    wrappers = [haar_sample(3, seed) for seed in range(5)]
+    stack = np.stack([u.array for u in wrappers])
+    for members in (wrappers, [u.array for u in wrappers], stack):
+        v = Constellation(members)
+        assert v.members.shape == (5, 3, 3) and v.members.dtype == np.complex128
+        assert v.members.tobytes() == stack.tobytes()
+        assert not v.members.flags.writeable
+    assert stack.flags.writeable  # the caller's array is copied, not frozen
+    with pytest.raises(ValueError):
+        v.members[0, 0, 0] = 0.0
+
+
+def test_constellation_refuses_pair_work_over_the_budget(monkeypatch):
+    # m = 4 at n = 2: 6 pairs of 2 x 2 differences, 384 bytes
+    members = [haar_sample(2, seed) for seed in range(4)]
+    monkeypatch.setattr(upb.constellation, "_MAX_PAIR_BYTES", 384)
+    assert Constellation(members).m == 4
+    monkeypatch.setattr(upb.constellation, "_MAX_PAIR_BYTES", 256)
+    with pytest.raises(ValidationError, match="^a constellation with n = 2, m = 4 computes more than 2\\^8 bytes"):
+        Constellation(members)
+    with pytest.raises(ValidationError, match="^a search with n = 2, m = 4, trials = 1 computes"):
+        random_search(2, 4, 1, seed=0)
+
+
 # --- random search ---------------------------------------------------------------------
 
 
@@ -203,7 +228,7 @@ def test_random_search_deterministic():
     b, score_b = random_search(2, 4, 300, seed=5)
     assert score_a == score_b
     for x, y in zip(a.members, b.members):
-        np.testing.assert_array_equal(x.array, y.array)
+        np.testing.assert_array_equal(x, y)
 
 
 def test_random_search_chunking_is_invisible(monkeypatch):
@@ -214,7 +239,7 @@ def test_random_search_chunking_is_invisible(monkeypatch):
             b, score_b = random_search(2, 5, 40, seed=12, objective=objective)
         assert score_a == score_b
         for x, y in zip(a.members, b.members):
-            np.testing.assert_array_equal(x.array, y.array)
+            np.testing.assert_array_equal(x, y)
 
 
 def test_random_search_near_circle_optimum():
@@ -269,11 +294,11 @@ def test_save_load_roundtrip(tmp_path):
         assert back.label == "round-trip"
         assert back.n == n and back.m == 4
         for x, y in zip(v.members, back.members):
-            assert x.array.tobytes() == y.array.tobytes()  # bit for bit, signed zeros included
+            assert x.tobytes() == y.tobytes()  # bit for bit, signed zeros included
     # entries are written in their shortest round-trip form, which for
     # these differs from 17 significant digits
     text = path.read_text()
-    entries = v.members[0].array.view(float).ravel()
+    entries = v.members[0].view(float).ravel()
     shorter = [x for x in entries if repr(float(x)) != format(x, ".17g")]
     assert shorter
     assert all(repr(float(x)) in text and format(x, ".17g") not in text for x in shorter)

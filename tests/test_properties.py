@@ -68,6 +68,19 @@ def test_r0_strictly_decreasing_in_m(n, metric, m1, m2):
     assert solve_r0(n, small, metric)[0] >= solve_r0(n, large, metric)[0]
 
 
+@PROPERTY
+@given(n=st.integers(1, 8), m1=st.integers(2, 10**4), m2=st.integers(2, 10**4))
+@example(n=2, m1=2, m2=3)  # GV is exactly 1 at m = 2
+@example(n=1, m1=3, m2=4)
+@example(n=5, m1=100, m2=101)
+@example(n=8, m1=9999, m2=10**4)
+def test_gv_lower_bound_nonincreasing_in_m(n, m1, m2):
+    # m stays far below 10^12, where neighbouring radii differ by far less
+    # than the radius error σ_r that GV subtracts
+    small, large = sorted((m1, m2))
+    assert gv_lower_bound(n, large) <= gv_lower_bound(n, small)
+
+
 def kernel_root(n, m, metric):
     """Root of F(r) = 1/m for the kernel's F, bisected to width 1e-10."""
     lo, hi = bounds._bisect(
@@ -139,7 +152,7 @@ def test_diversity_matches_brute_force_oracle(n, m, seed):
     v = Constellation([haar_sample(n, rng) for _ in range(m)])
     sums, prods = {}, {}
     for i, j in itertools.combinations(range(m), 2):
-        d = v.members[i].array - v.members[j].array
+        d = v.members[i] - v.members[j]
         sums[i, j] = np.linalg.norm(d) / (2.0 * math.sqrt(n))
         prods[i, j] = abs(np.linalg.det(d)) ** (1.0 / n) / 2.0
     summary = diversity_summary(v)
@@ -239,7 +252,7 @@ def _load_outcome(load, path):
     except UpbError as exc:
         return type(exc), str(exc)
     if isinstance(out, Constellation):
-        return out.label, [u.array for u in out.members]
+        return out.label, out.members
     return out
 
 
@@ -339,7 +352,7 @@ def test_loader_matches_per_entry_oracle(text):
 def seeded_draws(seed):
     """What haar_sample, random_search and normalizer_estimate draw from seed."""
     best, score = random_search(1, 4, 10, seed)
-    return (haar_sample(2, seed).array.tolist(), [u.array.tolist() for u in best.members], score,
+    return (haar_sample(2, seed).array.tolist(), best.members.tolist(), score,
             normalizer_estimate(2, 1000, seed))
 
 
@@ -378,11 +391,15 @@ ODD = st.one_of(
 
 @st.composite
 def cli_argv(draw):
-    """A well-formed bound or sweep argv, then perhaps one value made odd."""
-    command = draw(st.sampled_from(["bound", "sweep"]))
-    argv = [command, "--n", str(draw(st.integers(1, 5)))]
+    """A well-formed bound, sweep or search argv, then perhaps one value made odd."""
+    command = draw(st.sampled_from(["bound", "sweep", "search"]))
+    argv = [command, "--n", str(draw(st.integers(1, 3 if command == "search" else 5)))]
     if command == "bound":
         argv += ["--m", str(draw(st.integers(2, 64)))]
+    elif command == "search":
+        argv += ["--m", str(draw(st.integers(2, 8))), "--trials", str(draw(st.integers(1, 50))),
+                 "--objective", draw(st.sampled_from(["sum", "product"])),
+                 "--seed", str(draw(st.integers(-2**70, 2**70)))]
     else:
         start = draw(st.integers(2, 8))
         argv += ["--m-start", str(start), "--m-end", str(draw(st.integers(start - 1, start + 8)))]
@@ -391,10 +408,10 @@ def cli_argv(draw):
             argv += [spacing, str(draw(st.integers(0, 3)))]
         elif spacing == "--m-factor":
             argv += [spacing, repr(draw(st.floats(0.5, 3.0)))]
-    if draw(st.booleans()):
+    if command != "search" and draw(st.booleans()):
         argv += ["--method", draw(st.sampled_from(["all", "b1", "b3", "b1,b2", "b9", ""]))]
     if draw(st.booleans()):
-        # --metric is no flag of bound or sweep: a usage error (exit 1)
+        # --metric is no flag of bound, sweep or search: a usage error (exit 1)
         argv += ["--metric", draw(st.sampled_from(["euclidean", "riemannian", "chordal"]))]
     if draw(st.booleans()):
         values = list(range(2, len(argv), 2))
@@ -410,11 +427,15 @@ def cli_argv(draw):
 @example(argv=["bound", "--n", str(10**400), "--m", "4"])
 @example(argv=["sweep", "--n", str(10**400), "--m-start", "2", "--m-end", "3"])
 @example(argv=["sweep", "--n", "2", "--m-start", "2", "--m-end", str(10**30)])
+@example(argv=["search", "--n", "2", "--m", "3", "--trials", str(10**20)])
+@example(argv=["search", "--n", "2", "--m", "100000", "--trials", "1"])
 def test_cli_exits_0_1_or_2_without_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as cache, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv + ["--cache-dir", cache, "--no-timestamp"])
+        # search's constellation file goes to --out in the temporary directory, not the checkout
+        out_file = ["--out", str(Path(cache) / "best.json")] if argv[0] == "search" else []
+        code = main(argv + out_file + ["--cache-dir", cache, "--no-timestamp"])
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
     if code == 0:
