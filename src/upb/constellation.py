@@ -65,7 +65,14 @@ class Constellation:
     label: str = ""
 
     def __post_init__(self):
-        arrays = [(u if isinstance(u, UnitaryMatrix) else UnitaryMatrix(u)).array for u in self.members]
+        if not isinstance(self.label, str):
+            raise ValidationError(f"label must be a string, got {self.label!r}")
+        arrays = []
+        for i, u in enumerate(self.members):
+            try:
+                arrays.append((u if isinstance(u, UnitaryMatrix) else UnitaryMatrix(u)).array)
+            except ValidationError as exc:  # DimensionError stays DimensionError
+                raise type(exc)(f"matrix {i}: {exc}") from exc
         if len(arrays) < 2:
             raise ValidationError(f"constellation needs at least 2 members, got {len(arrays)}")
         n = arrays[0].shape[0]
@@ -75,10 +82,9 @@ class Constellation:
         _check_pair_work(1, len(arrays), n, f"a constellation with n = {n}, m = {len(arrays)}")
         members = np.stack(arrays)
         members.setflags(write=False)
-        for i, d in _pair_rows(members):
-            equal = np.flatnonzero(np.max(np.abs(d), axis=(-2, -1)) <= 1e-12)
-            if equal.size:
-                raise ValidationError(f"matrices {i} and {i + 1 + equal[0]} are equal within 1e-12")
+        distinct, i, j = _pair_min(members, lambda d: np.max(np.abs(d), axis=(-2, -1)) > 1e-12)
+        if not distinct:
+            raise ValidationError(f"matrices {i} and {j} are equal within 1e-12")
         object.__setattr__(self, "members", members)
 
     @property
@@ -106,55 +112,50 @@ def _check_pair_work(trials, m, n, what):
                               "of pair differences, the limit for one run")
 
 
-def _pair_rows(stack):
-    """Pair differences of a stack (..., m, n, n), one row at a time.
+def _pair_min(stack, values):
+    """First minimum of ``values`` over the member pairs of a stack
+    (..., m, n, n), with its pair: arrays (value, i, j) of the leading shape.
 
-    Yields (i, stack[..., i, :, :] - stack[..., i+1:, :, :]) for i = 0 .. m-2:
-    pairs come in itertools.combinations order, and only one row of them,
-    O(m n^2) memory, exists at a time.
+    For i = 0 .. m-2, values maps the row of differences stack[..., i, :, :]
+    - stack[..., i+1:, :, :] to an array of their shape less the last two
+    axes; only one row, O(m n^2) memory, exists at a time, and of it only
+    its first minimum and that minimum's column are kept. The first row
+    holding the least of those minima names the pair, so ties go to the
+    first pair in itertools.combinations order.
     """
+    lows, cols = [], []
     for i in range(stack.shape[-3] - 1):
-        yield i, stack[..., i, None, :, :] - stack[..., i + 1 :, :, :]
+        row = values(stack[..., i, None, :, :] - stack[..., i + 1 :, :, :])
+        lows.append(row.min(axis=-1))
+        cols.append(row.argmin(axis=-1))
+    lows, cols = np.stack(lows, axis=-1), np.stack(cols, axis=-1)
+    i = np.argmin(lows, axis=-1)[..., None]
+    low, k = (np.take_along_axis(kept, i, axis=-1)[..., 0] for kept in (lows, cols))
+    return low, i[..., 0], i[..., 0] + 1 + k
 
 
-def _first_min(best, values, i):
-    """(value, pair) of the smaller of ``best`` and row i's first minimum;
-    a tie keeps ``best``, the earlier pair."""
-    k = int(np.argmin(values))
-    return (float(values[k]), (i, i + 1 + k)) if values[k] < best[0] else best
-
-
-def _sum_values(diffs, n):
+def _sum_values(diffs):
     norms = np.sqrt(np.sum(np.abs(diffs) ** 2, axis=(-2, -1)))
-    return norms / (2.0 * math.sqrt(n))
+    return norms / (2.0 * math.sqrt(diffs.shape[-1]))
 
 
-def _product_values(diffs, n):
+def _product_values(diffs):
     logabs = stacked_logabsdet(diffs)
     with np.errstate(over="ignore"):
-        vals = 0.5 * np.exp(logabs / n)  # exp(-inf) = 0 for singular differences
+        vals = 0.5 * np.exp(logabs / diffs.shape[-1])  # exp(-inf) = 0 for singular differences
     return vals
-
-
-def _pair_minima(v, *value_fns):
-    """(value, pair) of each value function's first minimum over the member
-    pairs of a Constellation, in one pass; ties go to the first pair in
-    itertools.combinations order."""
-    best = [(math.inf, None)] * len(value_fns)
-    for i, d in _pair_rows(v.members):
-        best = [_first_min(b, values(d, v.n), i) for b, values in zip(best, value_fns)]
-    return best
 
 
 def diversity_summary(v):
     """Both diversity metrics of a Constellation with their minimizing pairs."""
-    sum_min, prod_min = _pair_minima(v, _sum_values, _product_values)
-    return DiversitySummary(*sum_min, *prod_min)
+    best, first, second = _pair_min(v.members, lambda d: np.stack([_sum_values(d), _product_values(d)]))
+    pairs = [(int(i), int(j)) for i, j in zip(first, second)]
+    return DiversitySummary(float(best[0]), pairs[0], float(best[1]), pairs[1])
 
 
 def diversity_sum(v):
     """min ||A - B|| / (2 sqrt(n)) over member pairs, in [0, 1]."""
-    return _pair_minima(v, _sum_values)[0][0]
+    return float(_pair_min(v.members, _sum_values)[0])
 
 
 def diversity_product(v):
@@ -163,7 +164,7 @@ def diversity_product(v):
     Zero exactly when some pair difference is singular; the constellation is
     fully diverse iff the value is positive.
     """
-    return _pair_minima(v, _product_values)[0][0]
+    return float(_pair_min(v.members, _product_values)[0])
 
 
 def riemannian_distance(a, b):
@@ -211,18 +212,13 @@ def random_search(n, m, trials, seed, objective="sum"):
     chunk = max(1, _SEARCH_BYTES // (6 * m * n * n * 16))
     best_score = -1.0
     best = None
-    done = 0
-    while done < trials:
-        take = min(chunk, trials - done)
-        q = haar_sample(n, rng, (take, m))
-        scores = np.full(take, np.inf)
-        for _, diffs in _pair_rows(q):
-            scores = np.minimum(scores, np.min(values(diffs, n), axis=-1))
+    for done in range(0, trials, chunk):
+        q = haar_sample(n, rng, (min(chunk, trials - done), m))
+        scores = _pair_min(q, values)[0]
         k = int(np.argmax(scores))
         if scores[k] > best_score:
             best_score = float(scores[k])
             best = q[k].copy()
-        done += take
     return Constellation(best, label=f"random-search-{objective}"), best_score
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -165,6 +166,38 @@ def test_constellation_validates_membership():
         Constellation([np.eye(2), 2.0 * np.eye(2)])  # not unitary
 
 
+def test_label_must_be_a_string():
+    # a label that save_constellation would write and load_constellation refuse
+    for label in (5, ["x"], None):
+        with pytest.raises(ValidationError) as info:
+            Constellation([np.eye(2)], label=label)  # before the member count is checked
+        assert str(info.value) == f"label must be a string, got {label!r}"
+
+
+def test_member_errors_name_the_member():
+    cases = [
+        (2.0 * np.eye(2), ValidationError, "matrix is not unitary: residual"),
+        (np.ones((2, 3)), DimensionError, "unitary matrix must be square, got 2x3"),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), ValidationError, "matrix entries must be finite"),
+        ([["a", 0], [0, 1]], ValidationError, "matrix entries must be numeric"),
+    ]
+    for bad, kind, message in cases:
+        with pytest.raises(kind, match=f"^matrix 1: {message}") as info:
+            Constellation([np.eye(2), bad, -np.eye(2)])
+        assert type(info.value) is kind
+
+
+def test_duplicate_threshold_names_the_first_pair_within_it():
+    members = [haar_sample(3, seed).array for seed in range(5)]
+    near = members[1].copy()
+    near[0, 0] += 1e-13
+    # (1, 3) comes before the exact copy's pair (2, 4) in combinations order
+    with pytest.raises(ValidationError, match="^matrices 1 and 3 are equal within 1e-12$"):
+        Constellation(members[:3] + [near, members[2]] + members[3:])
+    near[0, 0] = members[1][0, 0] + 2e-12
+    assert Constellation(members[:3] + [near] + members[3:]).m == 6
+
+
 def test_constellation_and_summary_hold_one_row_of_pairs():
     # all m(m-1)/2 = 79800 differences at n = 4 would take 20 MB
     members = [haar_sample(4, seed) for seed in range(400)]
@@ -232,12 +265,15 @@ def test_random_search_deterministic():
 
 
 def test_random_search_chunking_is_invisible(monkeypatch):
-    for objective in ("sum", "product"):
-        a, score_a = random_search(2, 5, 40, seed=12, objective=objective)
+    # a chunk of trials and one constellation reduce their pairs alike, so
+    # the score is the metric of the constellation returned, bit for bit
+    metric = {"sum": diversity_sum, "product": diversity_product}
+    for n, objective in itertools.product((1, 2, 3), metric):
+        a, score_a = random_search(n, 5, 40, seed=12, objective=objective)
         with monkeypatch.context() as patch:
             patch.setattr(upb.constellation, "_SEARCH_BYTES", 1)  # one trial per chunk
-            b, score_b = random_search(2, 5, 40, seed=12, objective=objective)
-        assert score_a == score_b
+            b, score_b = random_search(n, 5, 40, seed=12, objective=objective)
+        assert score_a == score_b == metric[objective](a)
         for x, y in zip(a.members, b.members):
             np.testing.assert_array_equal(x, y)
 
@@ -257,7 +293,7 @@ def test_random_search_members_are_unitary():
 
 def test_random_search_product_objective():
     best, score = random_search(2, 3, 300, seed=9, objective="product")
-    assert score == pytest.approx(diversity_product(best), rel=1e-12)
+    assert score == diversity_product(best)
     assert score <= diversity_sum(best) + 1e-12
 
 
