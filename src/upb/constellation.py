@@ -16,9 +16,12 @@ from pathlib import Path
 from . import _lazy_numpy
 from .errors import DimensionError, ParseError, ValidationError, _describe_int, check_int
 from .matrices import (
+    _VALIDATION_TOL,
     UnitaryMatrix,
     _check_draw,
+    _check_unitary,
     _generator,
+    _square,
     as_complex_matrix,
     haar_sample,
     stacked_logabsdet,
@@ -45,10 +48,10 @@ __all__ = [
 # row of pair differences). Results do not depend on it.
 _SEARCH_BYTES = 4 << 20
 # Bytes of pair differences one run may compute: trials · m(m − 1)/2 · n² ·
-# 16 for a search, m(m − 1)/2 · n² · 16 for a constellation's scan. At n = 2
+# 16 for a search, m(m − 1)/2 · n² · 16 for a constellation's metrics. At n = 2
 # that is 2.7e8 pairs: on 2 cores, one trial at m = 23 170 took 35 s to
 # search by sum, 101 s by product and 96 s to eval. A larger run is refused
-# before its first draw or scan instead of seeming to hang.
+# before its first draw or on construction instead of seeming to hang.
 _MAX_PAIR_BYTES = 1 << 34
 
 
@@ -57,8 +60,10 @@ class Constellation:
     """m >= 2 pairwise-distinct unitaries of a common dimension n.
 
     ``members`` may be given as UnitaryMatrix instances, raw arrays, or one
-    (m, n, n) array; raw arrays are validated on construction. It is kept
-    as one read-only (m, n, n) complex array.
+    (m, n, n) array. Each is coerced in turn, then the stack is checked
+    once: for unitarity, against UnitaryMatrix's bound, and for distinct
+    members, by _first_duplicate, without walking the member pairs. It is
+    kept as one read-only (m, n, n) complex array.
     """
 
     members: "np.ndarray"
@@ -70,7 +75,7 @@ class Constellation:
         arrays = []
         for i, u in enumerate(self.members):
             try:
-                arrays.append((u if isinstance(u, UnitaryMatrix) else UnitaryMatrix(u)).array)
+                arrays.append(_square(u, "unitary matrix"))
             except ValidationError as exc:  # DimensionError stays DimensionError
                 raise type(exc)(f"matrix {i}: {exc}") from exc
         if len(arrays) < 2:
@@ -79,12 +84,13 @@ class Constellation:
         for i, a in enumerate(arrays):
             if a.shape[0] != n:
                 raise ValidationError(f"matrix {i} has dimension {a.shape[0]}, expected {n}")
-        _check_pair_work(1, len(arrays), n, f"a constellation with n = {n}, m = {len(arrays)}")
         members = np.stack(arrays)
         members.setflags(write=False)
-        distinct, i, j = _pair_min(members, lambda d: np.max(np.abs(d), axis=(-2, -1)) > 1e-12)
-        if not distinct:
-            raise ValidationError(f"matrices {i} and {j} are equal within 1e-12")
+        _check_unitary(members, _VALIDATION_TOL)
+        _check_pair_work(1, len(arrays), n, f"a constellation with n = {n}, m = {len(arrays)}")
+        duplicate = _first_duplicate(members)
+        if duplicate:
+            raise ValidationError("matrices {} and {} are equal within 1e-12".format(*duplicate))
         object.__setattr__(self, "members", members)
 
     @property
@@ -110,6 +116,33 @@ def _check_pair_work(trials, m, n, what):
     if trials * (m * (m - 1) // 2) * n * n * 16 > _MAX_PAIR_BYTES:
         raise ValidationError(f"{what} computes more than 2^{_MAX_PAIR_BYTES.bit_length() - 1} bytes "
                               "of pair differences, the limit for one run")
+
+
+def _first_duplicate(members):
+    """The first pair (i, j), in itertools.combinations order, of a stack
+    (m, n, n) of unitaries whose entries all differ by at most 1e-12, or None.
+
+    The projection p = w . vec(A), w_k = sin(k^2) over all 2n^2 real
+    coordinates, differs by at most ||w||_1 1e-12 within such a pair, and
+    rounding adds at most 2n^2 eps ||w||_1 (unitary entries are at most 1
+    in modulus). So only pairs whose sorted projections lie within
+    ||w||_1 (1e-12 + 8 n^2 eps) are compared entry by entry, those d places
+    apart in step d: O(m log m) when no two members are that close.
+    """
+    m, n = members.shape[:2]
+    w = np.sin(np.arange(1.0, 2 * n * n + 1) ** 2)
+    p = members.reshape(m, -1).view(float) @ w
+    order = np.argsort(p)
+    p = p[order]
+    slack = np.abs(w).sum() * (1e-12 + 8 * n * n * np.finfo(float).eps)
+    span = np.searchsorted(p, p + slack, side="right") - np.arange(m)  # within reach, itself included
+    first = m * m  # the least i m + j of a pair found
+    for d in range(1, int(span.max())):
+        a = np.flatnonzero(span > d)
+        i, j = order[a], order[a + d]
+        close = np.max(np.abs(members[i] - members[j]), axis=(-2, -1)) <= 1e-12
+        first = int((np.minimum(i, j) * m + np.maximum(i, j)).min(initial=first, where=close))
+    return None if first == m * m else divmod(first, m)
 
 
 def _pair_min(stack, values):
@@ -268,6 +301,7 @@ def load_constellation(path):
             members.append(UnitaryMatrix(arr))
         except ValidationError as exc:
             raise ValidationError(f"matrix {idx}: {exc}") from exc
+    del text, data, mats  # so the parsed file is freed before the stack checks' temporaries exist
     try:
         return Constellation(tuple(members), label=label)
     except ValidationError as exc:

@@ -76,18 +76,26 @@ def stacked_logabsdet(mats):
     return np.linalg.slogdet(a)[1]
 
 
+def _residual(a):
+    """Frobenius norm of M*M - I for each matrix M of a stack (..., n, n)."""
+    return np.linalg.norm(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1]), axis=(-2, -1))
+
+
 def unitarity_residual(m):
     """Frobenius norm of M*M - I (0 for exactly unitary M)."""
-    a = _square(m, "unitarity residual input")
-    return float(np.linalg.norm(a.conj().T @ a - np.eye(a.shape[0])))
+    return float(_residual(_square(m, "unitarity residual input")))
 
 
 def _check_unitary(a, tol):
-    """ValidationError unless the square array ``a`` has unitarity residual <= tol."""
+    """ValidationError unless every matrix of ``a``, one square array or a
+    stack (m, n, n) of them, has unitarity residual <= tol; in a stack the
+    error names the first failing matrix by its index."""
     with np.errstate(over="ignore", invalid="ignore"):
-        res = unitarity_residual(a)
-    if not res <= tol:  # a NaN residual, from overflowing entries, fails too
-        raise ValidationError(f"matrix is not unitary: residual {res:.3e} > {tol:.1e}")
+        res = _residual(a)
+    if not res.max() <= tol:  # a NaN residual, from overflowing entries, fails too
+        i = np.argmin(res <= tol)  # the first failing matrix
+        message = f"matrix is not unitary: residual {res.flat[i]:.3e} > {tol:.1e}"
+        raise ValidationError(message if a.ndim == 2 else f"matrix {i}: {message}")
 
 
 def unitary_eigenangles(u):

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import upb.bounds
+import upb.cli
 import upb.weyl
 from tensor_oracle import tensor_mass
+from test_acceptance import TABLE_B1, TABLE_B2, TABLE_M
 from upb import (
     BOUND_IDS,
     BOUND_METRIC,
@@ -124,11 +126,6 @@ def test_solve_r0_2_1000_matches_inverted_reference():
 # entries invert to packing radii solving it for m near 68.5 and 105.8); the
 # acceptance suite documents that gap, while the frozen values below pin the
 # equality-consistent results against regressions.
-TABLE_M = (24, 48, 64, 80, 100, 120, 128, 1000)
-PUBLISHED = {
-    "b1": (0.7598, 0.6603, 0.6131, 0.5932, 0.5578, 0.5425, 0.5347, 0.3270),
-    "b2": (0.7794, 0.6734, 0.6235, 0.6026, 0.5654, 0.5496, 0.5415, 0.3285),
-}
 CONSISTENT_COLUMNS = (0, 1, 3, 5, 6, 7)  # all but m = 64 and m = 100
 FROZEN_R0 = (1.18199, 0.99966, 0.93192, 0.88237, 0.83535, 0.79872, 0.78613, 0.47237)
 FROZEN = {
@@ -153,8 +150,13 @@ def test_frozen_bound_values():
 def test_published_values_on_consistent_columns():
     for i in CONSISTENT_COLUMNS:
         r0, _ = solve_r0(2, TABLE_M[i], "euclidean")
-        assert evaluate_bound("b1", 2, r0) == pytest.approx(PUBLISHED["b1"][i], abs=5e-3)
-        assert evaluate_bound("b2", 2, r0) == pytest.approx(PUBLISHED["b2"][i], abs=5e-3)
+        assert evaluate_bound("b1", 2, r0) == pytest.approx(TABLE_B1[i], abs=5e-3)
+        assert evaluate_bound("b2", 2, r0) == pytest.approx(TABLE_B2[i], abs=5e-3)
+
+
+def test_cli_table_is_the_published_table():
+    assert upb.cli._TABLE_M == TABLE_M
+    assert upb.cli._TABLE_REF == {"b1": TABLE_B1, "b2": TABLE_B2}
 
 
 # --- bound formulas --------------------------------------------------------------

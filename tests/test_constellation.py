@@ -11,6 +11,7 @@ from upb import (
     Constellation,
     DimensionError,
     ParseError,
+    UnitaryMatrix,
     ValidationError,
     b1_of_r,
     chordal_packing_radius,
@@ -185,6 +186,12 @@ def test_member_errors_name_the_member():
         with pytest.raises(kind, match=f"^matrix 1: {message}") as info:
             Constellation([np.eye(2), bad, -np.eye(2)])
         assert type(info.value) is kind
+    # the same members as one stack, which is checked for unitarity at once
+    with pytest.raises(ValidationError, match="^matrix 1: matrix is not unitary: residual") as info:
+        Constellation(np.stack([np.eye(2), 2.0 * np.eye(2), -np.eye(2)]))
+    assert type(info.value) is ValidationError
+    with pytest.raises(ValidationError, match="^matrix is not unitary: residual"):
+        UnitaryMatrix(2.0 * np.eye(2))  # a single matrix has no index
 
 
 def test_duplicate_threshold_names_the_first_pair_within_it():
@@ -196,6 +203,20 @@ def test_duplicate_threshold_names_the_first_pair_within_it():
         Constellation(members[:3] + [near, members[2]] + members[3:])
     near[0, 0] = members[1][0, 0] + 2e-12
     assert Constellation(members[:3] + [near] + members[3:]).m == 6
+
+
+def test_construction_forms_no_pair_differences(monkeypatch, tmp_path):
+    path = tmp_path / "v.json"
+    save_constellation(Constellation(haar_sample(2, 1, 50)), path)
+
+    def no_pairs(stack, values):
+        raise AssertionError("construction walked the member pairs")
+
+    monkeypatch.setattr(upb.constellation, "_pair_min", no_pairs)
+    v = Constellation(haar_sample(2, 0, 200))
+    assert load_constellation(path).m == 50
+    with pytest.raises(AssertionError, match="walked the member pairs"):
+        diversity_sum(v)  # the patch is live
 
 
 def test_constellation_and_summary_hold_one_row_of_pairs():

@@ -189,6 +189,48 @@ def test_repeated_member_names_first_pair(n, m, seed, copies):
         Constellation(members)
 
 
+def structured_code(code, n, m, seed):
+    """Members of U(n) that share many entries, or m Haar draws.
+
+    "q8" is the quaternion group {±1, ±i, ±j, ±k} as 2 x 2 unitaries, and
+    "cyclic" the diagonal code diag(exp(2 pi i k u / m)), u = (1, 3, 5, ...),
+    k = 0 .. m-1, listed twice, so that its first duplicate is (0, m).
+    """
+    if code == "q8":
+        one, i, j = np.eye(2), np.diag([1j, -1j]), np.array([[0, 1], [-1, 0]])
+        return [s * u for u in (one, i, j, i @ j) for s in (1, -1)]
+    if code == "cyclic":
+        u = np.arange(1, 2 * n, 2)
+        return [np.diag(np.exp(2j * np.pi * k * u / m)) for k in range(m)] * 2
+    return list(haar_sample(n, seed, m))
+
+
+@PROPERTY
+@given(code=st.sampled_from(["haar", "q8", "cyclic"]), n=st.integers(1, 4), m=st.integers(2, 12),
+       seed=st.integers(0, 2**32 - 1),
+       copies=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 24),
+                                 st.sampled_from([0.0, 1e-13, 1e-12, 1.3e-12, 1e-11])), max_size=4))
+@example(code="q8", n=2, m=8, seed=0, copies=[(5, 2, 0.0)])  # Q8 with a repeated member
+@example(code="cyclic", n=3, m=7, seed=0, copies=[])  # a cyclic diagonal code listed twice
+@example(code="cyclic", n=2, m=5, seed=0, copies=[(3, 1, 1e-13), (0, 0, 1.3e-12)])
+@example(code="haar", n=2, m=6, seed=1, copies=[(2, 6, 1e-12), (4, 0, 1.3e-12), (1, 3, 1e-11)])
+def test_near_copies_match_brute_force_scan(code, n, m, seed, copies):
+    # planted copies, each moved by an offset in one entry, against the
+    # pair-by-pair scan of max |A_i - A_j| <= 1e-12
+    members = structured_code(code, n, m, seed)
+    for source, position, offset in copies:
+        near = np.array(members[source % len(members)], dtype=complex)
+        near.flat[position % near.size] += offset * 1j**position
+        members.insert(position % (len(members) + 1), near)
+    first = next(((i, j) for i, j in itertools.combinations(range(len(members)), 2)
+                  if np.max(np.abs(np.asarray(members[i]) - members[j])) <= 1e-12), None)
+    if first is None:
+        assert Constellation(members).m == len(members)
+    else:
+        with pytest.raises(ValidationError, match=rf"^matrices {first[0]} and {first[1]} are equal within 1e-12$"):
+            Constellation(members)
+
+
 ANGLES = st.sampled_from([-math.pi, math.pi - 1e-12, math.pi - 1e-9, 0.0, 1e-12, -1e-9, 0.5])
 
 
