@@ -340,9 +340,8 @@ def _selftest_product_le_sum() -> str:
     for trial in range(100):
         n = int(rng.integers(1, 5))
         m = int(rng.integers(2, 9))
-        members = [haar_sample(n, rng) for _ in range(m)]
         try:
-            constellation = Constellation(members)
+            constellation = Constellation(haar_sample(n, rng, m))
         except ValidationError:
             continue  # astronomically unlikely duplicate draw
         summary = diversity_summary(constellation)
@@ -356,9 +355,8 @@ def _selftest_envelope() -> str:
     rng = np.random.default_rng(11)
     for trial in range(200):
         n = int(rng.integers(1, 6))
-        a = haar_sample(n, rng)
-        b = haar_sample(n, rng)
-        d = float(np.linalg.norm(a.array - b.array))
+        a, b = haar_sample(n, rng, 2)
+        d = float(np.linalg.norm(a - b))
         dist = riemannian_distance(a, b)
         lower, upper = euclidean_riemannian_envelope(n, d)
         if not (lower - 1e-9 <= dist <= upper + 1e-9):

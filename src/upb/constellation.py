@@ -17,7 +17,6 @@ from . import _lazy_numpy
 from .errors import DimensionError, ParseError, ValidationError, _describe_int, check_int
 from .matrices import (
     _VALIDATION_TOL,
-    UnitaryMatrix,
     _check_draw,
     _check_unitary,
     _generator,
@@ -63,7 +62,10 @@ class Constellation:
     (m, n, n) array. Each is coerced in turn, then the stack is checked
     once: for unitarity, against UnitaryMatrix's bound, and for distinct
     members, by _first_duplicate, without walking the member pairs. It is
-    kept as one read-only (m, n, n) complex array.
+    kept as one read-only (m, n, n) complex array. The checks run in the
+    order label, coercion of every member, member count, dimensions,
+    unitarity, pair budget, duplicates, and the first fault in that order
+    is raised; load_constellation leaves every value check to this one.
     """
 
     members: "np.ndarray"
@@ -268,8 +270,11 @@ def save_constellation(v, path):
 
 
 def load_constellation(path):
-    """Read a constellation file, validating structure, dimension homogeneity,
-    and unitarity; errors name the offending matrix index."""
+    """Read a constellation file: parse it into one (m, n, n) stack, then
+    construct. Parsing checks the header, every entry and every member's
+    shape before Constellation checks any value, so a structural fault in
+    any member is reported before a value fault in any member; errors name
+    the offending matrix index."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -290,51 +295,40 @@ def load_constellation(path):
     mats = data.get("matrices")
     if not isinstance(mats, list) or len(mats) < 2:
         raise ParseError("field 'matrices' must be a list of at least 2 matrices")
-    members = []
-    for idx, mat in enumerate(mats):
-        arr = _parse_matrix(mat, idx)
-        if arr.shape != (n, n):
-            raise ValidationError(
-                f"matrix {idx} has shape {arr.shape[0]}x{arr.shape[1]}, expected {n}x{n}"
-            )
-        try:
-            members.append(UnitaryMatrix(arr))
-        except ValidationError as exc:
-            raise ValidationError(f"matrix {idx}: {exc}") from exc
+    stack = _parse_matrices(mats, n)
     del text, data, mats  # so the parsed file is freed before the stack checks' temporaries exist
-    try:
-        return Constellation(tuple(members), label=label)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    return Constellation(stack, label=label)
 
 
-def _parse_matrix(mat, idx):
-    """A JSON matrix of [re, im] entries as a complex array.
+def _parse_matrices(mats, n):
+    """A JSON list of m matrices of [re, im] entries as one complex (m, n, n) array.
 
-    One numpy conversion and one check of the set of entry types accept
-    valid input: only int and float pass, so bool, strings and null do not.
-    Anything else goes to the per-entry scan, which names the first
-    malformed row or entry.
+    One numpy conversion, one check of the set of entry types and one shape
+    check accept valid input: only int and float pass, so bool, strings and
+    null do not. Anything else goes to the per-member scan, which names the
+    first malformed matrix, row or entry, or the first member not n x n.
     """
+    try:
+        pairs = np.array(mats, dtype=float)
+        types = set(map(type, itertools.chain.from_iterable(
+            itertools.chain.from_iterable(itertools.chain.from_iterable(mats)))))
+        # finite and strictly inside the float range; an int that rounds to
+        # the largest float goes to the scan, which compares it exactly
+        if (pairs.shape == (len(mats), n, n, 2) and types <= {int, float}
+                and np.all(np.abs(pairs) < sys.float_info.max)):
+            return pairs.view(complex)[..., 0]
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return np.stack([_scan_matrix(mat, idx, n) for idx, mat in enumerate(mats)])
+
+
+def _scan_matrix(mat, idx, n):
+    """One member of _parse_matrices entry by entry: ParseError names the
+    first malformed row or entry, ValidationError a member not n x n; what
+    passes (entries of exactly the largest float) is returned as a complex
+    array."""
     if not isinstance(mat, list) or not mat:
         raise ParseError(f"matrix {idx} must be a nonempty list of rows")
-    try:
-        pairs = np.array(mat, dtype=float)
-        types = set(map(type, itertools.chain.from_iterable(itertools.chain.from_iterable(mat))))
-    except (TypeError, ValueError, OverflowError):
-        return _scan_matrix(mat, idx)
-    # finite and strictly inside the float range; an int that rounds to the
-    # largest float goes to the scan, which compares it exactly
-    if (pairs.ndim == 3 and pairs.shape[2] == 2 and types <= {int, float}
-            and np.all(np.abs(pairs) < sys.float_info.max)):
-        return pairs.view(complex)[..., 0]
-    return _scan_matrix(mat, idx)
-
-
-def _scan_matrix(mat, idx):
-    """_parse_matrix entry by entry: ParseError names the first malformed row
-    or entry; what passes (rows without entries, entries of exactly the
-    largest float) is returned as a complex array."""
     rows = []
     width = None
     for r, row in enumerate(mat):
@@ -352,4 +346,7 @@ def _scan_matrix(mat, idx):
                 raise ParseError(f"matrix {idx} row {r} has a malformed entry: {e!r}")
             entries.append(complex(e[0], e[1]))
         rows.append(entries)
-    return np.array(rows, dtype=complex)
+    arr = np.array(rows, dtype=complex)
+    if arr.shape != (n, n):
+        raise ValidationError(f"matrix {idx} has shape {arr.shape[0]}x{arr.shape[1]}, expected {n}x{n}")
+    return arr

@@ -3,9 +3,10 @@ reference oracle for the tests.
 
 load(path) returns (label, member arrays) or raises what that loader raises,
 with the same type and message. Every entry is checked one at a time, and
+every member is parsed and shape-checked before any is validated. Then
 each member is validated the old way: its unitarity residual against 1e-9,
 then |det| within 1e-6 of 1 through the reference elimination
-determinant_oracle.determinant, then pairwise distinctness within 1e-12.
+determinant_oracle.determinant; then pairwise distinctness within 1e-12.
 """
 
 import itertools
@@ -79,12 +80,13 @@ def load(path):
             raise ValidationError(
                 f"matrix {idx} has shape {arr.shape[0]}x{arr.shape[1]}, expected {n}x{n}"
             )
+        members.append(arr)
+    for idx, arr in enumerate(members):
         try:
             check_member(arr)
         except ValidationError as exc:
             raise ValidationError(f"matrix {idx}: {exc}") from exc
-        members.append(arr)
     for i, j in itertools.combinations(range(len(members)), 2):
         if np.max(np.abs(members[i] - members[j])) <= 1e-12:
-            raise ValidationError(f"{path}: matrices {i} and {j} are equal within 1e-12")
+            raise ValidationError(f"matrices {i} and {j} are equal within 1e-12")
     return label, members

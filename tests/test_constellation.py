@@ -423,27 +423,64 @@ def test_load_rejects_malformed_files(tmp_path):
         load_constellation(too_few)
 
 
-def test_load_names_offending_matrix(tmp_path):
-    doc = {
-        "n": 2,
-        "matrices": [
-            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
-            [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
-        ],
-    }
-    path = tmp_path / "v.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError, match="matrix 1"):
-        load_constellation(path)
+def _write_stack(path, stack):
+    """A well-formed constellation file of a stack (m, n, n), valid or not."""
+    m, n = stack.shape[:2]
+    path.write_text(json.dumps({"n": n, "matrices": stack.view(float).reshape(m, n, n, 2).tolist()}))
+    return path
 
 
-def test_load_validates_in_file_order(tmp_path):
-    # matrix 0 is not unitary and matrix 1 is malformed: matrix 0 is named
+def test_load_names_offending_matrix(tmp_path, monkeypatch):
+    # each file has one value fault, which Constellation alone reports: the
+    # loader raises its type and message, with no path
+    haar = haar_sample(2, 1, 4)
+    nonunitary, overflowing, duplicate = haar.copy(), haar.copy(), haar.copy()
+    nonunitary[1] = 2.0 * np.eye(2)
+    overflowing[1] = [[1e308, 1e308], [1e308, -1e308]]  # residual nan
+    duplicate[2] = duplicate[0]
+    cases = [(nonunitary, "^matrix 1: matrix is not unitary: residual 4.243e\\+00 > 1.0e-09$"),
+             (overflowing, "^matrix 1: matrix is not unitary: residual nan > 1.0e-09$"),
+             (duplicate, "^matrices 0 and 2 are equal within 1e-12$"),
+             (haar, "^a constellation with n = 2, m = 4 computes more than 2\\^8 bytes")]
+    for k, (stack, message) in enumerate(cases):
+        path = _write_stack(tmp_path / f"v{k}.json", stack)
+        if stack is haar:
+            monkeypatch.setattr(upb.constellation, "_MAX_PAIR_BYTES", 256)
+        with pytest.raises(ValidationError, match=message) as want:
+            Constellation(stack)
+        with pytest.raises(ValidationError) as got:
+            load_constellation(path)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+def test_load_checks_structure_before_values(tmp_path):
+    # matrix 0 is not unitary and matrix 1 is malformed: parsing names matrix 1
     doc = {"n": 1, "matrices": [[[[2.0, 0.0]]], [[[True, 0.0]]]]}
     path = tmp_path / "v.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError, match="^matrix 0: matrix is not unitary"):
+    with pytest.raises(ParseError, match="^matrix 1 row 0 has a malformed entry"):
         load_constellation(path)
+
+
+def test_load_validates_the_stack_once(tmp_path, monkeypatch):
+    path = tmp_path / "v.json"
+    save_constellation(Constellation(haar_sample(3, 2, 20)), path)
+    calls = []
+
+    def forbidden(*args):
+        raise AssertionError("the loader built a UnitaryMatrix or scanned a member")
+
+    def counted(a, tol):
+        calls.append(a.shape)
+        return check(a, tol)
+
+    check = upb.constellation._check_unitary
+    monkeypatch.setattr(UnitaryMatrix, "__post_init__", forbidden)
+    monkeypatch.setattr(upb.constellation, "_scan_matrix", forbidden)  # one numpy conversion
+    monkeypatch.setattr(upb.constellation, "_check_unitary", counted)
+    for _ in range(2):
+        assert load_constellation(path).m == 20
+    assert calls == [(20, 3, 3)] * 2
 
 
 def test_load_rejects_wrong_shape(tmp_path):

@@ -359,12 +359,20 @@ def constellation_documents(draw):
 FIRST_NONUNITARY_SECOND_MALFORMED = json.dumps({"n": 1, "matrices": [[[[2, 0]]], [[[None, 0]]]]})
 OVERFLOWING_MEMBER = json.dumps({"n": 2, "matrices": [
     [[[1e308, 0], [1e308, 0]], [[1e308, 0], [-1e308, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]})
+# the loader's one numpy conversion succeeds, and its shape check sends the
+# file to the per-member scan, which names matrix 0
+EVERY_MEMBER_TOO_SMALL = json.dumps({"n": 2, "matrices": [[[[1, 0]]], [[[0, 1]]]]})
+# the conversion fails, and the scan names matrix 1 row 1
+RAGGED_LAST_MEMBER = json.dumps({"n": 2, "matrices": [
+    [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[0, 1], [0, 0]], [[0, 0]]]]})
 
 
 @settings(PROPERTY, max_examples=400)
 @given(text=constellation_documents())
 @example(text=FIRST_NONUNITARY_SECOND_MALFORMED)
 @example(text=OVERFLOWING_MEMBER)
+@example(text=EVERY_MEMBER_TOO_SMALL)
+@example(text=RAGGED_LAST_MEMBER)
 @example(text='{"n": 1, "matrices": [[[[NaN, 0]]], [[[Infinity, 0]]]]}')
 @example(text='{"n": 1, "matrices": [[[[1.7976931348623157e308, 0]]], [[[1, 0]]]]}')
 @example(text='{"n": 1, "matrices": [[[[1, -0.0]]], [[[-0.0, -1]]]]}')  # signed zeros kept
