@@ -11,10 +11,12 @@ disjoint balls cover at most all of U(n).
 
 solve_r0 is the one solve: it returns r0 with its deterministic radius
 error. compute_bounds is the one path from (n, m) to bound rows: it solves
-each metric once and optionally caches r0 and its error. Alongside
-sit the exact small-case values, the euclidean/riemannian distance envelope
-B2 is read from, the B1/B2 crossover radius, and the certified
-Gilbert-Varshamov lower bound from one more solve.
+each metric once and optionally caches r0 and its error; a single row is
+compute_bounds(n, m, ("b1",))[0]. b1_of_r, b2_of_r and b3_of_r are the one
+way to read a bound at a given radius. Alongside sit the exact small-case
+values, the euclidean/riemannian distance envelope B2 is read from, the
+B1/B2 crossover radius, and the certified Gilbert-Varshamov lower bound
+from one more solve.
 """
 
 import json
@@ -34,13 +36,9 @@ __all__ = [
     "b1_of_r",
     "b2_of_r",
     "b3_of_r",
-    "bound_b1",
-    "bound_b2",
-    "bound_b3",
     "compute_bounds",
     "crossover_radius",
     "euclidean_riemannian_envelope",
-    "evaluate_bound",
     "exact_delta",
     "gv_lower_bound",
     "solve_r0",
@@ -191,10 +189,6 @@ def _curve(bound_id):
         raise ValidationError(f"unknown bound id {bound_id!r}; expected one of {', '.join(BOUND_IDS)}") from None
 
 
-def evaluate_bound(bound_id, n, r0):
-    return _curve(bound_id)(n, r0)
-
-
 def _cache_path(cache_dir, key):
     # named after the key; _cache_load checks the key stored inside
     return Path(cache_dir) / f"{key.replace(':', '_')}.json"
@@ -225,7 +219,8 @@ def _cache_store(path, key, r0, se_r):
 
 
 def compute_bounds(n, m, methods=BOUND_IDS, cache_dir=None):
-    """One BoundResult per id in methods, in that order.
+    """One BoundResult per id in methods, a list or tuple such as ("b1",),
+    in that order; every id is checked before the first solve.
 
     Each metric's r0 is solved once, with its radius error σ_r (see
     solve_r0). A row's value is B(r0); value + std_error_hint, B at r0 + σ_r
@@ -234,6 +229,8 @@ def compute_bounds(n, m, methods=BOUND_IDS, cache_dir=None):
     solver_key there, and a cached metric costs no mass evaluation.
     """
     n, m, _ = _check_size(n, m)
+    if not isinstance(methods, (list, tuple)):  # a str would be split into letters
+        raise ValidationError(f"methods must be a list or tuple of bound ids such as ('b1',), got {methods!r}")
     curves = [_curve(bound_id) for bound_id in methods]
     radii = {}
     for metric in sorted({BOUND_METRIC[b] for b in methods}):
@@ -265,21 +262,6 @@ def compute_bounds(n, m, methods=BOUND_IDS, cache_dir=None):
             )
         )
     return results
-
-
-def bound_b1(n, m):
-    """Diversity-sum upper bound B1 at the euclidean critical radius."""
-    return compute_bounds(n, m, ("b1",))[0]
-
-
-def bound_b2(n, m):
-    """Diversity-sum upper bound B2 at the euclidean critical radius."""
-    return compute_bounds(n, m, ("b2",))[0]
-
-
-def bound_b3(n, m):
-    """Diversity-sum upper bound B3 at the riemannian critical radius."""
-    return compute_bounds(n, m, ("b3",))[0]
 
 
 def exact_delta(n, m):

@@ -58,14 +58,15 @@ _MAX_PAIR_BYTES = 1 << 34
 class Constellation:
     """m >= 2 pairwise-distinct unitaries of a common dimension n.
 
-    ``members`` may be given as UnitaryMatrix instances, raw arrays, or one
-    (m, n, n) array. Each is coerced in turn, then the stack is checked
-    once: for unitarity, against UnitaryMatrix's bound, and for distinct
-    members, by _first_duplicate, without walking the member pairs. It is
-    kept as one read-only (m, n, n) complex array. The checks run in the
-    order label, coercion of every member, member count, dimensions,
-    unitarity, pair budget, duplicates, and the first fault in that order
-    is raised; load_constellation leaves every value check to this one.
+    ``members`` may be given as an iterable of UnitaryMatrix instances or
+    raw arrays, or as one (m, n, n) array. Each is coerced in turn, then the
+    stack is checked once: for unitarity, against UnitaryMatrix's bound, and
+    for distinct members, by _first_duplicate, without walking the member
+    pairs. It is kept as one read-only (m, n, n) complex array. The checks
+    run in the order label, iterable members, coercion of every member,
+    member count, dimensions, unitarity, pair budget, duplicates, and the
+    first fault in that order is raised; load_constellation leaves every
+    value check to this one.
     """
 
     members: "np.ndarray"
@@ -74,8 +75,12 @@ class Constellation:
     def __post_init__(self):
         if not isinstance(self.label, str):
             raise ValidationError(f"label must be a string, got {self.label!r}")
+        try:
+            members = iter(self.members)
+        except TypeError:
+            raise ValidationError(f"members must be an iterable of matrices, got {self.members!r}") from None
         arrays = []
-        for i, u in enumerate(self.members):
+        for i, u in enumerate(members):
             try:
                 arrays.append(_square(u, "unitary matrix"))
             except ValidationError as exc:  # DimensionError stays DimensionError

@@ -17,14 +17,13 @@ import pytest
 
 from upb import (
     Constellation,
-    bound_b1,
-    bound_b2,
-    bound_b3,
+    b1_of_r,
+    b2_of_r,
+    compute_bounds,
     crossover_radius,
     diversity_product,
     diversity_sum,
     euclidean_riemannian_envelope,
-    evaluate_bound,
     exact_delta,
     haar_sample,
     normalizer_estimate,
@@ -43,17 +42,17 @@ def verdict(num, name, ok, detail):
     print(f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'} {name}: {detail}")
 
 
-def table_row(bound_id, references):
+def table_row(curve, references):
     start = time.monotonic()
     devs = []
     for m, ref in zip(TABLE_M, references):
         r0, _ = solve_r0(2, m, "euclidean")
-        devs.append(abs(evaluate_bound(bound_id, 2, r0) - ref))
+        devs.append(abs(curve(2, r0) - ref))
     return devs, time.monotonic() - start
 
 
 def test_criterion_1_table_b1_row():
-    devs, elapsed = table_row("b1", TABLE_B1)
+    devs, elapsed = table_row(b1_of_r, TABLE_B1)
     worst = max(devs)
     ok = worst <= 0.005 and elapsed < 60.0
     detail = f"max |dev| = {worst:.2e} over {len(devs)} columns in {elapsed:.1f}s (tol 5e-3)"
@@ -64,7 +63,7 @@ def test_criterion_1_table_b1_row():
 
 
 def test_criterion_2_table_b2_row():
-    devs, elapsed = table_row("b2", TABLE_B2)
+    devs, elapsed = table_row(b2_of_r, TABLE_B2)
     worst = max(devs)
     ok = worst <= 0.005
     detail = f"max |dev| = {worst:.2e} over {len(devs)} columns (tol 5e-3)"
@@ -78,8 +77,8 @@ def test_criterion_3_n1_collapse_to_sine():
     worst = 0.0
     for m in range(2, 65):
         expected = math.sin(math.pi / m)
-        for fn in (bound_b1, bound_b2, bound_b3):
-            worst = max(worst, abs(fn(1, m).value - expected))
+        for row in compute_bounds(1, m):
+            worst = max(worst, abs(row.value - expected))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-6 and elapsed < 5.0
     verdict(3, "n=1 bounds equal sin(pi/m)", ok,
@@ -158,10 +157,10 @@ def test_criterion_8_bound_dominance():
     for n, m in cases:
         delta = exact_delta(n, m)
         assert delta is not None, (n, m)
-        for fn in (bound_b1, bound_b2, bound_b3):
-            shortfall = delta - fn(n, m).value
+        for row in compute_bounds(n, m):
+            shortfall = delta - row.value
             if shortfall > worst:
-                worst, worst_case = shortfall, (n, m, fn.__name__)
+                worst, worst_case = shortfall, (n, m, row.bound_id)
     ok = worst <= 5e-3
     verdict(8, "bounds dominate known optima", ok,
             f"max(delta - bound) = {worst:.2e} at {worst_case} (tol 5e-3)")
@@ -171,7 +170,7 @@ def test_criterion_8_bound_dominance():
 def test_criterion_9_monotonicity():
     ms = (8, 16, 32, 64, 128, 256, 512, 1024)
     radii = [solve_r0(2, m, "euclidean")[0] for m in ms]
-    values = [evaluate_bound("b1", 2, r) for r in radii]
+    values = [b1_of_r(2, r) for r in radii]
     radii_ok = all(a > b for a, b in zip(radii, radii[1:]))
     values_ok = all(a > b for a, b in zip(values, values[1:]))
     ok = radii_ok and values_ok
@@ -184,7 +183,7 @@ def test_criterion_10_search_below_bounds():
     worst = -np.inf
     for n, m in ((1, 4), (2, 4), (2, 8)):
         _, score = random_search(n, m, 2000, seed=0)
-        best = min(fn(n, m).value for fn in (bound_b1, bound_b2, bound_b3))
+        best = min(row.value for row in compute_bounds(n, m))
         worst = max(worst, score - best)
     ok = worst <= 0.0
     verdict(10, "search scores below bounds", ok,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -19,13 +20,9 @@ from upb import (
     b2_of_r,
     b3_of_r,
     ball_volume_fraction,
-    bound_b1,
-    bound_b2,
-    bound_b3,
     compute_bounds,
     crossover_radius,
     euclidean_riemannian_envelope,
-    evaluate_bound,
     exact_delta,
     gv_lower_bound,
     haar_sample,
@@ -37,9 +34,6 @@ from upb import (
     total_mass,
 )
 from upb.errors import check_real
-
-BOUNDERS = {"b1": bound_b1, "b2": bound_b2, "b3": bound_b3}
-
 
 # --- independent oracles ----------------------------------------------------
 
@@ -102,8 +96,7 @@ def test_solve_r0_circle_closed_forms(m, monkeypatch):
 @pytest.mark.parametrize("m", [2, 3, 4, 8, 32, 64, 1000, 628_000, 10**9])
 def test_bounds_collapse_to_sine_for_n1(m):
     expected = math.sin(math.pi / m)
-    for name, fn in BOUNDERS.items():
-        result = fn(1, m)
+    for name, result in zip(BOUND_IDS, compute_bounds(1, m), strict=True):
         assert abs(result.value - expected) <= 4.0 * math.ulp(expected), name
         assert result.value + result.std_error_hint >= expected, name
         assert result.bound_id == name
@@ -143,15 +136,15 @@ def test_frozen_packing_radii():
 def test_frozen_bound_values():
     for i, m in enumerate(TABLE_M):
         r0, _ = solve_r0(2, m, "euclidean")
-        assert evaluate_bound("b1", 2, r0) == pytest.approx(FROZEN["b1"][i], abs=1e-5)
-        assert evaluate_bound("b2", 2, r0) == pytest.approx(FROZEN["b2"][i], abs=1e-5)
+        assert b1_of_r(2, r0) == pytest.approx(FROZEN["b1"][i], abs=1e-5)
+        assert b2_of_r(2, r0) == pytest.approx(FROZEN["b2"][i], abs=1e-5)
 
 
 def test_published_values_on_consistent_columns():
     for i in CONSISTENT_COLUMNS:
         r0, _ = solve_r0(2, TABLE_M[i], "euclidean")
-        assert evaluate_bound("b1", 2, r0) == pytest.approx(TABLE_B1[i], abs=5e-3)
-        assert evaluate_bound("b2", 2, r0) == pytest.approx(TABLE_B2[i], abs=5e-3)
+        assert b1_of_r(2, r0) == pytest.approx(TABLE_B1[i], abs=5e-3)
+        assert b2_of_r(2, r0) == pytest.approx(TABLE_B2[i], abs=5e-3)
 
 
 def test_cli_table_is_the_published_table():
@@ -177,7 +170,7 @@ def test_half_volume_radius_is_sqrt_2n():
         assert frac == pytest.approx(0.5, abs=1e-12)
         r0, _ = solve_r0(n, 2, "euclidean")
         assert r0 == pytest.approx(math.sqrt(2.0 * n), abs=2e-6)
-        assert evaluate_bound("b1", n, r0) == pytest.approx(1.0, abs=1e-9)
+        assert b1_of_r(n, r0) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_b2_continuous_across_k_steps():
@@ -208,13 +201,13 @@ def test_b3_formula_spot_values():
     assert b3_of_r(1, 0.5) == pytest.approx(math.sin(0.5))
 
 
-def test_evaluate_bound_rejects_bad_inputs():
+def test_unknown_ids_and_radii_off_the_curve_are_refused():
     with pytest.raises(ValidationError):
-        evaluate_bound("b4", 2, 1.0)
+        compute_bounds(2, 24, ("b4",))
     with pytest.raises(ValidationError):
-        evaluate_bound("b1", 2, -1.0)
+        b1_of_r(2, -1.0)
     with pytest.raises(ValidationError):
-        evaluate_bound("b1", 2, 2.0 * math.sqrt(2.0) + 1e-3)
+        b1_of_r(2, 2.0 * math.sqrt(2.0) + 1e-3)
 
 
 # --- crossover radius --------------------------------------------------------------
@@ -504,7 +497,7 @@ def test_sizes_beyond_the_float_range_are_refused_before_any_work(tmp_path, cach
 
 
 def test_bound_result_bookkeeping(tmp_path):
-    res = bound_b1(2, 64)
+    res = compute_bounds(2, 64, ("b1",))[0]
     assert res.n == 2 and res.m == 64
     # plain floats, not numpy scalars, so a solved row and a cached one agree
     assert all(type(v) is float for v in (res.r0, res.value, res.std_error_hint))
@@ -513,6 +506,25 @@ def test_bound_result_bookkeeping(tmp_path):
     assert repr(cold) == repr(warm) == repr(res)
     assert res.std_error_hint >= 0.0
     assert res.std_error_hint < 1e-4  # deterministic kernel: bracket width plus truncation
+
+
+def test_compute_bounds_solves_each_metric_once(monkeypatch):
+    # B1 and B2 share the euclidean radius, so the three rows cost one solve
+    # per metric, and each row is the row that a one-id call returns
+    solve, metrics = solve_r0, []
+
+    def counted(n, m, metric):
+        metrics.append(metric)
+        return solve(n, m, metric)
+
+    monkeypatch.setattr(upb.bounds, "solve_r0", counted)
+    b1, b2, b3 = compute_bounds(2, 24)
+    assert sorted(metrics) == ["euclidean", "riemannian"]
+    assert b1.r0 == b2.r0
+    monkeypatch.undo()
+    for row, bound_id in zip((b1, b2, b3), BOUND_IDS, strict=True):
+        single = compute_bounds(2, 24, (bound_id,))[0]
+        assert dataclasses.astuple(row) == dataclasses.astuple(single), bound_id
 
 
 def test_solve_agrees_with_tensor_oracle():
@@ -553,6 +565,6 @@ def test_std_error_is_the_slope_times_the_radius_error(n):
 def test_b1_and_radius_strictly_decreasing_in_m():
     ms = [8, 16, 32, 64, 128, 256, 512, 1024]
     radii = [solve_r0(2, m, "euclidean")[0] for m in ms]
-    values = [evaluate_bound("b1", 2, r) for r in radii]
+    values = [b1_of_r(2, r) for r in radii]
     assert all(a > b for a, b in zip(radii, radii[1:]))
     assert all(a > b for a, b in zip(values, values[1:]))

@@ -98,17 +98,21 @@ def test_bound_usage_errors(capsys, tmp_path):
 
 def test_bound_ids_have_one_check(capsys, tmp_path, monkeypatch):
     # the library and the CLI refuse an unknown id with one message, and
-    # compute_bounds looks up every id before its first solve
+    # compute_bounds checks its ids before its first solve: a str, None or
+    # an int is no list of ids
     def no_solve(*args):
         raise AssertionError("bound ids are checked before any solve")
 
     monkeypatch.setattr(upb.bounds, "solve_r0", no_solve)
     message = "unknown bound id 'b9'; expected one of b1, b2, b3"
-    for call in (lambda: compute_bounds(2, 8, ("b9",)), lambda: compute_bounds(2, 8, ("b1", "b9")),
-                 lambda: upb.bounds.evaluate_bound("b9", 2, 1.0)):
+    for methods in (("b9",), ("b1", "b9"), ["b9"]):
         with pytest.raises(ValidationError) as info:
-            call()
+            compute_bounds(2, 8, methods)
         assert str(info.value) == message
+    for methods in ("b1", None, 5):
+        with pytest.raises(ValidationError) as info:
+            compute_bounds(2, 8, methods)
+        assert str(info.value) == f"methods must be a list or tuple of bound ids such as ('b1',), got {methods!r}"
     code, out, err = run(capsys, "bound", "--n", "2", "--m", "8", "--method", "b1,b9",
                          "--cache-dir", str(tmp_path))
     assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -165,6 +165,12 @@ def test_constellation_validates_membership():
         Constellation([np.eye(2), np.eye(2)])  # duplicates
     with pytest.raises(ValidationError):
         Constellation([np.eye(2), 2.0 * np.eye(2)])  # not unitary
+    for members in (5, None):  # not iterable
+        with pytest.raises(ValidationError) as info:
+            Constellation(members)
+        assert str(info.value) == f"members must be an iterable of matrices, got {members!r}"
+    with pytest.raises(ValidationError, match="^label must be a string"):
+        Constellation(5, label=5)  # the label is checked first
 
 
 def test_label_must_be_a_string():
