@@ -219,8 +219,10 @@ def _cache_store(path, key, r0, se_r):
 
 
 def compute_bounds(n, m, methods=BOUND_IDS, cache_dir=None):
-    """One BoundResult per id in methods, a list or tuple such as ("b1",),
-    in that order; every id is checked before the first solve.
+    """One BoundResult per distinct id in methods, a non-empty list or tuple
+    such as ("b1",), in order of first appearance. The size, every id and
+    cache_dir (None, a str or an os.PathLike) are checked before the first
+    solve or cache read.
 
     Each metric's r0 is solved once, with its radius error σ_r (see
     solve_r0). A row's value is B(r0); value + std_error_hint, B at r0 + σ_r
@@ -231,9 +233,13 @@ def compute_bounds(n, m, methods=BOUND_IDS, cache_dir=None):
     n, m, _ = _check_size(n, m)
     if not isinstance(methods, (list, tuple)):  # a str would be split into letters
         raise ValidationError(f"methods must be a list or tuple of bound ids such as ('b1',), got {methods!r}")
-    curves = [_curve(bound_id) for bound_id in methods]
+    if not methods:
+        raise ValidationError(f"methods must name at least one of {', '.join(BOUND_IDS)}")
+    if not (cache_dir is None or isinstance(cache_dir, (str, os.PathLike))):
+        raise ValidationError(f"cache_dir must be None, a str or an os.PathLike, got {cache_dir!r}")
+    curves = {bound_id: _curve(bound_id) for bound_id in methods}  # a repeat keeps its first place
     radii = {}
-    for metric in sorted({BOUND_METRIC[b] for b in methods}):
+    for metric in sorted({BOUND_METRIC[b] for b in curves}):
         key = solver_key(n, m, metric)
         path = None if cache_dir is None else _cache_path(cache_dir, key)
         radius = None if path is None else _cache_load(path, key)
@@ -243,7 +249,7 @@ def compute_bounds(n, m, methods=BOUND_IDS, cache_dir=None):
                 _cache_store(path, key, *radius)
         radii[metric] = radius
     results = []
-    for bound_id, curve in zip(methods, curves):
+    for bound_id, curve in curves.items():
         metric = BOUND_METRIC[bound_id]
         r0, se_r = radii[metric]
         value = curve(n, r0)

@@ -143,27 +143,19 @@ _MAX_SWEEP_SIZES = 10_000
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
-
-
-def _parse_methods(spec: str):
-    """The ids of a --method list, in order without repeats; compute_bounds checks them."""
-    names = [tok.strip() for tok in spec.split(",") if tok.strip()]
-    if not names:
-        raise ValidationError("--method needs at least one of b1, b2, b3, all")
-    return list(BOUND_IDS) if "all" in names else list(dict.fromkeys(names))
-
-
-# ---------------------------------------------------------------------------
 # subcommands: each returns its record (parameters, columns, rows[, notes]),
 # which main times and writes through _emit
 
 
 def _bound_record(args, params: dict, sizes):
-    """The record of bound and sweep: bound rows at n for each m of sizes(args)."""
-    methods = _parse_methods(args.method)
-    rows = [row for m in sizes(args) for row in _bound_rows(args, args.n, m, methods)]
-    return {**params, "method": ",".join(methods)}, _SWEEP_COLUMNS, rows
+    """The record of bound and sweep: bound rows at n for each m of sizes(args),
+    for the comma-separated ids of --method (every id if one is all), which
+    compute_bounds checks; the method parameter names the ids of its rows."""
+    names = [tok.strip() for tok in args.method.split(",") if tok.strip()]
+    methods = list(BOUND_IDS) if "all" in names else names
+    per_size = [_bound_rows(args, args.n, m, methods) for m in sizes(args)]
+    ids = ",".join(row["method"] for row in per_size[0])  # every size has the same rows
+    return {**params, "method": ids}, _SWEEP_COLUMNS, [row for rows in per_size for row in rows]
 
 
 def cmd_bound(args):

@@ -21,7 +21,6 @@ from .matrices import (
     _check_unitary,
     _generator,
     _square,
-    as_complex_matrix,
     haar_sample,
     stacked_logabsdet,
     unitary_eigenangles,
@@ -208,10 +207,12 @@ def diversity_product(v):
 
 
 def riemannian_distance(a, b):
-    """Geodesic distance sqrt(sum theta_j^2) of the eigenangles of A* B."""
-    aa, bb = as_complex_matrix(a), as_complex_matrix(b)
+    """Geodesic distance sqrt(sum theta_j^2) of the eigenangles of A* B, for
+    unitary A and B of one shape (residual at most 1e-9, as in UnitaryMatrix)."""
+    aa, bb = _square(a, "a"), _square(b, "b")
     if aa.shape != bb.shape:
         raise DimensionError(f"dimension mismatch: {aa.shape} vs {bb.shape}")
+    _check_unitary(np.stack([aa, bb]), _VALIDATION_TOL)  # names operand 0 (a) or 1 (b)
     theta = unitary_eigenangles(aa.conj().T @ bb)
     return float(np.sqrt(np.sum(theta * theta)))
 

@@ -290,7 +290,6 @@ def _fresnel_tail(v):
     return 0.5j * series / v
 
 
-@lru_cache(maxsize=32)
 def _legendre_rule(size, n):
     """Gauss-Legendre rule of `size` (even) nodes on [-pi, pi] as (theta^2, B)
     over the nodes theta > 0, with B[j, k] = w_j cos(k theta_j) for the

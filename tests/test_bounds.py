@@ -527,6 +527,34 @@ def test_compute_bounds_solves_each_metric_once(monkeypatch):
         assert dataclasses.astuple(row) == dataclasses.astuple(single), bound_id
 
 
+def test_compute_bounds_checks_the_request_before_any_solve_or_cache_read(tmp_path, monkeypatch):
+    # an empty id list and a cache_dir that is no path are refused before
+    # the first solve and the first cache read, and nothing is written
+    def no_work(*args):
+        raise AssertionError("the request is checked before any solve or cache read")
+
+    monkeypatch.setattr(upb.bounds, "solve_r0", no_work)
+    monkeypatch.setattr(upb.bounds, "_cache_load", no_work)
+    for methods in ((), []):
+        with pytest.raises(ValidationError) as info:
+            compute_bounds(2, 24, methods, tmp_path)
+        assert str(info.value) == "methods must name at least one of b1, b2, b3"
+    for cache_dir in (5, 1.5, ["x"]):
+        with pytest.raises(ValidationError) as info:
+            compute_bounds(2, 24, ("b1",), cache_dir)
+        assert str(info.value) == f"cache_dir must be None, a str or an os.PathLike, got {cache_dir!r}"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_compute_bounds_gives_one_row_per_distinct_id(tmp_path):
+    # a repeated id keeps its first place and adds no row
+    rows = compute_bounds(2, 24, ("b1", "b1", "b3"), tmp_path)
+    assert [dataclasses.astuple(r) for r in rows] == [
+        dataclasses.astuple(r) for r in compute_bounds(2, 24, ("b1", "b3"))
+    ]
+    assert [r.bound_id for r in compute_bounds(2, 24, ["b3", "b1", "b3", "b1"])] == ["b3", "b1"]
+
+
 def test_solve_agrees_with_tensor_oracle():
     # the kernel's own root, bisected to 1e-10, is within 1e-7 of the
     # tensor-quadrature root; and solve_r0's r0 is within the radius error

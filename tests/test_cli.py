@@ -119,6 +119,22 @@ def test_bound_ids_have_one_check(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_method_list_is_checked_by_the_library(capsys, tmp_path):
+    # the CLI only splits --method: compute_bounds drops a repeated id and
+    # refuses an empty list, with one error line
+    for fmt in ("table", "csv", "json"):
+        outputs = [
+            run(capsys, "bound", "--n", "2", "--m", "24", "--method", method, "--format", fmt,
+                "--no-timestamp", "--cache-dir", str(tmp_path))
+            for method in ("b1,b1,b3", "b1,b3")
+        ]
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0, fmt
+    code, out, err = run(capsys, "bound", "--n", "2", "--m", "24", "--method", ",",
+                         "--cache-dir", str(tmp_path / "empty"))
+    assert (code, out, err) == (1, "", "error: methods must name at least one of b1, b2, b3\n")
+    assert not (tmp_path / "empty").exists()
+
+
 def test_samples_and_nodes_are_ignored(capsys, tmp_path):
     # the hidden flags bound --samples/--seed and sweep --nodes change no
     # output and no cache key, and no help text names them

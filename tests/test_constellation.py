@@ -111,6 +111,18 @@ def test_riemannian_distance_rejects_mixed_shapes():
         riemannian_distance([1.0], [1.0])
     with pytest.raises(ValidationError):  # coerced by as_complex_matrix, like every matrix argument
         riemannian_distance(np.eye(2), [["a", 0], [0, 1]])
+    with pytest.raises(DimensionError):  # an isometry of C^1 into C^2 is no unitary matrix
+        riemannian_distance([[1.0], [0.0]], [[1.0], [0.0]])
+
+
+def test_riemannian_distance_rejects_non_unitary_operands():
+    # A* B = I here, so only a check of the operands themselves, at the
+    # UnitaryMatrix bound 1e-9, can refuse them; the error names the operand
+    for a, b, failing in ((2 * np.eye(2), 0.5 * np.eye(2), 0),
+                          (np.eye(2) * (1 + 1e-8), np.eye(2), 0),
+                          (np.eye(2), np.eye(2) * (1 + 1e-8), 1)):
+        with pytest.raises(ValidationError, match=rf"^matrix {failing}: matrix is not unitary"):
+            riemannian_distance(a, b)
 
 
 def test_each_metric_computes_only_its_own_values(monkeypatch):

@@ -459,7 +459,7 @@ def cli_argv(draw):
         elif spacing == "--m-factor":
             argv += [spacing, repr(draw(st.floats(0.5, 3.0)))]
     if command != "search" and draw(st.booleans()):
-        argv += ["--method", draw(st.sampled_from(["all", "b1", "b3", "b1,b2", "b9", ""]))]
+        argv += ["--method", draw(st.sampled_from(["all", "b1", "b3", "b1,b2", "b9", "", "b1,b1", ",", "all,b1"]))]
     if draw(st.booleans()):
         # --metric is no flag of bound, sweep or search: a usage error (exit 1)
         argv += ["--metric", draw(st.sampled_from(["euclidean", "riemannian", "chordal"]))]
