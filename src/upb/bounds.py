@@ -26,8 +26,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import NumericalError, ValidationError, _as_float, check_int, check_real
-from .weyl import _check_kernel_n, _fraction_and_error, ball_volume_fraction, max_radius
+from .errors import NumericalError, ValidationError, _as_float, check_choice, check_int, check_real
+from .weyl import METRICS, _check_kernel_n, _fraction_and_error, ball_volume_fraction, max_radius
 
 __all__ = [
     "BoundResult",
@@ -80,9 +80,9 @@ def _check_size(n, m):
 
 
 def solver_key(n, m, metric):
-    """Cache key: n:m:metric:version, for a size that _check_size accepts."""
+    """Cache key: n:m:metric:version, for a size that _check_size accepts and a known metric."""
     n, m, _ = _check_size(n, m)
-    return ":".join([str(n), str(m), metric, _CACHE_VERSION])
+    return ":".join([str(n), str(m), check_choice(metric, METRICS, "metric"), _CACHE_VERSION])
 
 
 def _bisect(lo, hi, above, width):
@@ -183,10 +183,7 @@ def b3_of_r(n, r):
 
 def _curve(bound_id):
     """The curve B(r) of a bound id; ValidationError for any other value."""
-    try:
-        return {"b1": b1_of_r, "b2": b2_of_r, "b3": b3_of_r}[bound_id]
-    except (KeyError, TypeError):  # TypeError: an unhashable id
-        raise ValidationError(f"unknown bound id {bound_id!r}; expected one of {', '.join(BOUND_IDS)}") from None
+    return {"b1": b1_of_r, "b2": b2_of_r, "b3": b3_of_r}[check_choice(bound_id, BOUND_IDS, "bound id")]
 
 
 def _cache_path(cache_dir, key):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import _lazy_numpy
-from .errors import DimensionError, ParseError, ValidationError, _describe_int, check_int
+from .errors import DimensionError, ParseError, ValidationError, _describe_int, check_choice, check_int
 from .matrices import (
     _VALIDATION_TOL,
     _check_draw,
@@ -244,8 +244,7 @@ def random_search(n, m, trials, seed, objective="sum"):
     n = check_int(n, "n", 1)
     m = check_int(m, "m", 2)
     trials = check_int(trials, "trials", 1)
-    if objective not in ("sum", "product"):
-        raise ValidationError(f"objective must be 'sum' or 'product', got {objective!r}")
+    check_choice(objective, ("sum", "product"), "objective")
     _check_draw(m, n)  # one trial too large to draw is haar_sample's RangeError
     _check_pair_work(trials, m, n, f"a search with n = {n}, m = {m}, trials = {_describe_int(trials)}")
     rng = _generator(seed)
@@ -272,7 +271,10 @@ def save_constellation(v, path):
         doc["label"] = v.label
     pairs = v.members.view(float).reshape(v.m, v.n, v.n, 2)
     doc["matrices"] = pairs.tolist()
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    try:
+        Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    except (OSError, TypeError) as exc:  # TypeError: a path that is no path
+        raise ValidationError(f"cannot write constellation file: {exc}") from exc
 
 
 def load_constellation(path):
@@ -283,7 +285,7 @@ def load_constellation(path):
     the offending matrix index."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, TypeError) as exc:  # TypeError: a path that is no path
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)

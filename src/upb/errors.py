@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and its integer and real validators."""
+"""Exception hierarchy shared across the package, and its choice, integer and real validators."""
 
 import math
 import numbers
@@ -43,6 +43,13 @@ class RangeError(NumericalError):
 
 class ParseError(UpbError):
     """A constellation file could not be parsed."""
+
+
+def check_choice(value, choices, name):
+    """value if it is a str in choices, such as a metric or a bound id, else ValidationError."""
+    if not (isinstance(value, str) and value in choices):  # an array would compare elementwise
+        raise ValidationError(f"unknown {name} {value!r}; expected one of {', '.join(choices)}")
+    return value
 
 
 def check_int(value, name, minimum):

@@ -33,6 +33,14 @@ _EIGENANGLE_TOL = 1e-6  # bound on that of unitary_eigenangles' argument
 _MAX_DRAW_BYTES = 1 << 30
 
 
+def _numeric(value, dtype, what):
+    """np.asarray(value, dtype), or ValidationError naming it ``what`` where an entry is no number."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} entries must be numeric: {exc}") from exc
+
+
 def as_complex_matrix(m):
     """Coerce ``m`` to a 2-d complex128 array, rejecting malformed input.
 
@@ -41,10 +49,7 @@ def as_complex_matrix(m):
     """
     if isinstance(m, UnitaryMatrix):
         m = m.array
-    try:
-        a = np.asarray(m, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"matrix entries must be numeric: {exc}") from exc
+    a = _numeric(m, complex, "matrix")
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
@@ -70,7 +75,7 @@ def stacked_logabsdet(mats):
     near-singular differences of unitaries stay representable. Singular
     matrices map to -inf.
     """
-    a = np.asarray(mats, dtype=complex)
+    a = _numeric(mats, complex, "matrix")
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected a stack of square matrices, got shape {a.shape}")
     return np.linalg.slogdet(a)[1]

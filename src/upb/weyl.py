@@ -53,8 +53,8 @@ import math
 from functools import lru_cache
 
 from . import _lazy_numpy
-from .errors import RangeError, ValidationError, _as_float, _describe_int, check_int, check_real
-from .matrices import _generator
+from .errors import RangeError, ValidationError, _as_float, _describe_int, check_choice, check_int, check_real
+from .matrices import _generator, _numeric
 
 np = _lazy_numpy()
 
@@ -91,19 +91,13 @@ _FRESNEL_TERMS = 26  # at v^2 = 40
 _CHUNK = 1 << 17  # uniform draws per chunk in normalizer_estimate
 
 
-def _check_metric(metric):
-    if metric not in METRICS:
-        raise ValidationError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    return metric
-
-
 def weyl_density(theta):
     """Unnormalized eigenangle density prod_{j<k} |e^{i th_j} - e^{i th_k}|^2.
 
     theta is a length-n sequence of finite angles (the density is 2pi-periodic
     so any real angles are accepted). Returns 1.0 for n = 1.
     """
-    t = np.asarray(theta, dtype=float)
+    t = _numeric(theta, float, "angle")
     if t.ndim != 1 or t.size < 1:
         raise ValidationError(f"expected a 1-d angle vector, got shape {t.shape}")
     if not np.all(np.isfinite(t)):
@@ -143,7 +137,7 @@ def total_mass(n):
 def max_radius(n, metric):
     """Saturation radius: the ball covers D1 from here on."""
     n = check_int(n, "n", 1)
-    _check_metric(metric)
+    check_choice(metric, METRICS, "metric")
     root = math.sqrt(_as_float(n, "n"))
     return 2.0 * root if metric == "euclidean" else math.pi * root
 
@@ -162,7 +156,7 @@ def _fraction_and_error(n, r, metric):
     where F is exact (r = 0, saturation, n = 1), and its derivative in r (0
     from saturation on). Raises RangeError above n = _MAX_N."""
     n = _check_kernel_n(n)
-    _check_metric(metric)
+    check_choice(metric, METRICS, "metric")
     r = check_real(r, "radius")
     if r < 0:
         raise ValidationError(f"radius must be nonnegative, got {r}")

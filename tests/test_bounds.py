@@ -204,6 +204,10 @@ def test_b3_formula_spot_values():
 def test_unknown_ids_and_radii_off_the_curve_are_refused():
     with pytest.raises(ValidationError):
         compute_bounds(2, 24, ("b4",))
+    for bound_id in (["b1"], np.array(["b1", "b2"])):  # unhashable or an array: one message
+        with pytest.raises(ValidationError) as info:
+            compute_bounds(2, 24, (bound_id,))
+        assert str(info.value) == f"unknown bound id {bound_id!r}; expected one of b1, b2, b3"
     with pytest.raises(ValidationError):
         b1_of_r(2, -1.0)
     with pytest.raises(ValidationError):
@@ -340,6 +344,13 @@ def test_solver_key_carries_every_result_field():
     keys = {solver_key(n, m, metric) for n in (2, 4) for m in (24, 25) for metric in ("euclidean", "riemannian")}
     assert len(keys) == 8
     assert solver_key(2, 100, "euclidean") == "2:100:euclidean:v6"
+
+
+def test_solver_key_refuses_an_unknown_metric():
+    for metric in ("bogus", None, np.array(["euclidean"])):
+        with pytest.raises(ValidationError) as info:
+            solver_key(2, 24, metric)
+        assert str(info.value) == f"unknown metric {metric!r}; expected one of euclidean, riemannian"
 
 
 def test_cache_entry_without_version_or_radius_error_is_recomputed(tmp_path):

@@ -117,6 +117,11 @@ def test_bound_ids_have_one_check(capsys, tmp_path, monkeypatch):
                          "--cache-dir", str(tmp_path))
     assert (code, out, err) == (1, "", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
+    # all stands for b1, b2, b3, and every other id of the list is still checked
+    code, out, err = run(capsys, "bound", "--n", "2", "--m", "8", "--method", "all,b9",
+                         "--cache-dir", str(tmp_path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_method_list_is_checked_by_the_library(capsys, tmp_path):
@@ -129,6 +134,12 @@ def test_method_list_is_checked_by_the_library(capsys, tmp_path):
             for method in ("b1,b1,b3", "b1,b3")
         ]
         assert outputs[0] == outputs[1] and outputs[0][0] == 0, fmt
+        outputs = [
+            run(capsys, "bound", "--n", "2", "--m", "24", "--method", method, "--format", fmt,
+                "--no-timestamp", "--cache-dir", str(tmp_path))
+            for method in ("all", "b3,all", "all,b1")
+        ]
+        assert outputs[0] == outputs[1] == outputs[2] and outputs[0][0] == 0, fmt
     code, out, err = run(capsys, "bound", "--n", "2", "--m", "24", "--method", ",",
                          "--cache-dir", str(tmp_path / "empty"))
     assert (code, out, err) == (1, "", "error: methods must name at least one of b1, b2, b3\n")
@@ -679,6 +690,14 @@ def test_search_saved_file_reproducible(capsys, tmp_path):
                          "--cache-dir", str(tmp_path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_search_reports_an_unwritable_file_in_one_line(capsys, tmp_path):
+    # save_constellation's own error, exit 1
+    code, out, err = run(capsys, "search", "--n", "1", "--m", "4", "--trials", "10",
+                         "--out", str(tmp_path), "--cache-dir", str(tmp_path / "cache"))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write constellation file: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
 def test_search_validates_flags(capsys, tmp_path, monkeypatch):

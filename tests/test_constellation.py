@@ -212,6 +212,14 @@ def test_member_errors_name_the_member():
         UnitaryMatrix(2.0 * np.eye(2))  # a single matrix has no index
 
 
+def test_overflowing_members_and_operands_are_validation_errors():
+    with pytest.raises(ValidationError) as info:
+        Constellation([[[10**400]], [[1]]])
+    assert str(info.value) == "matrix 0: matrix entries must be numeric: int too large to convert to float"
+    with pytest.raises(ValidationError, match="^matrix entries must be numeric: "):
+        riemannian_distance([[10**400]], [[1]])
+
+
 def test_duplicate_threshold_names_the_first_pair_within_it():
     members = [haar_sample(3, seed).array for seed in range(5)]
     near = members[1].copy()
@@ -339,8 +347,10 @@ def test_random_search_product_objective():
 def test_random_search_validates_arguments():
     with pytest.raises(ValidationError):
         random_search(1, 4, 0, seed=1)
-    with pytest.raises(ValidationError):
-        random_search(1, 4, 10, seed=1, objective="trace")
+    for objective in ("trace", np.array(["sum"]), None):
+        with pytest.raises(ValidationError) as info:
+            random_search(1, 4, 10, seed=1, objective=objective)
+        assert str(info.value) == f"unknown objective {objective!r}; expected one of sum, product"
     for seed in ("3", 1.7, True, None, np.float64(3.0)):
         with pytest.raises(ValidationError, match="^seed must be an integer"):
             random_search(1, 4, 10, seed=seed)
@@ -439,6 +449,15 @@ def test_load_rejects_malformed_files(tmp_path):
     too_few.write_text(json.dumps({"n": 1, "matrices": [[[1.0, 0.0]]]}))
     with pytest.raises(ParseError):  # structurally malformed: fewer than 2 members
         load_constellation(too_few)
+
+
+def test_save_and_load_errors_are_package_errors(tmp_path):
+    v = Constellation([np.eye(2), -np.eye(2)])
+    for path in (tmp_path, tmp_path / "missing" / "v.json", None, 5):
+        with pytest.raises(ValidationError, match="^cannot write constellation file: "):
+            save_constellation(v, path)
+    with pytest.raises(ParseError, match="^cannot read None: "):
+        load_constellation(None)
 
 
 def _write_stack(path, stack):

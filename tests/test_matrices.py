@@ -75,6 +75,14 @@ def test_stacked_logabsdet_matches_single():
         assert out[k] == pytest.approx(math.log(abs(cofactor_det(mats[k]))), rel=1e-10)
 
 
+def test_non_numeric_entries_are_validation_errors():
+    # one coercion: strings, objects and ints beyond the float range alike
+    for bad in ([["a", 0], [0, 1]], object(), [[10**400]]):
+        for call in (as_complex_matrix, stacked_logabsdet, UnitaryMatrix, unitarity_residual, unitary_eigenangles):
+            with pytest.raises(ValidationError, match="^matrix entries must be numeric: "):
+                call(bad)
+
+
 def test_stacked_logabsdet_singular_gives_neg_inf():
     mats = np.stack([np.eye(2, dtype=complex), np.ones((2, 2), dtype=complex)])
     out = stacked_logabsdet(mats)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import upb
 from upb import (
     Constellation,
     NumericalError,
@@ -35,6 +36,7 @@ from upb import (
     normalizer_estimate,
     random_search,
     riemannian_distance,
+    save_constellation,
     solve_r0,
     unitarity_residual,
 )
@@ -459,7 +461,7 @@ def cli_argv(draw):
         elif spacing == "--m-factor":
             argv += [spacing, repr(draw(st.floats(0.5, 3.0)))]
     if command != "search" and draw(st.booleans()):
-        argv += ["--method", draw(st.sampled_from(["all", "b1", "b3", "b1,b2", "b9", "", "b1,b1", ",", "all,b1"]))]
+        argv += ["--method", draw(st.sampled_from(["all", "b1", "b3", "b1,b2", "b9", "", "b1,b1", ",", "all,b1", "all,b9"]))]
     if draw(st.booleans()):
         # --metric is no flag of bound, sweep or search: a usage error (exit 1)
         argv += ["--metric", draw(st.sampled_from(["euclidean", "riemannian", "chordal"]))]
@@ -493,3 +495,73 @@ def test_cli_exits_0_1_or_2_without_traceback(argv):
     else:
         assert err.getvalue().startswith(("error: ", "numerical failure: "))
 
+
+# The Constellation argument of the metric functions and of
+# save_constellation is duck-typed (another type raises AttributeError), and
+# normalizer_estimate's samples has no work budget (10**400 would run for
+# ages), so the junk sweep leaves those positions out.
+JUNK_LEFT_OUT = {"chordal_packing_radius": {0}, "diversity_product": {0}, "diversity_sum": {0},
+                 "diversity_summary": {0}, "save_constellation": {0}, "normalizer_estimate": {1}}
+
+
+def test_junk_arguments_raise_only_package_errors(tmp_path, monkeypatch):
+    # each public callable, with one argument of a small valid call at a time
+    # replaced by junk, returns or raises an UpbError, never another exception
+    monkeypatch.chdir(tmp_path)  # where a str path such as "a" is written
+    v = Constellation(haar_sample(2, 0, 4))
+    saved = tmp_path / "v.json"
+    save_constellation(v, saved)
+    eye = np.eye(2)
+    calls = {
+        "BoundResult": (2, 24, "b1", "euclidean", 1.0, 0.5, 0.0),
+        "b1_of_r": (2, 1.0),
+        "b2_of_r": (2, 1.0),
+        "b3_of_r": (2, 1.0),
+        "compute_bounds": (2, 24, ("b1", "b3"), None),
+        "crossover_radius": (2,),
+        "euclidean_riemannian_envelope": (2, 1.0),
+        "exact_delta": (2, 8),
+        "gv_lower_bound": (2, 24),
+        "solve_r0": (2, 24, "euclidean"),
+        "solver_key": (2, 24, "euclidean"),
+        "Constellation": (list(v.members), "label"),
+        "DiversitySummary": (0.5, (0, 1), 0.4, (0, 1)),
+        "chordal_packing_radius": (v,),
+        "diversity_product": (v,),
+        "diversity_sum": (v,),
+        "diversity_summary": (v,),
+        "load_constellation": (saved,),
+        "random_search": (2, 4, 3, 0, "product"),
+        "riemannian_distance": (eye, -eye),
+        "save_constellation": (v, tmp_path / "out.json"),
+        **{name: ("message",) for name in ("DimensionError", "NumericalError", "ParseError", "RangeError",
+                                          "UpbError", "ValidationError")},
+        "UnitaryMatrix": (eye,),
+        "as_complex_matrix": (eye,),
+        "haar_sample": (2, 0, 3),
+        "stacked_logabsdet": (np.stack([eye, -eye]),),
+        "unitarity_residual": (eye,),
+        "unitary_eigenangles": (eye,),
+        "ball_volume_fraction": (2, 1.0, "riemannian"),
+        "max_radius": (2, "euclidean"),
+        "normalizer_estimate": (2, 100, 0),
+        "total_mass": (2,),
+        "weyl_density": ([0.1, 0.5],),
+    }
+    assert set(calls) == {name for name in upb.__all__ if callable(getattr(upb, name))}
+    junk = [None, "a", object(), [["a", 0], [0, 1]], math.nan, -1, 10**400, [[10**400]], 1.5, [], {},
+            np.ones((2, 2, 2)), tmp_path, tmp_path / "missing" / "v.json"]
+    escapes = []
+    for name, args in calls.items():
+        call = getattr(upb, name)
+        call(*args)  # the valid call itself succeeds
+        for i in set(range(len(args))) - JUNK_LEFT_OUT.get(name, set()):
+            for bad in junk:
+                try:
+                    call(*args[:i], bad, *args[i + 1:])
+                except UpbError:
+                    pass
+                except Exception as exc:  # any other exception is what the sweep looks for
+                    shown = " ".join(repr(bad).split())[:40]
+                    escapes.append(f"{name} argument {i} = {shown}: {type(exc).__name__}: {exc}")
+    assert not escapes, "\n".join(escapes)

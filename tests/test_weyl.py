@@ -403,6 +403,19 @@ def test_ball_mass_validates_arguments():
         ball_volume_fraction(2, float("nan"), "euclidean")
 
 
+def test_junk_metrics_and_angles_are_validation_errors():
+    # an array metric is refused by one check, not by numpy's ambiguous truth value
+    for call in (lambda m: max_radius(2, m), lambda m: ball_volume_fraction(2, 1.0, m),
+                 lambda m: solve_r0(2, 24, m)):
+        for metric in (np.array(["euclidean", "riemannian"]), "chordal", None):
+            with pytest.raises(ValidationError) as info:
+                call(metric)
+            assert str(info.value) == f"unknown metric {metric!r}; expected one of euclidean, riemannian"
+    for theta in (["a"], object(), [10**400]):
+        with pytest.raises(ValidationError, match="^angle entries must be numeric: "):
+            weyl_density(theta)
+
+
 def test_max_radius_values():
     assert max_radius(2, "euclidean") == pytest.approx(2 * math.sqrt(2.0))
     assert max_radius(3, "riemannian") == pytest.approx(math.pi * math.sqrt(3.0))
