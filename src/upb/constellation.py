@@ -57,15 +57,14 @@ _MAX_PAIR_BYTES = 1 << 34
 class Constellation:
     """m >= 2 pairwise-distinct unitaries of a common dimension n.
 
-    ``members`` may be given as an iterable of UnitaryMatrix instances or
-    raw arrays, or as one (m, n, n) array. Each is coerced in turn, then the
-    stack is checked once: for unitarity, against UnitaryMatrix's bound, and
-    for distinct members, by _first_duplicate, without walking the member
-    pairs. It is kept as one read-only (m, n, n) complex array. The checks
-    run in the order label, iterable members, coercion of every member,
-    member count, dimensions, unitarity, pair budget, duplicates, and the
-    first fault in that order is raised; load_constellation leaves every
-    value check to this one.
+    ``members``, an iterable of arrays or one (m, n, n) array, is converted
+    once, to a read-only complex copy, and checked once: for unitarity,
+    against _VALIDATION_TOL, and for distinct members, by _first_duplicate.
+    Only input that is no finite stack of m >= 2 square members is scanned
+    member by member, by _scan_members. The checks run in the order label,
+    iterable members, coercion of every member, member count, dimensions,
+    unitarity, pair budget, duplicates, and the first fault in that order is
+    raised; load_constellation leaves every value check to this one.
     """
 
     members: "np.ndarray"
@@ -75,25 +74,16 @@ class Constellation:
         if not isinstance(self.label, str):
             raise ValidationError(f"label must be a string, got {self.label!r}")
         try:
-            members = iter(self.members)
-        except TypeError:
-            raise ValidationError(f"members must be an iterable of matrices, got {self.members!r}") from None
-        arrays = []
-        for i, u in enumerate(members):
-            try:
-                arrays.append(_square(u, "unitary matrix"))
-            except ValidationError as exc:  # DimensionError stays DimensionError
-                raise type(exc)(f"matrix {i}: {exc}") from exc
-        if len(arrays) < 2:
-            raise ValidationError(f"constellation needs at least 2 members, got {len(arrays)}")
-        n = arrays[0].shape[0]
-        for i, a in enumerate(arrays):
-            if a.shape[0] != n:
-                raise ValidationError(f"matrix {i} has dimension {a.shape[0]}, expected {n}")
-        members = np.stack(arrays)
+            members = np.array(self.members, dtype=complex)
+        except (TypeError, ValueError, OverflowError):
+            members = None
+        if not (members is not None and members.ndim == 3 and members.shape[0] >= 2
+                and members.shape[1] == members.shape[2] >= 1 and np.all(np.isfinite(members))):
+            members = _scan_members(self.members)
+        m, n = members.shape[:2]
         members.setflags(write=False)
         _check_unitary(members, _VALIDATION_TOL)
-        _check_pair_work(1, len(arrays), n, f"a constellation with n = {n}, m = {len(arrays)}")
+        _check_pair_work(1, m, n, f"a constellation with n = {n}, m = {m}")
         duplicate = _first_duplicate(members)
         if duplicate:
             raise ValidationError("matrices {} and {} are equal within 1e-12".format(*duplicate))
@@ -106,6 +96,28 @@ class Constellation:
     @property
     def m(self):
         return self.members.shape[0]
+
+
+def _scan_members(members):
+    """Constellation's members coerced one at a time into one (m, n, n)
+    stack, or the error of the first fault, which names its member."""
+    try:
+        members = iter(members)
+    except TypeError:
+        raise ValidationError(f"members must be an iterable of matrices, got {members!r}") from None
+    arrays = []
+    for i, u in enumerate(members):
+        try:
+            arrays.append(_square(u, "unitary matrix"))
+        except ValidationError as exc:  # DimensionError stays DimensionError
+            raise type(exc)(f"matrix {i}: {exc}") from exc
+    if len(arrays) < 2:
+        raise ValidationError(f"constellation needs at least 2 members, got {len(arrays)}")
+    n = arrays[0].shape[0]
+    for i, a in enumerate(arrays):
+        if a.shape[0] != n:
+            raise ValidationError(f"matrix {i} has dimension {a.shape[0]}, expected {n}")
+    return np.stack(arrays)
 
 
 @dataclass(frozen=True)
@@ -185,16 +197,23 @@ def _product_values(diffs):
     return vals
 
 
+def _constellation(v):
+    """v if it is a Constellation, else ValidationError."""
+    if not isinstance(v, Constellation):
+        raise ValidationError(f"expected a Constellation, got {type(v).__name__}")
+    return v
+
+
 def diversity_summary(v):
     """Both diversity metrics of a Constellation with their minimizing pairs."""
-    best, first, second = _pair_min(v.members, lambda d: np.stack([_sum_values(d), _product_values(d)]))
+    best, first, second = _pair_min(_constellation(v).members, lambda d: np.stack([_sum_values(d), _product_values(d)]))
     pairs = [(int(i), int(j)) for i, j in zip(first, second)]
     return DiversitySummary(float(best[0]), pairs[0], float(best[1]), pairs[1])
 
 
 def diversity_sum(v):
     """min ||A - B|| / (2 sqrt(n)) over member pairs, in [0, 1]."""
-    return float(_pair_min(v.members, _sum_values)[0])
+    return float(_pair_min(_constellation(v).members, _sum_values)[0])
 
 
 def diversity_product(v):
@@ -203,12 +222,13 @@ def diversity_product(v):
     Zero exactly when some pair difference is singular; the constellation is
     fully diverse iff the value is positive.
     """
-    return float(_pair_min(v.members, _product_values)[0])
+    return float(_pair_min(_constellation(v).members, _product_values)[0])
 
 
 def riemannian_distance(a, b):
     """Geodesic distance sqrt(sum theta_j^2) of the eigenangles of A* B, for
-    unitary A and B of one shape (residual at most 1e-9, as in UnitaryMatrix)."""
+    unitary A and B of one shape (residual at most 1e-9, as for a member of a
+    Constellation)."""
     aa, bb = _square(a, "a"), _square(b, "b")
     if aa.shape != bb.shape:
         raise DimensionError(f"dimension mismatch: {aa.shape} vs {bb.shape}")
@@ -220,7 +240,7 @@ def riemannian_distance(a, b):
 def chordal_packing_radius(v):
     """Largest r with pairwise-disjoint chordal balls: from the minimal
     distance d, the smaller root of 2 sqrt(r^2 - r^4/(4n)) = d."""
-    return _chordal_radius(v.n, diversity_sum(v))
+    return _chordal_radius(_constellation(v).n, diversity_sum(v))
 
 
 def _chordal_radius(n, dsum):
@@ -266,7 +286,7 @@ def save_constellation(v, path):
     """Write a constellation as one line of JSON: keys n, label (if set),
     matrices, in that order; entries as [re, im] pairs in shortest
     round-trip form, so the file loads back bit for bit."""
-    doc = {"n": v.n}
+    doc = {"n": _constellation(v).n}
     if v.label:
         doc["label"] = v.label
     pairs = v.members.view(float).reshape(v.m, v.n, v.n, 2)

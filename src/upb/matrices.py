@@ -1,14 +1,12 @@
 """Complex matrix primitives: coercion, log-determinants, eigenangles, Haar sampling.
 
-Matrices are plain numpy arrays (row-major, complex128). ``UnitaryMatrix`` is a
-thin validated wrapper used where unitarity is a contract rather than a hope;
-every function below also accepts raw arrays.
+A matrix, unitary or not, is a plain numpy array (row-major, complex128),
+and a set of them one (..., n, n) array. Unitarity is checked where it is a
+contract, by Constellation and riemannian_distance against _VALIDATION_TOL;
+for one matrix a, unitarity_residual(a) <= 1e-9 is the same check.
 """
 
-from __future__ import annotations  # so that `array: np.ndarray` does not load numpy
-
 import math
-from dataclasses import dataclass
 
 from . import _lazy_numpy
 from .errors import DimensionError, NumericalError, RangeError, ValidationError, _describe_int, check_int
@@ -16,7 +14,6 @@ from .errors import DimensionError, NumericalError, RangeError, ValidationError,
 np = _lazy_numpy()
 
 __all__ = [
-    "UnitaryMatrix",
     "as_complex_matrix",
     "haar_sample",
     "stacked_logabsdet",
@@ -24,7 +21,10 @@ __all__ = [
     "unitary_eigenangles",
 ]
 
-_VALIDATION_TOL = 1e-9  # bound on a UnitaryMatrix's residual ||M*M - I||
+# Bound tol on the residual ||M*M - I|| of a unitary. With d_i = s_i^2 - 1 over
+# the singular values s_i, sum d_i^2 <= tol^2, so |log|det M|| <= (sqrt(n) tol
+# + tol^2) / 2, and |det M| is within 6e-9 of 1 for every n <= 143.
+_VALIDATION_TOL = 1e-9
 _EIGENANGLE_TOL = 1e-6  # bound on that of unitary_eigenangles' argument
 # Bytes one random draw may take. The largest draw the package makes is
 # selftest's 100 000 Haar matrices of order 3 (14 MB), and random_search
@@ -47,8 +47,6 @@ def as_complex_matrix(m):
     Raises DimensionError for non-2-d input and ValidationError for empty
     matrices or non-finite entries.
     """
-    if isinstance(m, UnitaryMatrix):
-        m = m.array
     a = _numeric(m, complex, "matrix")
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got ndim={a.ndim}")
@@ -140,7 +138,7 @@ def haar_sample(n, rng, size=None):
     """Draw Haar-distributed elements of U(n).
 
     ``rng`` is a numpy Generator or an integer seed of any sign and size,
-    taken mod 2^64. ``size=None`` returns one UnitaryMatrix; an int or a
+    taken mod 2^64. ``size=None`` returns one (n, n) array; an int or a
     tuple of ints returns an array of shape (*size, n, n) whose matrices
     are, in C order, those that as many single draws from the same stream
     would give. Complex Ginibre matrix (real and
@@ -160,31 +158,4 @@ def haar_sample(n, rng, size=None):
     d = np.diagonal(r, axis1=-2, axis2=-1)
     absd = np.abs(d)
     phase = np.where(absd > 0, d, 1.0) / np.where(absd > 0, absd, 1.0)
-    q = q * phase[..., None, :]
-    return UnitaryMatrix(q) if size is None else q
-
-
-@dataclass(frozen=True, eq=False)
-class UnitaryMatrix:
-    """A validated element of U(n).
-
-    Rejects non-unitary input instead of renormalizing it; the wrapped array
-    is read-only. The unitarity residual ||M*M - I|| must be at most
-    tol = 1e-9, which also bounds the determinant: with d_i = s_i^2 - 1 over
-    the singular values s_i, sum d_i^2 <= tol^2, so
-    |log|det M|| = |sum log(1 + d_i)| / 2 <= (sqrt(n) tol + tol^2) / 2, and
-    |det M| is within 6e-9 of 1 for every n <= 143.
-    """
-
-    array: np.ndarray
-
-    def __post_init__(self):
-        a = _square(self.array, "unitary matrix")
-        _check_unitary(a, _VALIDATION_TOL)
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "array", a)
-
-    @property
-    def n(self):
-        return self.array.shape[0]
+    return q * phase[..., None, :]

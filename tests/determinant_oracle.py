@@ -1,8 +1,8 @@
 """The reference elimination determinant, used only by the tests.
 
 An independent determinant for the checks that compare against one: the
-eigenangle product, Haar samples, the residual-to-|det| bound of
-UnitaryMatrix, and the member check of loader_oracle. It is checked itself
+eigenangle product, Haar samples, the residual-to-|det| bound of a
+Constellation's members, and the member check of loader_oracle. It is checked itself
 against a cofactor expansion in test_matrices.py.
 """
 

@@ -135,7 +135,7 @@ def test_criterion_7_distance_envelope():
     for _ in range(1000):
         n = int(rng.integers(1, 6))
         a, b = haar_sample(n, rng), haar_sample(n, rng)
-        d = float(np.linalg.norm(a.array - b.array))
+        d = float(np.linalg.norm(a - b))
         dist = riemannian_distance(a, b)
         lower, upper = euclidean_riemannian_envelope(n, d)
         worst_low = max(worst_low, lower - dist)

@@ -291,7 +291,7 @@ def test_envelope_contains_real_distances():
     for _ in range(100):
         n = int(rng.integers(1, 5))
         a, b = haar_sample(n, rng), haar_sample(n, rng)
-        d = float(np.linalg.norm(a.array - b.array))
+        d = float(np.linalg.norm(a - b))
         dist = riemannian_distance(a, b)
         lo, hi = euclidean_riemannian_envelope(n, d)
         assert lo - 1e-9 <= dist <= hi + 1e-9

@@ -11,7 +11,6 @@ from upb import (
     Constellation,
     DimensionError,
     ParseError,
-    UnitaryMatrix,
     ValidationError,
     b1_of_r,
     chordal_packing_radius,
@@ -24,6 +23,7 @@ from upb import (
     riemannian_distance,
     save_constellation,
     unitarity_residual,
+    unitary_eigenangles,
 )
 
 
@@ -74,8 +74,8 @@ def test_metrics_invariant_under_global_rotation():
     rng = np.random.default_rng(17)
     members = [haar_sample(3, rng) for _ in range(4)]
     v = Constellation(members)
-    g = haar_sample(3, rng).array
-    rotated = Constellation([g @ u.array for u in members])
+    g = haar_sample(3, rng)
+    rotated = Constellation([g @ u for u in members])
     assert diversity_sum(rotated) == pytest.approx(diversity_sum(v), abs=1e-10)
     assert diversity_product(rotated) == pytest.approx(diversity_product(v), abs=1e-10)
 
@@ -117,7 +117,7 @@ def test_riemannian_distance_rejects_mixed_shapes():
 
 def test_riemannian_distance_rejects_non_unitary_operands():
     # A* B = I here, so only a check of the operands themselves, at the
-    # UnitaryMatrix bound 1e-9, can refuse them; the error names the operand
+    # members' bound 1e-9, can refuse them; the error names the operand
     for a, b, failing in ((2 * np.eye(2), 0.5 * np.eye(2), 0),
                           (np.eye(2) * (1 + 1e-8), np.eye(2), 0),
                           (np.eye(2), np.eye(2) * (1 + 1e-8), 1)):
@@ -209,7 +209,18 @@ def test_member_errors_name_the_member():
         Constellation(np.stack([np.eye(2), 2.0 * np.eye(2), -np.eye(2)]))
     assert type(info.value) is ValidationError
     with pytest.raises(ValidationError, match="^matrix is not unitary: residual"):
-        UnitaryMatrix(2.0 * np.eye(2))  # a single matrix has no index
+        unitary_eigenangles(2.0 * np.eye(2))  # a single matrix has no index
+
+
+def test_metrics_and_save_refuse_anything_but_a_constellation(tmp_path):
+    path = tmp_path / "v.json"
+    for bad in ("a", 3, None, haar_sample(2, 0, 3)):
+        for call in (diversity_sum, diversity_product, diversity_summary, chordal_packing_radius,
+                     lambda v: save_constellation(v, path)):
+            with pytest.raises(ValidationError) as info:
+                call(bad)
+            assert str(info.value) == f"expected a Constellation, got {type(bad).__name__}"
+    assert not path.exists()
 
 
 def test_overflowing_members_and_operands_are_validation_errors():
@@ -221,7 +232,7 @@ def test_overflowing_members_and_operands_are_validation_errors():
 
 
 def test_duplicate_threshold_names_the_first_pair_within_it():
-    members = [haar_sample(3, seed).array for seed in range(5)]
+    members = [haar_sample(3, seed) for seed in range(5)]
     near = members[1].copy()
     near[0, 0] += 1e-13
     # (1, 3) comes before the exact copy's pair (2, 4) in combinations order
@@ -270,22 +281,40 @@ def test_random_search_stays_within_its_memory_budget():
         assert peak < 8 * 2**20, (n, m, trials)
 
 
-def test_constellation_accepts_wrappers_and_arrays():
-    v = Constellation([haar_sample(2, 1), np.eye(2)])
+def test_constellation_accepts_arrays_and_nested_lists():
+    v = Constellation([haar_sample(2, 1), np.eye(2).tolist()])
     assert v.n == 2 and v.m == 2
+    np.testing.assert_array_equal(v.members[1], np.eye(2))
 
 
 def test_members_are_one_read_only_stack():
-    wrappers = [haar_sample(3, seed) for seed in range(5)]
-    stack = np.stack([u.array for u in wrappers])
-    for members in (wrappers, [u.array for u in wrappers], stack):
+    arrays = [haar_sample(3, seed) for seed in range(5)]
+    stack = np.stack(arrays)
+    frozen = stack.copy()
+    frozen.setflags(write=False)
+    for members in (arrays, (u for u in arrays), stack, frozen):
         v = Constellation(members)
         assert v.members.shape == (5, 3, 3) and v.members.dtype == np.complex128
         assert v.members.tobytes() == stack.tobytes()
         assert not v.members.flags.writeable
     assert stack.flags.writeable  # the caller's array is copied, not frozen
+    assert all(u.flags.writeable for u in arrays)
     with pytest.raises(ValueError):
         v.members[0, 0, 0] = 0.0
+
+
+def test_a_finite_stack_is_converted_once(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a member was coerced on its own")
+
+    stack = haar_sample(3, 4, 20)
+    monkeypatch.setattr(upb.constellation, "_square", forbidden)
+    for members in (stack, list(stack), stack.tolist()):
+        assert Constellation(members).members.tobytes() == stack.tobytes()
+    # input that converts to no finite stack of m >= 2 is scanned member by member
+    for members in ((u for u in stack), [*stack[:2], np.full((3, 3), np.nan)], stack[:1]):
+        with pytest.raises(AssertionError, match="coerced on its own"):
+            Constellation(members)
 
 
 def test_constellation_refuses_pair_work_over_the_budget(monkeypatch):
@@ -505,14 +534,13 @@ def test_load_validates_the_stack_once(tmp_path, monkeypatch):
     calls = []
 
     def forbidden(*args):
-        raise AssertionError("the loader built a UnitaryMatrix or scanned a member")
+        raise AssertionError("the loader scanned a member")
 
     def counted(a, tol):
         calls.append(a.shape)
         return check(a, tol)
 
     check = upb.constellation._check_unitary
-    monkeypatch.setattr(UnitaryMatrix, "__post_init__", forbidden)
     monkeypatch.setattr(upb.constellation, "_scan_matrix", forbidden)  # one numpy conversion
     monkeypatch.setattr(upb.constellation, "_check_unitary", counted)
     for _ in range(2):

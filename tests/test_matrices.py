@@ -5,13 +5,14 @@ import pytest
 
 from determinant_oracle import determinant
 from upb import (
+    Constellation,
     DimensionError,
     NumericalError,
     RangeError,
-    UnitaryMatrix,
     ValidationError,
     as_complex_matrix,
     haar_sample,
+    riemannian_distance,
     stacked_logabsdet,
     unitarity_residual,
     unitary_eigenangles,
@@ -78,7 +79,8 @@ def test_stacked_logabsdet_matches_single():
 def test_non_numeric_entries_are_validation_errors():
     # one coercion: strings, objects and ints beyond the float range alike
     for bad in ([["a", 0], [0, 1]], object(), [[10**400]]):
-        for call in (as_complex_matrix, stacked_logabsdet, UnitaryMatrix, unitarity_residual, unitary_eigenangles):
+        for call in (as_complex_matrix, stacked_logabsdet, lambda a: riemannian_distance(a, a), unitarity_residual,
+                     unitary_eigenangles):
             with pytest.raises(ValidationError, match="^matrix entries must be numeric: "):
                 call(bad)
 
@@ -116,14 +118,14 @@ def test_eigenangles_product_equals_determinant():
     for _ in range(10):
         u = haar_sample(3, rng)
         theta = unitary_eigenangles(u)
-        assert np.exp(1j * theta).prod() == pytest.approx(determinant(u.array), abs=1e-8)
+        assert np.exp(1j * theta).prod() == pytest.approx(determinant(u), abs=1e-8)
 
 
 def test_eigenangles_match_eigvals_oracle():
     rng = np.random.default_rng(5)
     for _ in range(10):
         u = haar_sample(3, rng)
-        expected = np.sort(np.angle(np.linalg.eigvals(u.array)))
+        expected = np.sort(np.angle(np.linalg.eigvals(u)))
         expected = np.where(expected >= np.pi, expected - 2 * np.pi, expected)
         np.testing.assert_allclose(unitary_eigenangles(u), np.sort(expected), atol=1e-8)
 
@@ -139,16 +141,17 @@ def test_eigenangles_rejects_nonunitary():
 def test_haar_sample_is_unitary_and_deterministic():
     a = haar_sample(3, 42)
     b = haar_sample(3, 42)
-    np.testing.assert_array_equal(a.array, b.array)
+    np.testing.assert_array_equal(a, b)
+    assert type(a) is np.ndarray and a.shape == (3, 3) and a.dtype == np.complex128 and a.flags.writeable
     assert unitarity_residual(a) <= 1e-12
-    assert abs(abs(determinant(a.array)) - 1.0) <= 1e-12
+    assert abs(abs(determinant(a)) - 1.0) <= 1e-12
 
 
 def test_haar_sample_trace_is_centered():
     # E[tr U] = 0 under Haar measure; the mean over 2000 draws should be
     # within a few standard errors of zero (Var |tr| per entry ~ 1).
     rng = np.random.default_rng(8)
-    traces = np.array([np.trace(haar_sample(2, rng).array) for _ in range(2000)])
+    traces = np.array([np.trace(haar_sample(2, rng)) for _ in range(2000)])
     assert abs(traces.mean()) < 0.1
 
 
@@ -156,14 +159,14 @@ def test_haar_sample_accepts_generator_and_advances_it():
     rng = np.random.default_rng(9)
     a = haar_sample(2, rng)
     b = haar_sample(2, rng)
-    assert np.abs(a.array - b.array).max() > 1e-6
+    assert np.abs(a - b).max() > 1e-6
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
 def test_haar_sample_rejects_seeds_that_are_not_nonnegative_integers(seed):
     # a negative integer seed is taken mod 2^64; a non-integer is refused
     if type(seed) is int:
-        assert np.array_equal(haar_sample(2, seed).array, haar_sample(2, 2**64 + seed).array)
+        assert np.array_equal(haar_sample(2, seed), haar_sample(2, 2**64 + seed))
         return
     with pytest.raises(ValidationError):
         haar_sample(2, seed)
@@ -179,7 +182,7 @@ def test_haar_sample_refuses_a_draw_above_the_limit(n, size):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_haar_batch_equals_successive_single_draws(n):
     rng = np.random.default_rng(5)
-    singles = np.stack([haar_sample(n, rng).array for _ in range(6)])
+    singles = np.stack([haar_sample(n, rng) for _ in range(6)])
     np.testing.assert_array_equal(haar_sample(n, 5, 6), singles)
     np.testing.assert_array_equal(haar_sample(n, 5, (2, 3)), singles.reshape(2, 3, n, n))
     assert haar_sample(n, 5, 0).shape == (0, n, n)
@@ -188,26 +191,32 @@ def test_haar_batch_equals_successive_single_draws(n):
             haar_sample(n, 5, size)
 
 
-# --- UnitaryMatrix wrapper ---------------------------------------------------
+# --- unitary matrices as plain arrays ------------------------------------------
 
 
 def test_unitary_matrix_validates_and_freezes():
-    u = UnitaryMatrix(np.eye(2))
-    assert u.n == 2
+    # a unitary is a plain array: Constellation and riemannian_distance check
+    # it, and a Constellation's members are read-only
+    v = Constellation([np.eye(2), -np.eye(2)])
+    assert v.n == 2
     with pytest.raises(ValueError):
-        u.array[0, 0] = 5.0
+        v.members[0, 0, 0] = 5.0
     with pytest.raises(DimensionError):
-        UnitaryMatrix(np.ones((2, 3)))
+        Constellation([np.ones((2, 3)), np.ones((2, 3))])
+    with pytest.raises(DimensionError):
+        riemannian_distance(np.ones((2, 3)), np.ones((2, 3)))
     with pytest.raises(ValidationError):
-        UnitaryMatrix(2.0 * np.eye(2))
+        Constellation([2.0 * np.eye(2), np.eye(2)])
+    with pytest.raises(ValidationError):
+        riemannian_distance(2.0 * np.eye(2), np.eye(2))
 
 
 def test_unitary_matrix_accepts_loose_tolerance():
-    # a residual of about 4e-8: above UnitaryMatrix's 1e-9, below the
-    # eigenangles' 1e-6
+    # a residual of about 4e-8: above the 1e-9 of Constellation and
+    # riemannian_distance, below the eigenangles' 1e-6
     almost = np.eye(2) + 1e-8
-    with pytest.raises(ValidationError, match=r"^matrix is not unitary: residual .* > 1\.0e-09$"):
-        UnitaryMatrix(almost)
+    with pytest.raises(ValidationError, match=r"^matrix 0: matrix is not unitary: residual .* > 1\.0e-09$"):
+        riemannian_distance(almost, np.eye(2))
     np.testing.assert_allclose(unitary_eigenangles(almost), [0.0, 0.0], atol=1e-7)
     with pytest.raises(ValidationError, match=r"^matrix is not unitary: residual .* > 1\.0e-06$"):
         unitary_eigenangles(np.eye(2) + 1e-6)
@@ -217,7 +226,7 @@ def test_overflowing_residual_rejected():
     # M*M overflows to inf - inf = NaN off the diagonal; NaN must not pass
     a = np.array([[1e308, 1e308], [1e308, -1e308]])
     with pytest.raises(ValidationError, match="residual nan"):
-        UnitaryMatrix(a)
+        riemannian_distance(a, np.eye(2))
     with pytest.raises(ValidationError, match="residual nan"):
         unitary_eigenangles(a)
 
@@ -225,16 +234,11 @@ def test_overflowing_residual_rejected():
 @pytest.mark.parametrize("n", [1, 2, 5, 16])
 def test_residual_bound_implies_determinant_bound(n):
     # the worst case for |det| at a given residual: every s_i^2 - 1 = tol / sqrt(n)
-    tol = 1e-9  # UnitaryMatrix's bound on the residual
+    tol = 1e-9  # the bound on the residual of Constellation's members
     rng = np.random.default_rng(60 + n)
-    u, v = haar_sample(n, rng).array, haar_sample(n, rng).array
+    u, v = haar_sample(n, rng), haar_sample(n, rng)
     a = (u * math.sqrt(1.0 + 0.999 * tol / math.sqrt(n))) @ v
-    UnitaryMatrix(a)
+    Constellation([a, -a])
     assert abs(abs(determinant(a)) - 1.0) <= (math.sqrt(n) * tol + tol**2) / 2.0
     assert abs(abs(determinant(a)) - 1.0) >= 0.99 * math.sqrt(n) * tol / 2.0  # the bound is tight
 
-
-def test_as_complex_matrix_unwraps_wrapper():
-    u = haar_sample(2, 11)
-    out = as_complex_matrix(u)
-    np.testing.assert_array_equal(out, u.array)

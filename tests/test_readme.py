@@ -101,5 +101,5 @@ def test_public_names_agree_with_submodules_and_readme():
         assert name in upb.__all__, name
     for gone in ("ball_mass", "ball_mass_error", "log_total_mass", "frobenius_norm", "determinant",
                  "asymptotic_lower_bound", "AsymptoticBound", "bound_b1", "bound_b2", "bound_b3",
-                 "evaluate_bound"):
+                 "evaluate_bound", "UnitaryMatrix"):
         assert not any(hasattr(mod, gone) for mod in [upb, *exported]), gone

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -380,6 +381,20 @@ def test_mc_refuses_n_where_total_mass_does():
             with pytest.raises(RangeError, match="^total mass overflows float64 for n=") as info:
                 call(*args)
             assert "\n" not in str(info.value)
+
+
+def test_mc_refuses_work_over_the_budget_before_any_draw(monkeypatch):
+    start = time.perf_counter()
+    with pytest.raises(RangeError, match=r"^normalizer_estimate with n = 2, samples = 10{24} evaluates more "
+                                         r"than 2\^30 density pair factors, the limit for one call$"):
+        normalizer_estimate(2, 10**24, 0)
+    assert time.perf_counter() - start < 1.0
+    # the work is samples times the n(n - 1)/2 pair factors of the density, at least 1
+    monkeypatch.setattr(weyl, "_MAX_DENSITY_FACTORS", 96)
+    for n, allowed in ((1, 96), (2, 96), (3, 32), (4, 16)):
+        assert all(math.isfinite(v) for v in normalizer_estimate(n, allowed, 0))
+        with pytest.raises(RangeError, match=f"^normalizer_estimate with n = {n}, samples = {allowed + 1} "):
+            normalizer_estimate(n, allowed + 1, 0)
 
 
 # --- validation ---------------------------------------------------------------------
