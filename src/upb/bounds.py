@@ -56,7 +56,7 @@ _CROSSOVER_TOL = 1e-12
 _CACHE_VERSION = "v6"
 # solve_r0 bisects the radius to a bracket of this width
 _ROOT_WIDTH = 1e-6
-# solve_r0 refuses a radius whose error exceeds this fraction of it
+# _resolved refuses a radius whose error exceeds this fraction of it
 _MAX_RADIUS_ERROR = 0.1
 
 
@@ -107,6 +107,12 @@ def _bisect(lo, hi, above, width):
     return lo, hi
 
 
+def _resolved(r0, se_r, rmax):
+    """Whether (r0, σ_r) is a radius record solve_r0 may return: floats, 0 < r0 < rmax, 0 <= σ_r <= r0/10."""
+    return (isinstance(r0, float) and isinstance(se_r, float)
+            and 0.0 < r0 < rmax and 0.0 <= se_r <= _MAX_RADIUS_ERROR * r0)
+
+
 def solve_r0(n, m, metric):
     """(r0, radius error) with ball_volume_fraction(n, r0, metric) = 1/m.
 
@@ -116,10 +122,10 @@ def solve_r0(n, m, metric):
     that width plus the kernel's error bound at r0 over the density dF/dr
     there, both from the one kernel call at r0. Raises NumericalError with
     the bracket where the kernel has an error but no positive density at r0,
-    where the radius error exceeds r0/10 or the kernel's error exceeds
-    1/(2m) (at huge m, where r0 would be noise); without one where 1/m, or
-    at n = 1 the euclidean r0^2, leaves the float range; and RangeError
-    above the kernel's n = 200.
+    where (r0, radius error) fails _resolved (an error above r0/10) or the
+    kernel's error exceeds 1/(2m) (at huge m, where r0 would be noise);
+    without one where 1/m, or at n = 1 the euclidean r0^2, leaves the float
+    range; and RangeError above the kernel's n = 200.
     """
     n, m, target = _check_size(n, m)
     rmax = max_radius(n, metric)  # F(0) = 0 < 1/m, F(rmax) = 1 > 1/m
@@ -138,7 +144,7 @@ def solve_r0(n, m, metric):
             bracket=(lo, hi),
         )
     se_r = 0.5 * _ROOT_WIDTH + frac_err / slope
-    if se_r > _MAX_RADIUS_ERROR * r0:
+    if not _resolved(r0, se_r, rmax):
         raise NumericalError(
             f"{metric} radius r0 = {r0:.6g} has error σ_r = {se_r:.3g} > r0/10: "
             f"m is too large for the solve to resolve F = 1/m at n={n}",
@@ -191,8 +197,8 @@ def _cache_path(cache_dir, key):
     return Path(cache_dir) / f"{key.replace(':', '_')}.json"
 
 
-def _cache_load(path, key):
-    """(r0, radius error) stored under key at path, or None."""
+def _cache_load(path, key, rmax):
+    """(r0, radius error) stored under key at path if _resolved accepts it, else None."""
     try:
         entry = json.loads(path.read_text())
     except (OSError, ValueError):
@@ -200,9 +206,7 @@ def _cache_load(path, key):
     if not isinstance(entry, dict) or entry.get("key") != key:
         return None
     radius = (entry.get("r0"), entry.get("radius_se"))
-    if all(isinstance(v, float) and math.isfinite(v) and v >= 0.0 for v in radius):
-        return radius
-    return None
+    return radius if _resolved(*radius, rmax) else None
 
 
 def _cache_store(path, key, r0, se_r):
@@ -225,7 +229,9 @@ def compute_bounds(n, m, methods=BOUND_IDS, cache_dir=None):
     solve_r0). A row's value is B(r0); value + std_error_hint, B at r0 + σ_r
     plus 4 ulp and at most 1, bounds B over the radius interval.
     With cache_dir, r0 and its error are kept in one JSON file per
-    solver_key there, and a cached metric costs no mass evaluation.
+    solver_key there, and a cached metric costs no mass evaluation; a file
+    whose key differs or whose record fails _resolved, the check solve_r0
+    runs on its result, is re-solved and overwritten.
     """
     n, m, _ = _check_size(n, m)
     if not isinstance(methods, (list, tuple)):  # a str would be split into letters
@@ -239,7 +245,7 @@ def compute_bounds(n, m, methods=BOUND_IDS, cache_dir=None):
     for metric in sorted({BOUND_METRIC[b] for b in curves}):
         key = solver_key(n, m, metric)
         path = None if cache_dir is None else _cache_path(cache_dir, key)
-        radius = None if path is None else _cache_load(path, key)
+        radius = None if path is None else _cache_load(path, key, max_radius(n, metric))
         if radius is None:
             radius = solve_r0(n, m, metric)
             if path is not None:

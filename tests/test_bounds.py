@@ -356,13 +356,22 @@ def test_solver_key_refuses_an_unknown_metric():
 def test_cache_entry_without_version_or_radius_error_is_recomputed(tmp_path):
     (fresh,) = compute_bounds(2, 24, ("b1",), tmp_path)
     (path,) = tmp_path.glob("*.json")
+    solved = json.loads(path.read_text())
     key = solver_key(2, 24, "euclidean")
     old_key = ":".join(key.split(":")[:-1])  # the fields keyed before the version
-    for stale_key in (old_key, key):
-        path.write_text(json.dumps({"key": stale_key, "r0": 1.0, "timestamp": "2024-01-01T00:00:00+00:00"}))
+    entries = [{"key": stale_key, "r0": 1.0, "timestamp": "2024-01-01T00:00:00+00:00"}
+               for stale_key in (old_key, key)]
+    # records under the right key that solve_r0 could not return: r0 outside
+    # (0, 2 sqrt 2) or no float, σ_r outside [0, r0/10]; None leaves the field out
+    r0, se_r = solved["r0"], solved["radius_se"]
+    radii = [(bad, se_r) for bad in (0.0, -1.0, 5.0, math.nan, math.inf, 1, "1.0", None)]
+    radii += [(r0, bad) for bad in (-1e-9, 50.0, None)] + [(0.0, 0.0)]
+    entries += [{"key": key, "r0": r, "radius_se": se} for r, se in radii]
+    for entry in entries:
+        path.write_text(json.dumps({field: v for field, v in entry.items() if v is not None}))
         (again,) = compute_bounds(2, 24, ("b1",), tmp_path)
-        assert again == fresh
-        assert json.loads(path.read_text())["radius_se"] > 0.0
+        assert again == fresh, entry
+        assert json.loads(path.read_text()) == solved
 
 
 def test_cached_bounds_equal_fresh_bounds(tmp_path):
@@ -370,9 +379,31 @@ def test_cached_bounds_equal_fresh_bounds(tmp_path):
     assert compute_bounds(2, 24, BOUND_IDS, tmp_path) == fresh
     assert len(list(tmp_path.glob("*.json"))) == 2  # one entry per metric
     assert compute_bounds(2, 24, BOUND_IDS, tmp_path) == fresh
+    blocker = tmp_path / "blocker"  # a regular file: the store fails and leaves it as it was
+    blocker.write_text("not a directory\n")
+    assert compute_bounds(2, 24, BOUND_IDS, blocker) == fresh
+    assert blocker.read_text() == "not a directory\n"
     assert [b.bound_id for b in compute_bounds(2, 24, ("b3", "b1"))] == ["b3", "b1"]
     with pytest.raises(ValidationError):
         compute_bounds(2, 24, ("b4",))
+
+
+def test_every_solved_radius_is_served_from_the_cache(tmp_path, monkeypatch):
+    # every record solve_r0 returns passes the cache's check, n = 1's exact
+    # radii with their 4 ulp included, so a filled cache is served without a solve
+    sizes = [(1, 2), (1, 3), (1, 10**150)] + [(n, 24) for n in range(2, 7)]
+    cold = {}
+    for n, m in sizes:
+        for metric in ("euclidean", "riemannian"):
+            assert upb.bounds._resolved(*solve_r0(n, m, metric), max_radius(n, metric))
+        cold[n, m] = compute_bounds(n, m, BOUND_IDS, tmp_path)
+
+    def no_solve(n, m, metric):
+        raise AssertionError(f"solve_r0({n}, {m}, {metric!r}) on a filled cache")
+
+    monkeypatch.setattr(upb.bounds, "solve_r0", no_solve)
+    for (n, m), rows in cold.items():
+        assert compute_bounds(n, m, BOUND_IDS, tmp_path) == rows
 
 
 def test_numpy_integers_accepted_and_bool_rejected():

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -791,16 +792,33 @@ def test_selftest_passes_quickly(capsys):
     assert "selftest passed" in out
 
 
-def test_selftest_detects_injected_normalizer_bias(capsys, monkeypatch):
-    def biased(n, samples, seed):
-        from upb import total_mass
-
-        return 1.1 * total_mass(n), 1.0
-
-    monkeypatch.setattr(cli, "normalizer_estimate", biased)
+@pytest.mark.parametrize(
+    "name, attribute, fault, detail",
+    [
+        pytest.param("normalizer", "normalizer_estimate",
+                     lambda n, samples, seed: (1.1 * cli.total_mass(n), 1.0),
+                     "normalizer n=1: relative error 0.1 exceeds 0.01", id="normalizer"),
+        pytest.param("kernel-vs-haar", "ball_volume_fraction", lambda n, r, metric: 0.0,
+                     "euclidean r=2.0: kernel fraction 0.000000 vs Haar ", id="kernel-vs-haar"),
+        pytest.param("product-le-sum", "diversity_summary",
+                     lambda c: types.SimpleNamespace(diversity_sum=0.5, diversity_product=1.0),
+                     "trial 0: diversity product 1 exceeds sum 0.5", id="product-le-sum"),
+        pytest.param("metric-envelope", "riemannian_distance", lambda a, b: -1.0,
+                     "trial 0: distance -1 outside [", id="metric-envelope"),
+        pytest.param("n1-closed-forms", "compute_bounds",
+                     lambda n, m: [types.SimpleNamespace(bound_id="b1", value=0.0)],
+                     "b1(1, 2) = 0, expected sin(pi/2) = 1", id="n1-closed-forms"),
+    ],
+)
+def test_selftest_reports_each_failing_check(capsys, monkeypatch, name, attribute, fault, detail):
+    # each check fails through the name cli calls; the other four still pass
+    monkeypatch.setattr(cli, attribute, fault)
     code, out, _ = run(capsys, "selftest")
     assert code == 2
-    assert "FAIL normalizer" in out
+    (line,) = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert line.startswith(f"FAIL {name}: {detail}")
+    assert out.count("ok   ") == 4
+    assert out.endswith(f"selftest failed: {name}\n")
 
 
 # --- the benchmark's use of the CLI ------------------------------------------------------

@@ -469,6 +469,13 @@ def test_load_rejects_malformed_files(tmp_path):
     with pytest.raises(ParseError, match="deep.json"):
         load_constellation(too_deep)
 
+    for top in ([1, 2], 3, None):  # valid JSON, but no object
+        not_object = tmp_path / "top.json"
+        not_object.write_text(json.dumps(top))
+        with pytest.raises(ParseError) as info:
+            load_constellation(not_object)
+        assert str(info.value) == f"expected a JSON object at top level, got {type(top).__name__}"
+
     not_utf8 = tmp_path / "latin1.json"
     not_utf8.write_bytes(b'{"n": 1, "label": "\xe9", "matrices": []}')
     with pytest.raises(ParseError, match="latin1.json"):

@@ -45,6 +45,10 @@ def test_as_complex_matrix_coerces_and_validates():
         as_complex_matrix([1.0, 2.0])
     with pytest.raises(ValidationError):
         as_complex_matrix([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValidationError, match="^matrix must have at least one row and column$"):
+        as_complex_matrix([[]])
+    with pytest.raises(ValidationError, match="^matrix 0: matrix must have at least one row and column$"):
+        Constellation(np.zeros((2, 0, 0)))
 
 
 # --- the reference determinant (tests/determinant_oracle.py) -----------------

@@ -429,6 +429,9 @@ def test_junk_metrics_and_angles_are_validation_errors():
     for theta in (["a"], object(), [10**400]):
         with pytest.raises(ValidationError, match="^angle entries must be numeric: "):
             weyl_density(theta)
+    for theta in ([0.0, math.inf], [math.nan, 0.0]):
+        with pytest.raises(ValidationError, match="^angles must be finite$"):
+            weyl_density(theta)
 
 
 def test_max_radius_values():
