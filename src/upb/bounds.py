@@ -89,16 +89,15 @@ def _bisect(lo, hi, above, width):
     """Halve [lo, hi] while it is wider than width, keeping above(lo) false
     and above(hi) true, and return the final bracket.
 
-    Raises NumericalError with the bracket once the midpoint no longer falls
-    strictly inside it, i.e. width is below the float resolution there.
+    Raises NumericalError, naming the bracket, once the midpoint no longer
+    falls strictly inside it, i.e. width is below the float resolution there.
     """
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             raise NumericalError(
                 f"bisection cannot reach width {width:g}: bracket [{lo!r}, {hi!r}] "
-                "is at float resolution",
-                bracket=(lo, hi),
+                "is at float resolution"
             )
         if above(mid):
             hi = mid
@@ -120,12 +119,12 @@ def solve_r0(n, m, metric):
     resp. pi/m, with a radius error of 4 ulp. Otherwise r0 is the midpoint
     of a bisection bracket of width _ROOT_WIDTH; the radius error is half
     that width plus the kernel's error bound at r0 over the density dF/dr
-    there, both from the one kernel call at r0. Raises NumericalError with
-    the bracket where the kernel has an error but no positive density at r0,
-    where (r0, radius error) fails _resolved (an error above r0/10) or the
-    kernel's error exceeds 1/(2m) (at huge m, where r0 would be noise);
-    without one where 1/m, or at n = 1 the euclidean r0^2, leaves the float
-    range; and RangeError above the kernel's n = 200.
+    there, both from the one kernel call at r0. Raises NumericalError where
+    the kernel has an error but no positive density at r0, where (r0, radius
+    error) fails _resolved (an error above r0/10) or the kernel's error
+    exceeds 1/(2m) (at huge m, where r0 would be noise), and where 1/m, or
+    at n = 1 the euclidean r0^2, leaves the float range; RangeError above
+    the kernel's n = 200.
     """
     n, m, target = _check_size(n, m)
     rmax = max_radius(n, metric)  # F(0) = 0 < 1/m, F(rmax) = 1 > 1/m
@@ -140,21 +139,18 @@ def solve_r0(n, m, metric):
     if not slope > 0.0:  # r0 lies inside (0, rmax), where frac_err is positive
         raise NumericalError(
             f"no positive density dF/dr at r0 = {r0!r} (got {slope!r}), so the "
-            f"fraction's error {frac_err:.3g} cannot be carried to the radius",
-            bracket=(lo, hi),
+            f"fraction's error {frac_err:.3g} cannot be carried to the radius"
         )
     se_r = 0.5 * _ROOT_WIDTH + frac_err / slope
     if not _resolved(r0, se_r, rmax):
         raise NumericalError(
             f"{metric} radius r0 = {r0:.6g} has error σ_r = {se_r:.3g} > r0/10: "
-            f"m is too large for the solve to resolve F = 1/m at n={n}",
-            bracket=(lo, hi),
+            f"m is too large for the solve to resolve F = 1/m at n={n}"
         )
     if frac_err > 0.5 * target:
         raise NumericalError(
             f"{metric} fraction F(r0) at r0 = {r0:.6g} has error {frac_err:.3g} > 1/(2m): "
-            f"the target F = 1/m = {target:.3g} is below what the kernel resolves at n={n}",
-            bracket=(lo, hi),
+            f"the target F = 1/m = {target:.3g} is below what the kernel resolves at n={n}"
         )
     return r0, se_r
 
@@ -222,8 +218,8 @@ def _cache_store(path, key, r0, se_r):
 def compute_bounds(n, m, methods=BOUND_IDS, cache_dir=None):
     """One BoundResult per distinct id in methods, a non-empty list or tuple
     such as ("b1",), in order of first appearance. The size, every id and
-    cache_dir (None, a str or an os.PathLike) are checked before the first
-    solve or cache read.
+    cache_dir (None, a non-empty str or an os.PathLike of one) are checked
+    before the first solve or cache read.
 
     Each metric's r0 is solved once, with its radius error σ_r (see
     solve_r0). A row's value is B(r0); value + std_error_hint, B at r0 + σ_r
@@ -238,8 +234,14 @@ def compute_bounds(n, m, methods=BOUND_IDS, cache_dir=None):
         raise ValidationError(f"methods must be a list or tuple of bound ids such as ('b1',), got {methods!r}")
     if not methods:
         raise ValidationError(f"methods must name at least one of {', '.join(BOUND_IDS)}")
-    if not (cache_dir is None or isinstance(cache_dir, (str, os.PathLike))):
-        raise ValidationError(f"cache_dir must be None, a str or an os.PathLike, got {cache_dir!r}")
+    if cache_dir is not None:
+        try:
+            name = os.fspath(cache_dir)
+        except TypeError:
+            name = None
+        if not (isinstance(name, str) and name):  # "" would be the working directory, bytes no str path
+            raise ValidationError(f"cache_dir must be None, a non-empty str or an os.PathLike of one, "
+                                  f"got {cache_dir!r}")
     curves = {bound_id: _curve(bound_id) for bound_id in methods}  # a repeat keeps its first place
     radii = {}
     for metric in sorted({BOUND_METRIC[b] for b in curves}):

@@ -1,6 +1,7 @@
 """Command-line interface: bound / table / sweep / eval / search / selftest.
 
-Exit codes: 0 success, 1 usage or validation failure, 2 numerical failure.
+Exit codes: 0 success, 1 usage or validation failure (a request over a work
+cap included), 2 numerical failure.
 Structured output (``--format csv|json``) is byte-identical for identical
 flags and seed when ``--no-timestamp`` is passed; timing fields are dropped
 along with the timestamp since wall time is never reproducible.

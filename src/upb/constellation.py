@@ -17,7 +17,6 @@ from . import _lazy_numpy
 from .errors import DimensionError, ParseError, ValidationError, _describe_int, check_choice, check_int
 from .matrices import (
     _VALIDATION_TOL,
-    _check_draw,
     _check_unitary,
     _generator,
     _square,
@@ -265,7 +264,6 @@ def random_search(n, m, trials, seed, objective="sum"):
     m = check_int(m, "m", 2)
     trials = check_int(trials, "trials", 1)
     check_choice(objective, ("sum", "product"), "objective")
-    _check_draw(m, n)  # one trial too large to draw is haar_sample's RangeError
     _check_pair_work(trials, m, n, f"a search with n = {n}, m = {m}, trials = {_describe_int(trials)}")
     rng = _generator(seed)
     values = _sum_values if objective == "sum" else _product_values

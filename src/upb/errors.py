@@ -18,7 +18,8 @@ class UpbError(Exception):
 
 
 class ValidationError(UpbError):
-    """Input violates a structural invariant (unitarity, duplicates, ranges), or a flag is bad."""
+    """Input violates a structural invariant (unitarity, duplicates, ranges), a flag is bad,
+    or a request exceeds a work cap (pair differences, sweep sizes, one random draw, density factors)."""
 
 
 class DimensionError(ValidationError):
@@ -26,19 +27,11 @@ class DimensionError(ValidationError):
 
 
 class NumericalError(UpbError):
-    """A solve cannot resolve its target, or a value or size is out of range (RangeError).
-
-    Carries the last bisection bracket in ``bracket`` when raised by the
-    radius solver, so callers can inspect how far the solve got.
-    """
-
-    def __init__(self, message, bracket=None):
-        super().__init__(message)
-        self.bracket = bracket
+    """A solve cannot resolve its target, or a value is beyond the float range."""
 
 
 class RangeError(NumericalError):
-    """A closed-form value exceeds the float range, or n the mass kernel's limit."""
+    """n exceeds what can be computed: the mass kernel's limit, or where the total mass overflows."""
 
 
 class ParseError(UpbError):

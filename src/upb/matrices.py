@@ -9,7 +9,7 @@ for one matrix a, unitarity_residual(a) <= 1e-9 is the same check.
 import math
 
 from . import _lazy_numpy
-from .errors import DimensionError, NumericalError, RangeError, ValidationError, _describe_int, check_int
+from .errors import DimensionError, NumericalError, ValidationError, _describe_int, check_int
 
 np = _lazy_numpy()
 
@@ -127,13 +127,6 @@ def _generator(seed):
     return np.random.default_rng(check_int(seed, "seed", -math.inf) % 2**64)
 
 
-def _check_draw(count, n):
-    """RangeError where haar_sample's draw of count matrices of order n exceeds _MAX_DRAW_BYTES."""
-    if count * n * n * 16 > _MAX_DRAW_BYTES:
-        raise RangeError(f"haar_sample's Gaussian draw ({_describe_int(count)} × {_describe_int(n)}² "
-                         f"complex entries) needs more than {_MAX_DRAW_BYTES >> 20} MiB, the limit for one random draw")
-
-
 def haar_sample(n, rng, size=None):
     """Draw Haar-distributed elements of U(n).
 
@@ -144,14 +137,16 @@ def haar_sample(n, rng, size=None):
     would give. Complex Ginibre matrix (real and
     imaginary parts interleaved), QR, then the Q columns are rephased by the
     R diagonal so the distribution is exactly Haar rather than
-    QR-convention dependent (Mezzadri 2007, Notices AMS 54). RangeError
-    where the Gaussian draw would exceed 2^30 bytes.
+    QR-convention dependent (Mezzadri 2007, Notices AMS 54). ValidationError,
+    before anything is allocated, where the Gaussian draw would exceed 2^30 bytes.
     """
     n = check_int(n, "n", 1)
     dims = () if size is None else size if isinstance(size, tuple) else (size,)
     shape = tuple(check_int(k, "size", 0) for k in dims)
     count = math.prod(shape)
-    _check_draw(count, n)
+    if count * n * n * 16 > _MAX_DRAW_BYTES:
+        raise ValidationError(f"haar_sample's Gaussian draw ({_describe_int(count)} × {_describe_int(n)}² complex "
+                              f"entries) needs more than {_MAX_DRAW_BYTES >> 20} MiB, the limit for one random draw")
     g = _generator(rng).standard_normal((*shape, n, n, 2))
     z = (g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)

@@ -73,6 +73,7 @@ METRICS = ("euclidean", "riemannian")
 _KAPPA = {"euclidean": 1.0, "riemannian": math.pi**2}
 
 _MAX_N = 200  # each term is an n x n determinant; a solve at n = 200 takes seconds
+_MAX_MASS_N = 124  # (2 pi)^n n! fits a float64 up to here
 _FIRST_TERMS = 1 << 10
 _MAX_TERMS = 1 << 19
 # Truncation target: the estimated CDF error, turned into a radius error
@@ -120,11 +121,9 @@ def _density_rows(thetas):
 
 
 def _check_mass_n(n):
-    """n as an int in [1, 124], where the total mass fits a float; RangeError above."""
+    """n as an int in [1, _MAX_MASS_N], where the total mass fits a float; RangeError above."""
     n = check_int(n, "n", 1)
-    log_scale = _as_float(n, "n") * math.log(2.0 * math.pi)
-    # the first test alone refuses n >= 386, before lgamma could overflow
-    if log_scale > 709.0 or log_scale + math.lgamma(n + 1) > 709.0:
+    if n > _MAX_MASS_N:
         raise RangeError(f"total mass overflows float64 for n={_describe_int(n)}")
     return n
 
@@ -194,13 +193,14 @@ def normalizer_estimate(n, samples, seed):
     honest stochastic cross-check of total_mass(n). seed is taken as by
     haar_sample. RangeError where total_mass refuses n (n >= 125), which
     this cross-checks; at n = 124, 1000 samples already give ~1e-87 of it.
-    RangeError too, before any draw, past _MAX_DENSITY_FACTORS.
+    ValidationError, before any draw, past _MAX_DENSITY_FACTORS.
     """
     n = _check_mass_n(n)
     samples = check_int(samples, "samples", 2)
     if samples * max(1, n * (n - 1) // 2) > _MAX_DENSITY_FACTORS:
-        raise RangeError(f"normalizer_estimate with n = {n}, samples = {_describe_int(samples)} evaluates more "
-                         f"than 2^{_MAX_DENSITY_FACTORS.bit_length() - 1} density pair factors, the limit for one call")
+        raise ValidationError(f"normalizer_estimate with n = {n}, samples = {_describe_int(samples)} evaluates "
+                              f"more than 2^{_MAX_DENSITY_FACTORS.bit_length() - 1} density pair factors, "
+                              "the limit for one call")
     rng = _generator(seed)
     total = total_sq = 0.0
     for start in range(0, samples, _CHUNK):

@@ -18,6 +18,7 @@ import pytest
 
 import upb.bounds
 import upb.cli as cli
+import upb.constellation
 from upb import (
     Constellation,
     DimensionError,
@@ -181,7 +182,7 @@ def test_bound_above_float_range_is_numerical_failure(capsys, tmp_path):
 
 def test_bound_numerical_failure_maps_to_exit_2(capsys, tmp_path, monkeypatch):
     def explode(*args, **kwargs):
-        raise NumericalError("injected failure", bracket=(0.1, 0.2))
+        raise NumericalError("injected failure")
 
     monkeypatch.setattr(upb.bounds, "solve_r0", explode)
     code, _, err = run(capsys, "bound", "--n", "1", "--m", "4", "--cache-dir", str(tmp_path))
@@ -389,6 +390,10 @@ def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):
                      "--no-timestamp")
     assert code == 0
     assert list((tmp_path / ".upb-cache").glob("*.json"))
+    # an empty flag names no directory: exit 1, and no entry in the working directory
+    code, out, err = run(capsys, "bound", "--n", "1", "--m", "7", "--cache-dir", "")
+    assert (code, out) == (1, "") and err.startswith("error: cache_dir must be None, a non-empty str")
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_timestamp_present_without_flag(capsys, tmp_path):
@@ -730,30 +735,40 @@ def test_search_past_kernel_limit_fails_before_searching(capsys, tmp_path, monke
     assert list(tmp_path.iterdir()) == []
 
 
-def test_search_refuses_a_draw_above_the_limit(capsys, tmp_path):
-    # m = 10^18 passes the size check, since 1/m is a float, but one trial's
-    # Haar draw would take 64 EB: exit 2 with one line, before any allocation
-    start = time.monotonic()
-    code, out, err = run(capsys, "search", "--n", "2", "--m", str(10**18), "--trials", "1",
-                         "--out", str(tmp_path / "best.json"), "--cache-dir", str(tmp_path / "cache"))
-    assert time.monotonic() - start < 5.0
-    assert code == 2 and out == ""
-    assert err.startswith("numerical failure: ") and err.count("\n") == 1 and "1024 MiB" in err, err
-    assert list(tmp_path.iterdir()) == []
+_PAIRS = "bytes of pair differences, the limit for one run"
 
 
-@pytest.mark.parametrize("m, trials", [("3", str(10**20)), ("100000", "1")], ids=["trials", "m"])
-def test_search_refuses_unbounded_pair_work(capsys, tmp_path, m, trials):
-    # 10^20 trials at m = 3, or one trial at m = 10^5 (5e9 pairs), would run
-    # for hours: exit 1 with one line before the first draw
+@pytest.mark.parametrize("argv, message", [
+    (("search", "--n", "2", "--m", "100000", "--trials", "1"),
+     f"a search with n = 2, m = 100000, trials = 1 computes more than 2^34 {_PAIRS}"),
+    (("search", "--n", "2", "--m", str(10**9), "--trials", "1"),
+     f"a search with n = 2, m = 1000000000, trials = 1 computes more than 2^34 {_PAIRS}"),
+    (("search", "--n", "200", "--m", "2000", "--trials", "1"),
+     f"a search with n = 200, m = 2000, trials = 1 computes more than 2^34 {_PAIRS}"),
+    (("search", "--n", "2", "--m", "3", "--trials", str(10**20)),
+     f"a search with n = 2, m = 3, trials = {10**20} computes more than 2^34 {_PAIRS}"),
+    (("sweep", "--n", "2", "--m-start", "2", "--m-end", "20000"),
+     "the sweep has more than 10000 sizes m; raise --m-step or --m-factor, or narrow --m-start..--m-end"),
+    (("eval",), f"a constellation with n = 2, m = 4 computes more than 2^6 {_PAIRS}"),
+], ids=["search-m", "search-draw", "search-n", "search-trials", "sweep", "eval"])
+def test_every_work_cap_exits_1_before_any_work(capsys, tmp_path, monkeypatch, argv, message):
+    # each work cap is a ValidationError checked where its work starts: one
+    # trial at m = 10^9, or at n = 200 and m = 2000, meets the search's pair
+    # budget before any Haar draw, and no run past a cap solves, saves a
+    # constellation or fills the cache
+    if argv == ("eval",):
+        members = np.stack([np.eye(2), -np.eye(2), 1j * np.eye(2), -1j * np.eye(2)])
+        save_constellation(Constellation(members), tmp_path / "in.json")
+        monkeypatch.setattr(upb.constellation, "_MAX_PAIR_BYTES", 64)  # its 6 pairs take 384 bytes
+        argv += (str(tmp_path / "in.json"),)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
     start = time.monotonic()
-    code, out, err = run(capsys, "search", "--n", "2", "--m", m, "--trials", trials,
-                         "--out", str(tmp_path / "best.json"), "--cache-dir", str(tmp_path / "cache"))
+    code, out, err = run(capsys, *argv, "--cache-dir", str(work / "cache"))
     assert time.monotonic() - start < 1.0
-    assert code == 1 and out == ""
-    assert err.startswith("error: a search with n = 2") and err.count("\n") == 1
-    assert "more than 2^34 bytes of pair differences" in err, err
-    assert list(tmp_path.iterdir()) == []
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert list(work.iterdir()) == []
 
 
 def test_search_solves_after_searching_and_saves_last(capsys, tmp_path, monkeypatch):

@@ -8,7 +8,6 @@ from upb import (
     Constellation,
     DimensionError,
     NumericalError,
-    RangeError,
     ValidationError,
     as_complex_matrix,
     haar_sample,
@@ -139,6 +138,19 @@ def test_eigenangles_rejects_nonunitary():
         unitary_eigenangles(np.array([[2.0, 0.0], [0.0, 1.0]]))
 
 
+def test_eigenvalue_failure_is_one_line_numerical_error(monkeypatch):
+    # LAPACK's failure to converge reaches the caller as one NumericalError
+    # line, through unitary_eigenangles and riemannian_distance alike
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    for call in (lambda: unitary_eigenangles(np.eye(2)), lambda: riemannian_distance(np.eye(2), -np.eye(2))):
+        with pytest.raises(NumericalError) as info:
+            call()
+        assert str(info.value) == "eigenvalues did not converge: Eigenvalues did not converge"
+
+
 # --- Haar sampling -----------------------------------------------------------
 
 
@@ -179,7 +191,7 @@ def test_haar_sample_rejects_seeds_that_are_not_nonnegative_integers(seed):
 @pytest.mark.parametrize("n, size", [(2, 10**18), (10**6, None)])
 def test_haar_sample_refuses_a_draw_above_the_limit(n, size):
     # both are far above the 2^30-byte limit, so the refusal allocates nothing
-    with pytest.raises(RangeError, match=r"needs more than 1024 MiB, the limit for one random draw$"):
+    with pytest.raises(ValidationError, match=r"needs more than 1024 MiB, the limit for one random draw$"):
         haar_sample(n, 0, size)
 
 

@@ -385,7 +385,7 @@ def test_mc_refuses_n_where_total_mass_does():
 
 def test_mc_refuses_work_over_the_budget_before_any_draw(monkeypatch):
     start = time.perf_counter()
-    with pytest.raises(RangeError, match=r"^normalizer_estimate with n = 2, samples = 10{24} evaluates more "
+    with pytest.raises(ValidationError, match=r"^normalizer_estimate with n = 2, samples = 10{24} evaluates more "
                                          r"than 2\^30 density pair factors, the limit for one call$"):
         normalizer_estimate(2, 10**24, 0)
     assert time.perf_counter() - start < 1.0
@@ -393,7 +393,7 @@ def test_mc_refuses_work_over_the_budget_before_any_draw(monkeypatch):
     monkeypatch.setattr(weyl, "_MAX_DENSITY_FACTORS", 96)
     for n, allowed in ((1, 96), (2, 96), (3, 32), (4, 16)):
         assert all(math.isfinite(v) for v in normalizer_estimate(n, allowed, 0))
-        with pytest.raises(RangeError, match=f"^normalizer_estimate with n = {n}, samples = {allowed + 1} "):
+        with pytest.raises(ValidationError, match=f"^normalizer_estimate with n = {n}, samples = {allowed + 1} "):
             normalizer_estimate(n, allowed + 1, 0)
 
 
