@@ -26,8 +26,9 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import weyl
 from .errors import NumericalError, ValidationError, _as_float, check_choice, check_int, check_real
-from .weyl import METRICS, _check_kernel_n, _fraction_and_error, ball_volume_fraction, max_radius
+from .weyl import METRICS, _check_kernel_n, max_radius
 
 __all__ = [
     "BoundResult",
@@ -53,7 +54,7 @@ _FLOOR_SNAP = 1e-12
 _CROSSOVER_TOL = 1e-12
 # Last field of solver_key; bump it whenever solve_r0 or the radius error
 # model changes, so that no cache entry of the old algorithm is served.
-_CACHE_VERSION = "v6"
+_CACHE_VERSION = "v7"
 # solve_r0 bisects the radius to a bracket of this width
 _ROOT_WIDTH = 1e-6
 # _resolved refuses a radius whose error exceeds this fraction of it
@@ -117,14 +118,15 @@ def solve_r0(n, m, metric):
 
     At n = 1, F is the arc length and r0 its exact inverse 2 sin(pi/(2m))
     resp. pi/m, with a radius error of 4 ulp. Otherwise r0 is the midpoint
-    of a bisection bracket of width _ROOT_WIDTH; the radius error is half
-    that width plus the kernel's error bound at r0 over the density dF/dr
-    there, both from the one kernel call at r0. Raises NumericalError where
-    the kernel has an error but no positive density at r0, where (r0, radius
-    error) fails _resolved (an error above r0/10) or the kernel's error
-    exceeds 1/(2m) (at huge m, where r0 would be noise), and where 1/m, or
-    at n = 1 the euclidean r0^2, leaves the float range; RangeError above
-    the kernel's n = 200.
+    of a bisection of the series weyl._cdf to width _ROOT_WIDTH (at 1/m <=
+    1/2 its unclamped F decides F >= 1/m as ball_volume_fraction does); the
+    radius error is half that width plus the series' error bound at r0 over
+    the density dF/dr there, both from the one call at r0. Raises
+    NumericalError where the kernel has an error but no positive density at
+    r0, where (r0, radius error) fails _resolved (an error above r0/10) or
+    the kernel's error exceeds 1/(2m) (at huge m, where r0 would be noise),
+    and where 1/m, or at n = 1 the euclidean r0^2, leaves the float range;
+    RangeError above the kernel's n = 200.
     """
     n, m, target = _check_size(n, m)
     rmax = max_radius(n, metric)  # F(0) = 0 < 1/m, F(rmax) = 1 > 1/m
@@ -133,9 +135,9 @@ def solve_r0(n, m, metric):
         if metric == "euclidean" and r0 * r0 < sys.float_info.min:  # B1 and B2 square it
             raise NumericalError(f"euclidean radius r0 = {r0:.3g} squares below the float range")
         return r0, 4.0 * math.ulp(r0)
-    lo, hi = _bisect(0.0, rmax, lambda r: ball_volume_fraction(n, r, metric) >= target, _ROOT_WIDTH)
+    lo, hi = _bisect(0.0, rmax, lambda r: weyl._cdf(n, r, metric)[0] >= target, _ROOT_WIDTH)  # 0 < r < rmax
     r0 = 0.5 * (lo + hi)
-    _, frac_err, slope = _fraction_and_error(n, r0, metric)
+    _, frac_err, slope = weyl._cdf(n, r0, metric)
     if not slope > 0.0:  # r0 lies inside (0, rmax), where frac_err is positive
         raise NumericalError(
             f"no positive density dF/dr at r0 = {r0!r} (got {slope!r}), so the "
@@ -215,6 +217,18 @@ def _cache_store(path, key, r0, se_r):
         pass  # the cache only saves time; the solve itself succeeded
 
 
+def _check_cache_dir(cache_dir):
+    """ValidationError unless cache_dir is None, a non-empty str or an os.PathLike of one."""
+    if cache_dir is None:
+        return
+    try:
+        name = os.fspath(cache_dir)
+    except TypeError:
+        name = None
+    if not (isinstance(name, str) and name):  # "" would be the working directory, bytes no str path
+        raise ValidationError(f"cache_dir must be None, a non-empty str or an os.PathLike of one, got {cache_dir!r}")
+
+
 def compute_bounds(n, m, methods=BOUND_IDS, cache_dir=None):
     """One BoundResult per distinct id in methods, a non-empty list or tuple
     such as ("b1",), in order of first appearance. The size, every id and
@@ -234,14 +248,7 @@ def compute_bounds(n, m, methods=BOUND_IDS, cache_dir=None):
         raise ValidationError(f"methods must be a list or tuple of bound ids such as ('b1',), got {methods!r}")
     if not methods:
         raise ValidationError(f"methods must name at least one of {', '.join(BOUND_IDS)}")
-    if cache_dir is not None:
-        try:
-            name = os.fspath(cache_dir)
-        except TypeError:
-            name = None
-        if not (isinstance(name, str) and name):  # "" would be the working directory, bytes no str path
-            raise ValidationError(f"cache_dir must be None, a non-empty str or an os.PathLike of one, "
-                                  f"got {cache_dir!r}")
+    _check_cache_dir(cache_dir)
     curves = {bound_id: _curve(bound_id) for bound_id in methods}  # a repeat keeps its first place
     radii = {}
     for metric in sorted({BOUND_METRIC[b] for b in curves}):

@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import _lazy_numpy
-from .bounds import BOUND_IDS, _check_size, compute_bounds, euclidean_riemannian_envelope
+from .bounds import BOUND_IDS, _check_cache_dir, _check_size, compute_bounds, euclidean_riemannian_envelope
 from .constellation import (
     Constellation,
     _chordal_radius,
@@ -268,11 +268,12 @@ def cmd_eval(args):
 
 
 def cmd_search(args):
-    # the size check, then the search, then the bounds: n > 200 or an m
-    # beyond the float range fails before any work, a bad --trials before the
-    # search's first trial, a failed solve writes no file, and the kernel's
-    # memo is not yet held while the search runs
+    # the size and cache checks, then the search, then the bounds: n > 200,
+    # an m beyond the float range or a bad --cache-dir fails before any work,
+    # a bad --trials before the search's first trial, a failed solve writes
+    # no file, and the kernel's memo is not yet held while the search runs
     _check_size(args.n, args.m)
+    _check_cache_dir(args.cache_dir)
     best, score = random_search(args.n, args.m, args.trials, args.seed, objective=args.objective)
     results = compute_bounds(args.n, args.m, BOUND_IDS, args.cache_dir)
     out_path = args.out if args.out is not None else f"constellation-n{args.n}-m{args.m}-{args.objective}.json"

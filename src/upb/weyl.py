@@ -153,36 +153,25 @@ def _check_kernel_n(n):
     return n
 
 
-def _fraction_and_error(n, r, metric):
-    """(F(r), bound on its error, dF/dr): the Haar fraction of U(n) in the
-    ball of radius r, with _cdf's truncation plus rounding bound, which is 0
-    where F is exact (r = 0, saturation, n = 1), and its derivative in r (0
-    from saturation on). Raises RangeError above n = _MAX_N."""
+def ball_volume_fraction(n, r, metric):
+    """Haar probability F(r) of the metric ball of radius r, in [0, 1].
+
+    r = 0 gives exactly 0 and r >= max_radius(n, metric) exactly 1; n = 1 is
+    the arc length over 2 pi. Otherwise it is _cdf's Fourier series, clamped
+    to [0, 1]. Defined for n <= 200 (RangeError above).
+    """
     n = _check_kernel_n(n)
     check_choice(metric, METRICS, "metric")
     r = check_real(r, "radius")
     if r < 0:
         raise ValidationError(f"radius must be nonnegative, got {r}")
     if r >= max_radius(n, metric):
-        return 1.0, 0.0, 0.0
+        return 1.0
     if n == 1:
-        if metric == "euclidean":
-            return 2.0 * math.asin(0.5 * r) / math.pi, 0.0, 1.0 / (math.pi * math.sqrt(1.0 - 0.25 * r * r))
-        return r / math.pi, 0.0, 1.0 / math.pi
+        return 2.0 * math.asin(0.5 * r) / math.pi if metric == "euclidean" else r / math.pi
     if r == 0.0:
-        return 0.0, 0.0, 0.0
-    frac, err, slope = _cdf(n, r, metric)
-    return min(max(frac, 0.0), 1.0), err, slope
-
-
-def ball_volume_fraction(n, r, metric):
-    """Haar probability F(r) of the metric ball of radius r, in [0, 1].
-
-    r = 0 gives exactly 0 and r >= max_radius(n, metric) exactly 1; n = 1 is
-    the arc length over 2 pi. Otherwise it is the Fourier-series CDF of the
-    module docstring. Defined for n <= 200 (RangeError above).
-    """
-    return _fraction_and_error(n, r, metric)[0]
+        return 0.0
+    return min(max(_cdf(n, r, metric)[0], 0.0), 1.0)
 
 
 def normalizer_estimate(n, samples, seed):
@@ -387,6 +376,13 @@ def _terms(n, metric, lo, hi):
     return out
 
 
+def _phi_error(n):
+    """Bound c(n) = 4 n eps on |phi(omega) - det| of _toeplitz_phi: the
+    coefficients' and the LU determinant's rounding together, at least twice
+    every error measured against 40-digit values (tests/test_weyl.py)."""
+    return 4.0 * n * np.finfo(float).eps
+
+
 def _cdf(n, r, metric):
     """(F(s), error estimate, dF/dr) for the ball of radius r, 0 < r < max_radius.
 
@@ -395,9 +391,10 @@ def _cdf(n, r, metric):
     partial sums within it. Summing stops once that, converted to a radius
     error by F ~ r^(n^2), is below _RADIUS_TOL, or once it is below the
     rounding error of the sum, or at _MAX_TERMS. The returned estimate is
-    truncation plus rounding. The density dF/ds is the same series
-    differentiated term by term, omega (re cos(omega s) + im sin(omega s)),
-    summed over the same blocks.
+    truncation plus the sum's rounding plus the terms' own rounding; the
+    last stays out of the stopping rule, so it leaves K unchanged. The
+    density dF/ds is the same series differentiated term by term,
+    omega (re cos(omega s) + im sin(omega s)), summed over the same blocks.
     """
     period = n * _KAPPA[metric]
     s = (0.5 * r) ** 2 if metric == "euclidean" else r * r
@@ -430,5 +427,8 @@ def _cdf(n, r, metric):
             target = _RADIUS_TOL * n * n * max(value, 0.0) / r
             if trunc <= max(target, rounding) or hi >= _MAX_TERMS:
                 ds_dr = 0.5 * r if metric == "euclidean" else 2.0 * r
-                return value, float(trunc + rounding), density * ds_dr
+                # each phi(omega_k) is off by at most _phi_error(n), with a
+                # weight of at most 2/(pi k) in F; sum_{k<=K} 1/k <= 1 + log K
+                phi_rounding = _phi_error(n) * (2.0 / math.pi) * (1.0 + math.log(hi))
+                return value, float(trunc + rounding + phi_rounding), density * ds_dr
         lo, hi = hi, 2 * hi

@@ -87,8 +87,7 @@ def invert_b1(n, target):
 def test_solve_r0_circle_closed_forms(m, monkeypatch):
     # n = 1 masses are exact arcs, so the solve inverts them without a
     # kernel call, and the radius error is the closed form's rounding
-    monkeypatch.setattr(upb.bounds, "ball_volume_fraction", None)
-    monkeypatch.setattr(upb.bounds, "_fraction_and_error", None)
+    monkeypatch.setattr(upb.weyl, "_cdf", None)
     for metric, closed_form in (("euclidean", r0_circle_euclidean), ("riemannian", r0_circle_riemannian)):
         r0, err = solve_r0(1, m, metric)
         assert abs(r0 - closed_form(m)) <= err <= 4.0 * math.ulp(r0), (metric, r0, err)
@@ -344,7 +343,7 @@ def test_solver_key_carries_every_result_field():
     # the solve has no settings: (n, m, metric) and the version fix the result
     keys = {solver_key(n, m, metric) for n in (2, 4) for m in (24, 25) for metric in ("euclidean", "riemannian")}
     assert len(keys) == 8
-    assert solver_key(2, 100, "euclidean") == "2:100:euclidean:v6"
+    assert solver_key(2, 100, "euclidean") == "2:100:euclidean:v7"
 
 
 def test_solver_key_refuses_an_unknown_metric():
@@ -472,17 +471,32 @@ def test_cold_solve_evaluates_r0_once(metric, monkeypatch):
 def test_solve_r0_without_positive_density_is_numerical_failure(monkeypatch):
     # a fraction error that no positive density carries to the radius must
     # not be dropped from the radius error
-    real = upb.bounds._fraction_and_error
+    real = upb.weyl._cdf
 
     def flat(n, r, metric):
         frac, err, _ = real(n, r, metric)
         return frac, err, 0.0
 
-    monkeypatch.setattr(upb.bounds, "_fraction_and_error", flat)
+    monkeypatch.setattr(upb.weyl, "_cdf", flat)
     with pytest.raises(NumericalError, match="no positive density") as info:
         solve_r0(2, 24, "euclidean")
     r0 = float(re.search(r"at r0 = (\S+) ", str(info.value))[1])
     assert r0 == pytest.approx(FROZEN_R0[0], abs=5e-6)
+
+
+@pytest.mark.parametrize("m", [3 * 10**14, 35 * 10**13, 45 * 10**13, 5 * 10**14])
+def test_solve_r0_at_n64_returns_no_radius_that_chernoff_refutes(m):
+    # For u < 0, F(s) <= exp(kappa(u) - u s) with kappa(u) = u n/2 +
+    # log det[I_{j-k}(-u/2)]. At n = 64, u = -40 and a 200-digit mpmath
+    # determinant, it gives F < 10^-33.6 at r = 10.5 (s = 27.5625), so the
+    # root of F = 1/m lies above r = 10.5 for each of these m, where the
+    # solve returned noise radii of 6.8-7.6 while eps_F left out the
+    # determinants' rounding.
+    try:
+        r0, se_r = solve_r0(64, m, "euclidean")
+    except NumericalError:
+        return
+    assert r0 + se_r >= 10.5
 
 
 def test_solve_r0_validates_inputs():

@@ -229,14 +229,15 @@ def test_bound_refuses_a_radius_below_its_error(capsys, tmp_path, n, m, method):
 
 
 @pytest.mark.parametrize("n, m, method", [
-    (7, 10**30, "b1"),
-    (16, 10**30, "b3"),
-    (24, 10**30, "all"),
+    (7, 10**14, "b1"),
+    (16, 10**14, "b3"),
+    (24, 10**14, "all"),
 ])
 def test_bound_refuses_a_target_below_the_kernel_error(capsys, tmp_path, n, m, method):
     # here r0 passes the r0/10 check, but the kernel's error bound at r0 is
     # above 1/(2m), so the sign of F - 1/m is unknown there: exit 2 names
-    # that error and 1/m, and nothing is cached
+    # that error and 1/m, and nothing is cached (at m = 10^30 the
+    # determinants' rounding in that bound already fails the r0/10 check)
     code, out, err = run(capsys, "bound", "--n", str(n), "--m", str(m), "--method", method,
                          "--cache-dir", str(tmp_path))
     assert code == 2 and out == ""
@@ -244,6 +245,15 @@ def test_bound_refuses_a_target_below_the_kernel_error(capsys, tmp_path, n, m, m
     assert err.startswith("numerical failure: ") and found, err
     assert float(found[2]) == pytest.approx(1.0 / m, rel=1e-3)
     assert float(found[1]) > 0.5 / m
+    assert not list(tmp_path.iterdir())
+
+
+def test_bound_refuses_rounding_noise_at_n64(capsys, tmp_path):
+    # the determinants' rounding in eps_F is far above 1/m here, so there is
+    # no radius to report (r0 = 7.57035 and B1 = 0.83367 were rounding noise)
+    code, out, err = run(capsys, "bound", "--n", "64", "--m", "300000000000000", "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
     assert not list(tmp_path.iterdir())
 
 
@@ -791,6 +801,18 @@ def test_search_solves_after_searching_and_saves_last(capsys, tmp_path, monkeypa
     code, out, err = run(capsys, "search", "--n", "2", "--m", "3", "--trials", "10")
     assert code == 2 and out == "" and "injected failure" in err
     assert order == ["search", "solve"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_search_refuses_a_bad_cache_dir_before_searching(capsys, tmp_path, monkeypatch):
+    # --cache-dir is checked with the size, before the search's first trial,
+    # so a bad one exits 1 at once instead of after a long search
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "search", "--n", "2", "--m", "24", "--trials", "200000", "--cache-dir", "")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == "error: cache_dir must be None, a non-empty str or an os.PathLike of one, got ''\n"
     assert list(tmp_path.iterdir()) == []
 
 

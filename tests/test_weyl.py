@@ -140,29 +140,28 @@ def test_normalizer_estimate_agrees_with_total():
 def test_ball_mass_n1_closed_form(metric):
     total = total_mass(1)
     for r in (0.25, 0.5, 1.0, 1.5):
-        frac, _, _ = weyl._fraction_and_error(1, r, metric)
+        frac = ball_volume_fraction(1, r, metric)
         assert frac == pytest.approx(mass_circle_1(r, metric) / total, abs=1e-12 / total)
 
 
 def test_ball_mass_n1_examples():
     # euclidean r=1: 4 asin(1/2) = 2 pi / 3 ; riemannian r=pi/2: pi
-    assert weyl._fraction_and_error(1, 1.0, "euclidean")[0] == pytest.approx(1 / 3)
-    assert weyl._fraction_and_error(1, math.pi / 2, "riemannian")[0] == pytest.approx(1 / 2)
+    assert ball_volume_fraction(1, 1.0, "euclidean") == pytest.approx(1 / 3)
+    assert ball_volume_fraction(1, math.pi / 2, "riemannian") == pytest.approx(1 / 2)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
 def test_ball_mass_saturates_exactly(metric):
     for n in (1, 2, 3):
         rmax = max_radius(n, metric)
-        assert weyl._fraction_and_error(n, rmax, metric) == (1.0, 0.0, 0.0)
-        assert weyl._fraction_and_error(n, rmax + 5.0, metric) == (1.0, 0.0, 0.0)
-        # the density at r = 0 is 1/pi on the circle and 0 from n = 2 on
-        assert weyl._fraction_and_error(n, 0.0, metric) == (0.0, 0.0, 1.0 / math.pi if n == 1 else 0.0)
+        assert ball_volume_fraction(n, rmax, metric) == 1.0
+        assert ball_volume_fraction(n, rmax + 5.0, metric) == 1.0
+        assert ball_volume_fraction(n, 0.0, metric) == 0.0
 
 
 def test_ball_mass_riemannian_2_matches_bessel():
     for r in (0.3, 0.8, 1.5, 2.4, 3.0):
-        frac, err, _ = weyl._fraction_and_error(2, r, "riemannian")
+        frac, err, _ = weyl._cdf(2, r, "riemannian")
         exact = mass_bessel_riemannian_2(r) / total_mass(2)
         assert abs(frac - exact) <= err
         assert frac == pytest.approx(exact, rel=1e-7)
@@ -171,7 +170,7 @@ def test_ball_mass_riemannian_2_matches_bessel():
 @pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
 def test_ball_mass_2_matches_riemann_sum(metric):
     for r in (0.8, 1.6, 2.4):
-        frac, _, _ = weyl._fraction_and_error(2, r, metric)
+        frac = ball_volume_fraction(2, r, metric)
         assert frac == pytest.approx(mass_riemann_2d(r, metric) / total_mass(2), rel=2e-3)
 
 
@@ -179,7 +178,7 @@ def test_density_riemannian_2_matches_bessel():
     # below r = pi; at pi the ball touches the angle box, where the density
     # has a square-root kink and the differentiated series converges slowly
     for r in np.linspace(0.05, 3.1, 40):
-        slope = weyl._fraction_and_error(2, float(r), "riemannian")[2]
+        slope = weyl._cdf(2, float(r), "riemannian")[2]
         assert slope == pytest.approx(density_bessel_riemannian_2(float(r)) / total_mass(2), rel=1e-4), r
 
 
@@ -192,7 +191,7 @@ def test_density_matches_central_difference(n, metric):
         r = float(r)
         if n == 2 and metric == "euclidean" and abs(r - 2.0) < 0.1:
             continue
-        slope = weyl._fraction_and_error(n, r, metric)[2]
+        slope = weyl._cdf(n, r, metric)[2]
         lo, hi = (ball_volume_fraction(n, x, metric) for x in (r - h, r + h))
         assert slope == pytest.approx((hi - lo) / (2.0 * h), rel=1e-5, abs=1e-9), r
 
@@ -212,7 +211,7 @@ def test_kernel_matches_tensor_oracle_on_radius_grid(metric):
     for n in (2, 3):
         for r in np.linspace(0.05, max_radius(n, metric) - 0.05, 25):
             r = float(r)
-            frac, err, _ = weyl._fraction_and_error(n, r, metric)
+            frac, err, _ = weyl._cdf(n, r, metric)
             assert abs(frac - tensor_mass(n, r, metric) / total_mass(n)) <= err, (n, r)
 
 
@@ -286,6 +285,40 @@ def test_coefficients_match_scipy_oracle(n):
     assert np.max(np.abs(weyl._riemannian_c(t, n) - riemannian_coef_erf(t, n))) <= 1e-12
 
 
+# max |phi_float64 - phi_40| of weyl._toeplitz_phi over 12 omegas per (n, metric),
+# rounded up to two digits. omega_k is taken at k = 1024, k = 2^19 and the ten
+# k rounded from geomspace(1, 4n, 10), where |phi| is largest, each evaluated
+# in the chunk of omegas weyl._terms builds it in (the riemannian quadrature
+# size depends on the chunk). phi_40 is the Toeplitz determinant at the same
+# float omega from 40-digit coefficients (mpmath besselj, erf of the completed
+# square) and a 40-digit LU determinant with partial pivoting; mpmath is not a
+# dependency of the package, so the values are frozen here.
+PHI_ERRORS = {
+    "euclidean": {2: 9.3e-17, 3: 2.1e-16, 4: 1.2e-16, 6: 4.2e-16, 8: 3.6e-16, 12: 7.7e-16, 16: 9.2e-16,
+                  24: 2.5e-15, 32: 2.7e-15, 48: 2.9e-15, 64: 1.0e-14, 96: 8.4e-15, 128: 1.4e-14,
+                  160: 1.8e-14, 200: 2.2e-14},
+    "riemannian": {2: 5.2e-16, 3: 4.5e-16, 4: 6.7e-16, 6: 1.6e-15, 8: 2.5e-15, 12: 3.8e-15, 16: 4.0e-15,
+                   24: 7.5e-15, 32: 6.6e-15, 48: 1.4e-14, 64: 1.1e-14, 96: 3.2e-14, 128: 4.0e-14,
+                   160: 4.9e-14, 200: 4.2e-14},
+}
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
+def test_phi_error_bound_is_twice_every_measured_error(metric):
+    errors = PHI_ERRORS[metric]
+    assert min(errors) == 2 and max(errors) == weyl._MAX_N
+    for n, err in errors.items():
+        assert weyl._phi_error(n) >= 2.0 * err, n
+
+
+def test_cdf_error_counts_the_determinants_rounding():
+    # each phi(omega_k), k <= K, enters F with a weight of at most 2/(pi k),
+    # and the series sums at least K = 1024 terms
+    for n in (2, 8, 64):
+        _, err, _ = weyl._cdf(n, 0.5 * max_radius(n, "euclidean"), "euclidean")
+        assert err >= weyl._phi_error(n) * sum(2.0 / (math.pi * k) for k in range(1, 1025))
+
+
 def test_clausen_matches_scipy_spence():
     # the n = 2 euclidean leading term takes Cl_2 at pi (s + 1), s in [0, 2];
     # scipy's Li_2(w) is spence(1 - w)
@@ -320,11 +353,11 @@ def test_fraction_is_independent_of_memo_history(metric):
         cold = []
         for r in radii:
             weyl._terms.cache_clear()
-            cold.append(weyl._fraction_and_error(n, r, metric))
+            cold.append(weyl._cdf(n, r, metric))
         weyl._terms.cache_clear()
-        weyl._fraction_and_error(n, 0.05, metric)
+        weyl._cdf(n, 0.05, metric)
         assert weyl._terms.cache_info().misses >= 4  # more blocks than the radii need
-        assert [weyl._fraction_and_error(n, r, metric) for r in radii] == cold
+        assert [weyl._cdf(n, r, metric) for r in radii] == cold
 
 
 @pytest.mark.parametrize("metric, blocks", [("euclidean", 2), ("riemannian", 3)])
