@@ -54,7 +54,7 @@ _FLOOR_SNAP = 1e-12
 _CROSSOVER_TOL = 1e-12
 # Last field of solver_key; bump it whenever solve_r0 or the radius error
 # model changes, so that no cache entry of the old algorithm is served.
-_CACHE_VERSION = "v7"
+_CACHE_VERSION = "v8"
 # solve_r0 bisects the radius to a bracket of this width
 _ROOT_WIDTH = 1e-6
 # _resolved refuses a radius whose error exceeds this fraction of it

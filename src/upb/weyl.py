@@ -30,11 +30,11 @@ Both are evaluated with numpy alone, each to about 1e-15 absolute:
       Weideman 2014, SIAM Rev. 56);
   J_0..J_{n-1}(x), x >= x0: J_0 and J_1 from the Hankel expansion (DLMF
       10.17.3), then the forward recurrence, which is stable for k < x;
-  riemannian, where t (pi - (n-1)/(2t))^2 >= 40: the full Gaussian integral
-      sqrt(pi/t) e^{i pi/4} minus two tails, each from the asymptotic series
-      int_v^inf e^{iu^2} du = (i e^{iv^2}/2v) sum_m (2m-1)!!/(2iv^2)^m, whose
-      terms still fall where it is cut (v^2 >= 40);
-  riemannian, elsewhere: Gauss-Legendre quadrature on [-pi, pi].
+  riemannian, t >= t*(n), the root of t (pi - (n-1)/(2t))^2 = 40: the full
+      Gaussian integral sqrt(pi/t) e^{i pi/4} minus two tails, each from the
+      asymptotic series int_v^inf e^{iu^2} du = (i e^{iv^2}/2v) sum_m
+      (2m-1)!!/(2iv^2)^m, whose terms still fall where it is cut (v^2 >= 40);
+  riemannian, t < t*(n): one Gauss-Legendre rule per n on [-pi, pi].
 
 S lives on [0, P], P = n kappa (kappa = 1 resp. pi^2), so F is inverted by
 the Fourier series on that period, with omega_k = 2 pi k / P:
@@ -281,17 +281,21 @@ def _fresnel_tail(v):
     return 0.5j * series / v
 
 
-def _legendre_rule(size, n):
-    """Gauss-Legendre rule of `size` (even) nodes on [-pi, pi] as (theta^2, B)
-    over the nodes theta > 0, with B[j, k] = w_j cos(k theta_j) for the
-    Legendre weights w_j on [-1, 1], so that the riemannian
-    c_k(t) = e^{i t theta^2} @ B: the odd part of the integrand cancels
-    between theta and -theta.
+@lru_cache(maxsize=_MAX_N)
+def _legendre_rule(n):
+    """(t_star, theta^2, B) of the riemannian coefficients at n. From t_star,
+    the root of t (pi - (n-1)/(2t))^2 = _FRESNEL_V2, the Fresnel tails take
+    over. Below it, c_k(t) = e^{i t theta^2} @ B is a Gauss-Legendre rule on
+    [-pi, pi] with enough nodes for the phase t theta^2 - k theta, |k| < n,
+    over its nodes theta > 0 and B[j, k] = w_j cos(k theta_j) for the weights
+    w_j on [-1, 1]: the odd part of the integrand cancels.
 
     The nodes are Newton's method on P_size from its three-term recurrence,
     which keeps the weights accurate to a few ulp; numpy's leggauss loses
     about 1e-14 at 200 nodes.
     """
+    t_star = ((math.sqrt(_FRESNEL_V2) + math.sqrt(_FRESNEL_V2 + 2.0 * math.pi * (n - 1))) / (2.0 * math.pi)) ** 2
+    size = 32 * math.ceil((t_star * math.pi**2 + 2.0 * (n - 1) + 40.0) / 32.0)
     x = np.cos(math.pi * (np.arange(size // 2) + 0.75) / (size + 0.5))
     for _ in range(10):
         p0, p1 = np.ones_like(x), x
@@ -307,16 +311,17 @@ def _legendre_rule(size, n):
     # would be the error of c_0(t) as t -> 0
     weight /= math.fsum(weight)
     theta = math.pi * x
-    return theta * theta, weight[:, None] * np.cos(np.outer(theta, np.arange(n)))
+    theta2, basis = theta * theta, weight[:, None] * np.cos(np.outer(theta, np.arange(n)))
+    theta2.flags.writeable = basis.flags.writeable = False  # shared by every later call
+    return t_star, theta2, basis
 
 
 def _riemannian_c(t, n):
     """c_0(t), ..., c_{n-1}(t) for f = theta^2 at each t > 0, shape (len(t), n)."""
+    t_star, theta2, basis = _legendre_rule(n)
     k = np.arange(n)
     out = np.empty((t.size, n), dtype=complex)
-    # the integration limit nearest u = 0 over |k| < n, where v = sqrt(t) edge
-    edge = math.pi - (n - 1) / (2.0 * t)
-    tails = (edge > 0.0) & (t * edge * edge >= _FRESNEL_V2)
+    tails = t >= t_star
     if tails.any():
         tt = t[tails, None]
         root, shift = np.sqrt(tt), k / (2.0 * tt)
@@ -326,11 +331,7 @@ def _riemannian_c(t, n):
         ends *= (-1.0) ** k * np.exp(1j * math.pi**2 * tt) / root
         out[tails] = (gauss - ends) / (2.0 * math.pi)
     if not tails.all():
-        tq = t[~tails]
-        # enough nodes for the phase t theta^2 - k theta at every |k| < n
-        size = 32 * math.ceil((tq.max() * math.pi**2 + 2.0 * (n - 1) + 40.0) / 32.0)
-        theta2, basis = _legendre_rule(size, n)
-        out[~tails] = np.exp(1j * tq[:, None] * theta2) @ basis
+        out[~tails] = np.exp(1j * t[~tails, None] * theta2) @ basis
     return out
 
 
@@ -353,9 +354,7 @@ def _terms(n, metric, lo, hi):
     """(omega_k, Re(phi)/omega_k, Im(phi)/omega_k) for k = lo+1..hi, so a term
     of the series is re sin(omega s) + im (1 - cos(omega s)).
 
-    Built in chunks of _CHUNK_BYTES from lo; the chunk sets the riemannian
-    quadrature size, so a term's bits depend on its block (lo, hi], and _cdf
-    always asks for the same blocks. For n = 2 euclidean,
+    Built in chunks of _CHUNK_BYTES from lo. For n = 2 euclidean,
     phi(t) = e^{it} 4/(pi t) + O(t^-2), since J_0^2 + J_1^2 ~ 2/(pi x). That
     1/t term (the saddle at S = 1) makes the series converge only like 1/K
     near s = 1, so it is left out here and _cdf adds its share in closed form.
@@ -377,10 +376,11 @@ def _terms(n, metric, lo, hi):
 
 
 def _phi_error(n):
-    """Bound c(n) = 4 n eps on |phi(omega) - det| of _toeplitz_phi: the
-    coefficients' and the LU determinant's rounding together, at least twice
-    every error measured against 40-digit values (tests/test_weyl.py)."""
-    return 4.0 * n * np.finfo(float).eps
+    """Bound c(n) = max(4n, n^2/12) eps on |phi(omega) - det| of _toeplitz_phi:
+    the coefficients' and the LU determinant's rounding together, at least
+    twice every error measured against 40-digit values (tests/test_weyl.py),
+    which 4n eps alone misses at riemannian n = 96."""
+    return max(4.0 * n, n * n / 12.0) * np.finfo(float).eps
 
 
 def _cdf(n, r, metric):

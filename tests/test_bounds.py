@@ -343,7 +343,7 @@ def test_solver_key_carries_every_result_field():
     # the solve has no settings: (n, m, metric) and the version fix the result
     keys = {solver_key(n, m, metric) for n in (2, 4) for m in (24, 25) for metric in ("euclidean", "riemannian")}
     assert len(keys) == 8
-    assert solver_key(2, 100, "euclidean") == "2:100:euclidean:v7"
+    assert solver_key(2, 100, "euclidean") == "2:100:euclidean:v8"
 
 
 def test_solver_key_refuses_an_unknown_metric():

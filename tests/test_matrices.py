@@ -210,7 +210,7 @@ def test_haar_batch_equals_successive_single_draws(n):
 # --- unitary matrices as plain arrays ------------------------------------------
 
 
-def test_unitary_matrix_validates_and_freezes():
+def test_unitaries_are_checked_and_members_are_read_only():
     # a unitary is a plain array: Constellation and riemannian_distance check
     # it, and a Constellation's members are read-only
     v = Constellation([np.eye(2), -np.eye(2)])
@@ -227,7 +227,7 @@ def test_unitary_matrix_validates_and_freezes():
         riemannian_distance(2.0 * np.eye(2), np.eye(2))
 
 
-def test_unitary_matrix_accepts_loose_tolerance():
+def test_eigenangles_accept_a_looser_residual_than_distances():
     # a residual of about 4e-8: above the 1e-9 of Constellation and
     # riemannian_distance, below the eigenangles' 1e-6
     almost = np.eye(2) + 1e-8

@@ -288,18 +288,18 @@ def test_coefficients_match_scipy_oracle(n):
 # max |phi_float64 - phi_40| of weyl._toeplitz_phi over 12 omegas per (n, metric),
 # rounded up to two digits. omega_k is taken at k = 1024, k = 2^19 and the ten
 # k rounded from geomspace(1, 4n, 10), where |phi| is largest, each evaluated
-# in the chunk of omegas weyl._terms builds it in (the riemannian quadrature
-# size depends on the chunk). phi_40 is the Toeplitz determinant at the same
-# float omega from 40-digit coefficients (mpmath besselj, erf of the completed
-# square) and a 40-digit LU determinant with partial pivoting; mpmath is not a
-# dependency of the package, so the values are frozen here.
+# in the chunk of omegas weyl._terms builds it in. phi_40 is the Toeplitz
+# determinant at the same float omega from 40-digit coefficients (mpmath
+# besselj, erf of the completed square) and a 40-digit LU determinant with
+# partial pivoting; mpmath is not a dependency of the package, so the values
+# are frozen here.
 PHI_ERRORS = {
     "euclidean": {2: 9.3e-17, 3: 2.1e-16, 4: 1.2e-16, 6: 4.2e-16, 8: 3.6e-16, 12: 7.7e-16, 16: 9.2e-16,
                   24: 2.5e-15, 32: 2.7e-15, 48: 2.9e-15, 64: 1.0e-14, 96: 8.4e-15, 128: 1.4e-14,
                   160: 1.8e-14, 200: 2.2e-14},
     "riemannian": {2: 5.2e-16, 3: 4.5e-16, 4: 6.7e-16, 6: 1.6e-15, 8: 2.5e-15, 12: 3.8e-15, 16: 4.0e-15,
-                   24: 7.5e-15, 32: 6.6e-15, 48: 1.4e-14, 64: 1.1e-14, 96: 3.2e-14, 128: 4.0e-14,
-                   160: 4.9e-14, 200: 4.2e-14},
+                   24: 4.1e-15, 32: 1.2e-14, 48: 1.6e-14, 64: 1.1e-14, 96: 6.4e-14, 128: 4.1e-14,
+                   160: 4.8e-14, 200: 6.0e-14},
 }
 
 
@@ -370,6 +370,43 @@ def test_cold_solve_builds_each_block_once(metric, blocks):
     assert weyl._terms.cache_info().misses == blocks
 
 
+def test_cold_riemannian_solve_builds_the_quadrature_rule_once():
+    weyl._terms.cache_clear()
+    weyl._legendre_rule.cache_clear()
+    solve_r0(64, 16, "riemannian")
+    assert weyl._legendre_rule.cache_info().misses == 1
+    # shared by every later call, so read-only
+    assert not any(a.flags.writeable for a in weyl._legendre_rule(64)[1:])
+
+
+def test_fresnel_tails_start_at_t_star():
+    # the per-t test that every integration limit v = sqrt(t) (pi -+ k/(2t)),
+    # |k| < n, has v^2 >= 40 holds exactly from t*(n) on, for every omega_k
+    # up to past the end of the quadrature range at n = 200 (k ~ 14200)
+    k = np.arange(1, (1 << 14) + 1)
+    for n in range(2, weyl._MAX_N + 1):
+        t = 2.0 * math.pi * k / (n * math.pi**2)
+        edge = math.pi - (n - 1) / (2.0 * t)
+        oracle = (edge > 0.0) & (t * edge * edge >= 40.0)
+        assert np.array_equal(t >= weyl._legendre_rule(n)[0], oracle), n
+    weyl._legendre_rule.cache_clear()
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
+def test_terms_do_not_depend_on_the_chunk(metric, monkeypatch):
+    # 7 terms per chunk against the default; from n = 64 on a one-row chunk
+    # would take numpy's single-row matmul, which rounds differently
+    for n in (2, 8, 24):
+        weyl._terms.cache_clear()
+        default = weyl._terms(n, metric, 0, 512)
+        with monkeypatch.context() as patch:
+            patch.setattr(weyl, "_CHUNK_BYTES", 7 * 16 * n * n)
+            weyl._terms.cache_clear()
+            chunked = weyl._terms(n, metric, 0, 512)
+        assert all(np.array_equal(a, b) for a, b in zip(default, chunked)), n
+    weyl._terms.cache_clear()
+
+
 # --- oracle properties -----------------------------------------------------------
 
 
@@ -433,7 +470,7 @@ def test_mc_refuses_work_over_the_budget_before_any_draw(monkeypatch):
 # --- validation ---------------------------------------------------------------------
 
 
-def test_config_validation():
+def test_normalizer_estimate_checks_samples_and_seed():
     with pytest.raises(ValidationError):
         normalizer_estimate(2, 1, 0)
     # a negative seed is taken mod 2^64
