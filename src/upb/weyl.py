@@ -79,7 +79,10 @@ _MAX_TERMS = 1 << 19
 # Truncation target: the estimated CDF error, turned into a radius error
 # through the small-ball law F ~ r^(n^2), stays below _RADIUS_TOL.
 _RADIUS_TOL = 3e-8
-# Matrices per chunk of the table build, so no temporary exceeds ~2 MB.
+# A chunk of the table build holds _CHUNK_BYTES / (16 n^2) terms, though no
+# n x n matrix is stored: each is a view of its row of 2n - 1 coefficients.
+# The step fixes the chunk boundaries, and with them the rounding of numpy's
+# one-row matmul in the riemannian quadrature, so it stays as it is.
 _CHUNK_BYTES = 1 << 21
 # Toeplitz coefficients (see the module docstring). Each series is cut
 # where its first omitted term, relative to the leading term 1, is below
@@ -336,17 +339,25 @@ def _riemannian_c(t, n):
 
 
 def _toeplitz_phi(n, t, metric):
-    """E exp(i t S) = det[c_{j-k}(t)] at each t > 0."""
-    lags = np.arange(n)[:, None] - np.arange(n)[None, :]
-    if metric == "euclidean":
+    """E exp(i t S) = det[c_{j-k}(t)] at each t > 0.
+
+    Each matrix is a view of its row c_{1-n}, ..., c_{n-1}: window j of the
+    row, read backwards, is matrix row j, c_{j-k} for k = 0..n-1.
+    """
+    euclidean = metric == "euclidean"
+    if euclidean:
         # c_k = e^{it/2} (-i)^k J_k(t/2); the (-i)^k factors are a diagonal
         # similarity and the e^{it/2} factors pull out as e^{int/2}.
         # J_{-k} = (-1)^k J_k.
-        sign = np.where(lags < 0, (-1.0) ** lags, 1.0)
-        det = np.linalg.det(_bessel_j(0.5 * t, n)[:, np.abs(lags)] * sign)
-        return np.exp(0.5j * n * t) * det
-    # c_{-k} = c_k since theta^2 is even
-    return np.linalg.det(_riemannian_c(t, n)[:, np.abs(lags)])
+        c = _bessel_j(0.5 * t, n)
+        mirror = c[:, :0:-1] * (-1.0) ** np.arange(n - 1, 0, -1)
+    else:
+        # c_{-k} = c_k since theta^2 is even
+        c = _riemannian_c(t, n)
+        mirror = c[:, :0:-1]
+    row = np.concatenate([mirror, c], axis=1)
+    det = np.linalg.det(np.lib.stride_tricks.sliding_window_view(row, n, axis=1)[:, :, ::-1])
+    return np.exp(0.5j * n * t) * det if euclidean else det
 
 
 @lru_cache(maxsize=176)  # 16 (n, metric) pairs x 11 blocks, hi = 2^9 .. 2^19

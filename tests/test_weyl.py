@@ -1,9 +1,11 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 from scipy.special import erf, j0, j1, jv, spence
 
 from tensor_oracle import ball_statistic_level, haar_statistics, tensor_mass
@@ -285,14 +287,69 @@ def test_coefficients_match_scipy_oracle(n):
     assert np.max(np.abs(weyl._riemannian_c(t, n) - riemannian_coef_erf(t, n))) <= 1e-12
 
 
+def toeplitz_phi_dense(n, t, metric):
+    """det[c_{j-k}(t)] at each t from a dense scipy Toeplitz matrix of the
+    coefficients' definitions: c_k = e^{it/2} (-i)^k J_k(t/2) for
+    k = 1-n..n-1, resp. the erf oracle with c_{-k} = c_k."""
+    out = []
+    for tt in t:
+        if metric == "euclidean":
+            k = np.arange(1 - n, n)
+            c = np.exp(0.5j * tt) * (-1j) ** k * jv(k, 0.5 * tt)
+            col, row = c[n - 1 :], c[n - 1 :: -1]
+        else:
+            col = row = riemannian_coef_erf(np.array([tt]), n)[0]
+        out.append(np.linalg.det(toeplitz(col, row)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "n, metric",
+    [(n, metric) for n in (2, 3, 5, 8, 16, 124) for metric in ("euclidean", "riemannian")] + [(200, "euclidean")],
+)
+def test_toeplitz_phi_matches_dense_determinant(n, metric):
+    # from the first omega_k, where |phi| is largest, past the switch between
+    # coefficient methods: t = 2 x0 (x = t/2) resp. t_star
+    if metric == "euclidean":
+        switch = 2.0 * max(30.0, 2.0 * (n - 1))
+    else:
+        switch = ((math.sqrt(40.0) + math.sqrt(40.0 + 2.0 * math.pi * (n - 1))) / (2.0 * math.pi)) ** 2
+    t = np.concatenate([
+        np.geomspace(2.0 * math.pi / (n * weyl._KAPPA[metric]), 0.5 * switch, 5),
+        switch * (1.0 + np.array([-1e-9, 0.0, 1e-9, 1.0])),
+    ])
+    assert np.max(np.abs(weyl._toeplitz_phi(n, t, metric) - toeplitz_phi_dense(n, t, metric))) <= 1e-12
+
+
+@pytest.mark.parametrize("metric, itemsize", [("euclidean", 8), ("riemannian", 16)])
+def test_toeplitz_phi_gathers_no_matrix_copy(metric, itemsize):
+    # a default chunk at n = 200 holds 3 terms; a gathered (3, n, n) copy of
+    # their matrices takes 0.92 MiB (real) resp. 1.83 MiB (complex), and
+    # det's LAPACK buffer is not traced. The quadrature rule is built once
+    # per n, so it is built before the measurement.
+    n = 200
+    step = weyl._CHUNK_BYTES // (16 * n * n)
+    w = 2.0 * math.pi * np.arange(1, step + 1) / (n * weyl._KAPPA[metric])
+    weyl._legendre_rule(n)
+    tracemalloc.start()
+    try:
+        weyl._toeplitz_phi(n, w, metric)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert step == 3
+    assert peak < step * n * n * itemsize
+
+
 # max |phi_float64 - phi_40| of weyl._toeplitz_phi over 12 omegas per (n, metric),
 # rounded up to two digits. omega_k is taken at k = 1024, k = 2^19 and the ten
 # k rounded from geomspace(1, 4n, 10), where |phi| is largest, each evaluated
 # in the chunk of omegas weyl._terms builds it in. phi_40 is the Toeplitz
 # determinant at the same float omega from 40-digit coefficients (mpmath
 # besselj, erf of the completed square) and a 40-digit LU determinant with
-# partial pivoting; mpmath is not a dependency of the package, so the values
-# are frozen here.
+# partial pivoting, and the difference is taken at 40 digits. mpmath is not a
+# dependency of the package, so the values are frozen here;
+# tests/phi_error_oracle.py is that measurement.
 PHI_ERRORS = {
     "euclidean": {2: 9.3e-17, 3: 2.1e-16, 4: 1.2e-16, 6: 4.2e-16, 8: 3.6e-16, 12: 7.7e-16, 16: 9.2e-16,
                   24: 2.5e-15, 32: 2.7e-15, 48: 2.9e-15, 64: 1.0e-14, 96: 8.4e-15, 128: 1.4e-14,
