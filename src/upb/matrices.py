@@ -148,7 +148,7 @@ def haar_sample(n, rng, size=None):
         raise ValidationError(f"haar_sample's Gaussian draw ({_describe_int(count)} × {_describe_int(n)}² complex "
                               f"entries) needs more than {_MAX_DRAW_BYTES >> 20} MiB, the limit for one random draw")
     g = _generator(rng).standard_normal((*shape, n, n, 2))
-    z = (g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0)
+    z = g.view(complex)[..., 0] / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     absd = np.abs(d)

@@ -284,14 +284,15 @@ def _fresnel_tail(v):
     return 0.5j * series / v
 
 
-@lru_cache(maxsize=_MAX_N)
+@lru_cache(maxsize=16)  # read only to build terms, which _terms keeps for 16 (n, metric) pairs
 def _legendre_rule(n):
     """(t_star, theta^2, B) of the riemannian coefficients at n. From t_star,
     the root of t (pi - (n-1)/(2t))^2 = _FRESNEL_V2, the Fresnel tails take
     over. Below it, c_k(t) = e^{i t theta^2} @ B is a Gauss-Legendre rule on
     [-pi, pi] with enough nodes for the phase t theta^2 - k theta, |k| < n,
     over its nodes theta > 0 and B[j, k] = w_j cos(k theta_j) for the weights
-    w_j on [-1, 1]: the odd part of the integrand cancels.
+    w_j on [-1, 1]: the odd part of the integrand cancels. B is stored
+    complex (an exact cast), so no chunk's matmul casts a copy of it.
 
     The nodes are Newton's method on P_size from its three-term recurrence,
     which keeps the weights accurate to a few ulp; numpy's leggauss loses
@@ -314,7 +315,7 @@ def _legendre_rule(n):
     # would be the error of c_0(t) as t -> 0
     weight /= math.fsum(weight)
     theta = math.pi * x
-    theta2, basis = theta * theta, weight[:, None] * np.cos(np.outer(theta, np.arange(n)))
+    theta2, basis = theta * theta, (weight[:, None] * np.cos(np.outer(theta, np.arange(n)))).astype(complex)
     theta2.flags.writeable = basis.flags.writeable = False  # shared by every later call
     return t_star, theta2, basis
 

@@ -207,6 +207,23 @@ def test_haar_batch_equals_successive_single_draws(n):
             haar_sample(n, 5, size)
 
 
+def test_haar_sample_matches_the_two_halves_construction():
+    # (g_re + i g_im) / sqrt(2) from the same draw, then QR and the phase of
+    # R's diagonal: the stream behind random_search, bit for bit
+    for seed in (0, 1, 2):
+        for n in (1, 2, 3, 8):
+            for size in (None, 0, 7, (3, 4), (2000, 12)):
+                dims = () if size is None else size if isinstance(size, tuple) else (size,)
+                g = np.random.default_rng(seed).standard_normal((*dims, n, n, 2))
+                q, r = np.linalg.qr((g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0))
+                d = np.diagonal(r, axis1=-2, axis2=-1)
+                absd = np.abs(d)
+                expected = q * (np.where(absd > 0, d, 1.0) / np.where(absd > 0, absd, 1.0))[..., None, :]
+                drawn = haar_sample(n, seed, size)
+                assert np.array_equal(drawn, expected), (seed, n, size)
+                assert np.array_equal(np.signbit(drawn.view(float)), np.signbit(expected.view(float)))
+
+
 # --- unitary matrices as plain arrays ------------------------------------------
 
 

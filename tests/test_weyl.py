@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -139,21 +140,21 @@ def test_normalizer_estimate_agrees_with_total():
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
-def test_ball_mass_n1_closed_form(metric):
+def test_ball_volume_fraction_n1_closed_form(metric):
     total = total_mass(1)
     for r in (0.25, 0.5, 1.0, 1.5):
         frac = ball_volume_fraction(1, r, metric)
         assert frac == pytest.approx(mass_circle_1(r, metric) / total, abs=1e-12 / total)
 
 
-def test_ball_mass_n1_examples():
+def test_ball_volume_fraction_n1_examples():
     # euclidean r=1: 4 asin(1/2) = 2 pi / 3 ; riemannian r=pi/2: pi
     assert ball_volume_fraction(1, 1.0, "euclidean") == pytest.approx(1 / 3)
     assert ball_volume_fraction(1, math.pi / 2, "riemannian") == pytest.approx(1 / 2)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
-def test_ball_mass_saturates_exactly(metric):
+def test_ball_volume_fraction_saturates_exactly(metric):
     for n in (1, 2, 3):
         rmax = max_radius(n, metric)
         assert ball_volume_fraction(n, rmax, metric) == 1.0
@@ -161,7 +162,7 @@ def test_ball_mass_saturates_exactly(metric):
         assert ball_volume_fraction(n, 0.0, metric) == 0.0
 
 
-def test_ball_mass_riemannian_2_matches_bessel():
+def test_cdf_riemannian_2_matches_bessel():
     for r in (0.3, 0.8, 1.5, 2.4, 3.0):
         frac, err, _ = weyl._cdf(2, r, "riemannian")
         exact = mass_bessel_riemannian_2(r) / total_mass(2)
@@ -170,7 +171,7 @@ def test_ball_mass_riemannian_2_matches_bessel():
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
-def test_ball_mass_2_matches_riemann_sum(metric):
+def test_ball_volume_fraction_2_matches_riemann_sum(metric):
     for r in (0.8, 1.6, 2.4):
         frac = ball_volume_fraction(2, r, metric)
         assert frac == pytest.approx(mass_riemann_2d(r, metric) / total_mass(2), rel=2e-3)
@@ -341,6 +342,23 @@ def test_toeplitz_phi_gathers_no_matrix_copy(metric, itemsize):
     assert peak < step * n * n * itemsize
 
 
+def test_riemannian_chunk_casts_no_copy_of_the_basis():
+    # the rule's basis is stored complex, so e^{i t theta^2} @ basis casts
+    # none of it; one real copy at n = 200 takes 448 x 200 x 8 B = 0.68 MiB
+    n = 200
+    step = weyl._CHUNK_BYTES // (16 * n * n)
+    w = 2.0 * math.pi * np.arange(1, step + 1) / (n * math.pi**2)
+    basis = weyl._legendre_rule(n)[2]
+    tracemalloc.start()
+    try:
+        weyl._toeplitz_phi(n, w, "riemannian")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.shape == (448, n)
+    assert peak < basis.shape[0] * n * 8
+
+
 # max |phi_float64 - phi_40| of weyl._toeplitz_phi over 12 omegas per (n, metric),
 # rounded up to two digits. omega_k is taken at k = 1024, k = 2^19 and the ten
 # k rounded from geomspace(1, 4n, 10), where |phi| is largest, each evaluated
@@ -439,13 +457,20 @@ def test_cold_riemannian_solve_builds_the_quadrature_rule_once():
 def test_fresnel_tails_start_at_t_star():
     # the per-t test that every integration limit v = sqrt(t) (pi -+ k/(2t)),
     # |k| < n, has v^2 >= 40 holds exactly from t*(n) on, for every omega_k
-    # up to past the end of the quadrature range at n = 200 (k ~ 14200)
+    # up to past the end of the quadrature range at n = 200 (k ~ 14200).
+    # The memo keeps only the last 16 rules, 20.6 MiB of arrays here, where a
+    # complex rule kept for every n would hold 98.8 MiB.
     k = np.arange(1, (1 << 14) + 1)
+    weyl._legendre_rule.cache_clear()
+    arrays = []
     for n in range(2, weyl._MAX_N + 1):
         t = 2.0 * math.pi * k / (n * math.pi**2)
         edge = math.pi - (n - 1) / (2.0 * t)
         oracle = (edge > 0.0) & (t * edge * edge >= 40.0)
-        assert np.array_equal(t >= weyl._legendre_rule(n)[0], oracle), n
+        t_star, *rule = weyl._legendre_rule(n)
+        assert np.array_equal(t >= t_star, oracle), n
+        arrays += [weakref.ref(a) for a in rule]
+    assert sum(a().nbytes for a in arrays if a() is not None) <= 32 << 20  # those still held
     weyl._legendre_rule.cache_clear()
 
 
@@ -534,7 +559,7 @@ def test_normalizer_estimate_checks_samples_and_seed():
     assert normalizer_estimate(2, 1000, -1) == normalizer_estimate(2, 1000, 2**64 - 1)
 
 
-def test_ball_mass_validates_arguments():
+def test_ball_volume_fraction_validates_arguments():
     with pytest.raises(ValidationError):
         ball_volume_fraction(0, 1.0, "euclidean")
     with pytest.raises(ValidationError):
